@@ -33,7 +33,7 @@ func linearPred(nodesPerUnit, distsPerUnit float64) fakePred {
 }
 
 func TestPlanPicksCheaperEngine(t *testing.T) {
-	pred := linearPred(10, 100) // tree cost = 110*r
+	pred := linearPred(10, 100)                              // tree cost = 110*r
 	prof := Profile{N: 1000, ScanNodes: 10, ScanDists: 1000} // scan cost = 1010
 
 	small, err := Plan(pred, prof, Query{Kind: KindRange, Radius: 1})

@@ -259,29 +259,49 @@ func editFast(a, b Object) float64 {
 	return float64(levenshteinPooled(sa, sb))
 }
 
+// CanonicalName identifies a space's distance by function identity,
+// whatever s.Name says: it returns "L1", "L2", "Linf", "edit" or
+// "hamming" when s.Distance is that package metric (or its accelerated
+// twin), and "" for any other function. It is the one rule by which a
+// bit-identical kernel may stand in for Distance: a custom distance —
+// even under a known name — is never substituted, so acceleration can
+// never change behavior.
+func CanonicalName(s *Space) string {
+	switch fnPointer(s.Distance) {
+	case fnPointer(L1):
+		return "L1"
+	case fnPointer(L2):
+		return "L2"
+	case fnPointer(LInf):
+		return "Linf"
+	case fnPointer(Levenshtein), fnPointer(editFast):
+		return "edit"
+	case fnPointer(Hamming), fnPointer(hammingFast):
+		return "hamming"
+	}
+	return ""
+}
+
 // Accelerate returns a space identical to s (same name, bound,
 // discreteness, and bit-identical distance values) whose Distance is
 // the fastest known implementation: SWAR Hamming, pooled-row
-// Levenshtein. Spaces with a custom Distance — even under a known name
-// — are returned unchanged; substitution happens only when the
-// distance is the canonical package function, so acceleration can never
-// change behavior. Lp vector distances are already allocation-free and
-// pass through; the arena's slab kernels cover their fast path.
+// Levenshtein. Substitution follows CanonicalName, so spaces with a
+// custom Distance are returned unchanged. Lp vector distances are
+// already allocation-free and pass through; the traversal core's slab
+// kernels cover their fast path.
 func Accelerate(s *Space) *Space {
 	if s == nil {
 		return nil
 	}
-	var fast DistanceFunc
-	switch fnPointer(s.Distance) {
-	case fnPointer(Hamming):
-		fast = hammingFast
-	case fnPointer(Levenshtein):
-		fast = editFast
+	out := *s
+	switch CanonicalName(s) {
+	case "hamming":
+		out.Distance = hammingFast
+	case "edit":
+		out.Distance = editFast
 	default:
 		return s
 	}
-	out := *s
-	out.Distance = fast
 	return &out
 }
 

@@ -3,7 +3,7 @@ package mtree
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"math"
 	"sync/atomic"
 
 	"mcost/internal/metric"
@@ -17,35 +17,25 @@ import (
 // Queries over an arena never touch the node store — no per-node
 // decode, no pager mutex, no per-entry Decode allocation — yet produce
 // bit-identical results, traces, and counter totals to the store-backed
-// traversal: the traversal order, pruning tests, and floating-point
-// expressions are exact mirrors of query.go/batch.go.
+// traversal, because both are node sources of the one traversal core
+// (core.go).
 //
 // An arena is a read-only snapshot. Tree mutations (Insert, Delete,
 // BulkLoad, Restore) thaw it automatically; FreezeArena rebuilds it.
 type Arena struct {
-	space   *metric.Space
-	counter *metric.Counter // shared with the owning tree
-	reads   *atomic.Int64   // the owning tree's arena node-read counter
-	bound   float64
+	engine // src is the arena itself; counter is shared with the owning tree
 
-	kind arenaKind
-	dim  int // vector dimension when kind == arenaVector
+	reads *atomic.Int64 // the owning tree's node-read counter
 
 	// Per-node slabs, indexed by dense node index.
 	leaf  []bool
 	start []int32 // first entry index of node i
 	end   []int32 // one past the last entry index of node i
 
-	// Per-entry slabs, indexed by dense entry index.
-	parentDist []float64
-	radius     []float64
-	child      []int32 // dense child node index; -1 for leaf entries
-	oid        []uint64
-	objs       []metric.Object // result objects (leaf entries; routing objects too)
-	vecs       []float64       // kind == arenaVector: entry e at [e*dim, (e+1)*dim)
-	strs       []string        // kind == arenaEdit / arenaHamming
-
-	vecK metric.VecKernel // kind == arenaVector
+	// Per-entry slabs, indexed by dense entry index: child is the dense
+	// child node index (-1 for leaf entries), objs the result objects
+	// (routing objects too), vecs the coordinates of vector kinds.
+	columns
 
 	// mapping is the live memory map behind the slabs when the arena was
 	// loaded via ArenaConfig.Mmap. It is intentionally NOT unmapped on
@@ -53,19 +43,7 @@ type Arena struct {
 	// any result may still be referenced would be a use-after-free. Close
 	// releases it explicitly once the caller knows no results survive.
 	mapping *pager.Mapping
-
-	scratch sync.Pool // *arenaScratch
 }
-
-// arenaKind selects the distance kernel dispatched on the hot path.
-type arenaKind uint8
-
-const (
-	arenaGeneric arenaKind = iota // space.Distance on boxed objects
-	arenaVector                   // Lp slab kernel over vecs
-	arenaEdit                     // prefix-shared Levenshtein over strs
-	arenaHamming                  // SWAR Hamming over strs
-)
 
 // ArenaConfig configures FreezeArena.
 type ArenaConfig struct {
@@ -132,33 +110,21 @@ func (a *Arena) Close() error {
 // are pointer-identical to store results; in paged mode they are the
 // decoded copies peek produced (decoding always copies — see codec.go).
 func buildArena(t *Tree) (*Arena, error) {
-	a := &Arena{
-		space:   t.counter.Space(), // accelerated view; bit-identical distances
-		counter: t.counter,
-		reads:   &t.arenaReads,
-		bound:   t.opt.Space.Bound,
-		kind:    arenaGeneric,
-	}
-	a.scratch.New = func() any { return &arenaScratch{} }
-
 	root, err := t.store.peek(t.root)
 	if err != nil {
 		return nil, err
 	}
+	var sample metric.Object
 	if len(root.entries) > 0 {
-		switch s := root.entries[0].Object.(type) {
-		case metric.Vector:
-			if k := metric.VecKernelFor(t.opt.Space.Name); k != nil {
-				a.kind, a.dim, a.vecK = arenaVector, len(s), k
-			}
-		case string:
-			switch t.opt.Space.Name {
-			case "edit":
-				a.kind = arenaEdit
-			case "hamming":
-				a.kind = arenaHamming
-			}
-		}
+		sample = root.entries[0].Object
+	}
+	a := &Arena{reads: &t.reads}
+	a.engine = engine{
+		// The accelerated view: bit-identical distances for the generic kind.
+		kernel:  kernelFor(t.counter.Space(), sample),
+		src:     a,
+		counter: t.counter,
+		bound:   t.opt.Space.Bound,
 	}
 
 	var walk func(id pager.PageID) (int32, error)
@@ -180,18 +146,16 @@ func buildArena(t *Tree) (*Arena, error) {
 			a.child = append(a.child, -1)
 			a.objs = append(a.objs, e.Object)
 			switch a.kind {
-			case arenaVector:
+			case kernelVector:
 				v, ok := e.Object.(metric.Vector)
 				if !ok || len(v) != a.dim {
 					return 0, fmt.Errorf("mtree: arena freeze: entry object %T does not match %d-dimensional vector layout", e.Object, a.dim)
 				}
 				a.vecs = append(a.vecs, v...)
-			case arenaEdit, arenaHamming:
-				s, ok := e.Object.(string)
-				if !ok {
+			case kernelEdit, kernelHamming:
+				if _, ok := e.Object.(string); !ok {
 					return 0, fmt.Errorf("mtree: arena freeze: entry object %T in a string space", e.Object)
 				}
-				a.strs = append(a.strs, s)
 			}
 		}
 		if !n.leaf {
@@ -209,4 +173,30 @@ func buildArena(t *Tree) (*Arena, error) {
 		return nil, err
 	}
 	return a, nil
+}
+
+// roots and load make the arena a nodeSource: a node read is a counter
+// bump and the node's entry range in the slabs.
+func (a *Arena) roots() (int32, int) { return 0, 1 }
+
+func (a *Arena) load(ref int32) (nodeView, error) {
+	a.reads.Add(1)
+	return nodeView{columns: &a.columns, leaf: a.leaf[ref], lo: a.start[ref], hi: a.end[ref]}, nil
+}
+
+// RangeAppend runs a range query over the arena, appending matches to
+// dst and returning the extended slice. With dst capacity in place this
+// is the zero-allocation hot path the CI gate pins (0 allocs/op for
+// vector spaces). Results, order, traces, and counters are identical to
+// Tree.Range.
+func (a *Arena) RangeAppend(dst []Match, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
+	return a.rangeQuery(nil, dst, q, radius, opt)
+}
+
+// NNAppend runs a k-NN query over the arena, appending the neighbors
+// (closest first) to dst. Like RangeAppend it is allocation-free once
+// dst and the pooled scratch are warm. Results are identical to
+// Tree.NN.
+func (a *Arena) NNAppend(dst []Match, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
+	return a.nnQuery(nil, dst, q, k, math.Inf(1), opt)
 }

@@ -31,6 +31,9 @@ func arenaAllocFixture(tb testing.TB) (*Tree, []metric.Object) {
 }
 
 func TestArenaRangeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	tr, qs := arenaAllocFixture(t)
 	a := tr.Arena()
 	opt := QueryOptions{UseParentDist: true}
@@ -56,6 +59,9 @@ func TestArenaRangeZeroAllocs(t *testing.T) {
 }
 
 func TestArenaNNZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	tr, qs := arenaAllocFixture(t)
 	a := tr.Arena()
 	opt := QueryOptions{UseParentDist: true}

@@ -17,7 +17,7 @@ import (
 //
 //	[0:8)    magic "MCARENA1"
 //	[8:16)   0x0807060504030201 as uint64 — endianness/width check
-//	[16]     kind (arenaVector / arenaEdit / arenaHamming)
+//	[16]     kind (kernelVector / kernelEdit / kernelHamming)
 //	[17:20)  zero padding
 //	[20:24)  uint32 dim (vector kinds; else 0)
 //	[24:28)  uint32 node count
@@ -34,7 +34,7 @@ import (
 //	parentDist entry count × f64
 //	radius     entry count × f64
 //	oid        entry count × u64
-//	vecs       entry count × dim × f64        (arenaVector)
+//	vecs       entry count × dim × f64        (kernelVector)
 //	strOff     (entry count + 1) × u32        (string kinds)
 //	strBlob    string-blob bytes              (string kinds)
 //
@@ -43,8 +43,8 @@ import (
 // mapping must outlive every Match.Object handed out, which is why a
 // thaw keeps it alive and only Arena.Close unmaps. The string blob is
 // copied out at open (one allocation), so string results never alias
-// the map. Generic-kind arenas (custom domains) have no file format
-// and must freeze in memory.
+// the map. Generic-kind arenas (custom domains or distances) have no
+// file format and must freeze in memory.
 
 const (
 	arenaMagic  = "MCARENA1"
@@ -55,8 +55,8 @@ const (
 // remap serializes the built arena to path (a private unlinked temp
 // file when empty) and swaps the slabs for read-only views of the map.
 func (a *Arena) remap(path string) error {
-	if a.kind == arenaGeneric {
-		return fmt.Errorf("mtree: arena mmap supports vector, edit, and hamming layouts; %q objects must freeze in memory", a.space.Name)
+	if a.kind == kernelGeneric {
+		return fmt.Errorf("mtree: arena mmap supports the canonical Lp, edit, and hamming metrics; space %q (custom distance or domain) must freeze in memory", a.space.Name)
 	}
 	remove := false
 	if path == "" {
@@ -106,9 +106,9 @@ func (a *Arena) writeSlabFile(path string) (err error) {
 	w := bufio.NewWriterSize(f, 1<<20)
 
 	var strBlobLen uint64
-	if a.kind == arenaEdit || a.kind == arenaHamming {
-		for _, s := range a.strs {
-			strBlobLen += uint64(len(s))
+	if a.kind == kernelEdit || a.kind == kernelHamming {
+		for _, o := range a.objs {
+			strBlobLen += uint64(len(o.(string)))
 		}
 	}
 
@@ -195,25 +195,25 @@ func (a *Arena) writeSlabFile(path string) (err error) {
 		return err
 	}
 	switch a.kind {
-	case arenaVector:
+	case kernelVector:
 		if err := section(writeU64s(func(i int) uint64 { return floatBits(a.vecs[i]) }, len(a.vecs)), len(a.vecs)*8); err != nil {
 			return err
 		}
-	case arenaEdit, arenaHamming:
+	case kernelEdit, kernelHamming:
 		off := uint32(0)
 		if err := section(writeU32s(func(i int) uint32 {
 			if i == 0 {
 				off = 0
 			} else {
-				off += uint32(len(a.strs[i-1]))
+				off += uint32(len(a.objs[i-1].(string)))
 			}
 			return off
 		}, ne+1), (ne+1)*4); err != nil {
 			return err
 		}
 		if err := section(func() error {
-			for _, s := range a.strs {
-				if _, err := w.WriteString(s); err != nil {
+			for _, o := range a.objs {
+				if _, err := w.WriteString(o.(string)); err != nil {
 					return err
 				}
 			}
@@ -239,7 +239,7 @@ func (a *Arena) attachMapping(m *pager.Mapping) error {
 	if binary.LittleEndian.Uint64(data[8:]) != arenaEndian {
 		return fmt.Errorf("mtree: arena slab file has foreign byte order")
 	}
-	kind := arenaKind(data[16])
+	kind := kernelKind(data[16])
 	dim := int(binary.LittleEndian.Uint32(data[20:]))
 	nn := int(binary.LittleEndian.Uint32(data[24:]))
 	ne := int(binary.LittleEndian.Uint32(data[28:]))
@@ -301,7 +301,7 @@ func (a *Arena) attachMapping(m *pager.Mapping) error {
 
 	objs := make([]metric.Object, ne)
 	switch a.kind {
-	case arenaVector:
+	case kernelVector:
 		vecSec, err := take(ne * dim * 8)
 		if err != nil {
 			return err
@@ -312,7 +312,7 @@ func (a *Arena) attachMapping(m *pager.Mapping) error {
 			// file-format comment and DESIGN.md spell out.
 			objs[e] = metric.Vector(a.vecs[e*dim : (e+1)*dim])
 		}
-	case arenaEdit, arenaHamming:
+	case kernelEdit, kernelHamming:
 		offSec, err := take((ne + 1) * 4)
 		if err != nil {
 			return err
@@ -325,12 +325,9 @@ func (a *Arena) attachMapping(m *pager.Mapping) error {
 		// One copy of the whole blob: substrings of blob share it and are
 		// ordinary immutable Go strings, independent of the mapping.
 		blob := string(blobSec)
-		strs := make([]string, ne)
 		for e := 0; e < ne; e++ {
-			strs[e] = blob[offs[e]:offs[e+1]]
-			objs[e] = strs[e]
+			objs[e] = blob[offs[e]:offs[e+1]]
 		}
-		a.strs = strs
 	}
 	a.objs = objs
 	a.mapping = m

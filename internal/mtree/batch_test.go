@@ -338,25 +338,44 @@ func TestBatchFaultInjection(t *testing.T) {
 }
 
 // TestBatchValidationAndEdges covers the argument contract and empty
-// shapes.
+// shapes, which the traversal core enforces once for every node source.
 func TestBatchValidationAndEdges(t *testing.T) {
-	tr, d := batchFixture(t, 100)
+	sources, d := threeSources(t, 100)
 	q := d.Objects[0]
-	if _, err := tr.RangeBatch([]metric.Object{q, nil}, 0.1, QueryOptions{}); err == nil {
-		t.Error("nil query accepted")
-	}
-	if _, err := tr.RangeBatch([]metric.Object{q}, -1, QueryOptions{}); err == nil {
-		t.Error("negative radius accepted")
-	}
-	if _, err := tr.NNBatch([]metric.Object{q}, 0, QueryOptions{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := tr.NNBatch([]metric.Object{nil}, 3, QueryOptions{}); err == nil {
-		t.Error("nil NN query accepted")
-	}
-	out, err := tr.RangeBatch(nil, 0.1, QueryOptions{})
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty batch: %v, %d sets", err, len(out))
+	for name, e := range sources {
+		if _, err := e.RangeBatch([]metric.Object{q, nil}, 0.1, QueryOptions{}); err == nil {
+			t.Errorf("%s: nil query accepted", name)
+		}
+		if _, err := e.RangeBatch([]metric.Object{q}, -1, QueryOptions{}); err == nil {
+			t.Errorf("%s: negative radius accepted", name)
+		}
+		if _, err := e.NNBatch([]metric.Object{q}, 0, QueryOptions{}); err == nil {
+			t.Errorf("%s: k=0 accepted", name)
+		}
+		if _, err := e.NNBatch([]metric.Object{nil}, 3, QueryOptions{}); err == nil {
+			t.Errorf("%s: nil NN query accepted", name)
+		}
+		// An empty batch is no work: nothing read, nothing computed,
+		// nothing traced.
+		for _, qs := range [][]metric.Object{nil, {}} {
+			tr := obs.NewTrace()
+			nodes, dists := e.NodeReads(), e.DistanceCount()
+			out, err := e.RangeBatch(qs, 0.1, QueryOptions{Trace: tr})
+			if err != nil || len(out) != 0 {
+				t.Errorf("%s: empty range batch: %v, %d sets", name, err, len(out))
+			}
+			out, err = e.NNBatch(qs, 3, QueryOptions{Trace: tr})
+			if err != nil || len(out) != 0 {
+				t.Errorf("%s: empty NN batch: %v, %d sets", name, err, len(out))
+			}
+			if e.NodeReads() != nodes || e.DistanceCount() != dists {
+				t.Errorf("%s: empty batches cost %d node reads and %d distances", name,
+					e.NodeReads()-nodes, e.DistanceCount()-dists)
+			}
+			if tr.Batches != 0 || tr.Queries != 0 {
+				t.Errorf("%s: empty batches traced (%d batches, %d queries)", name, tr.Batches, tr.Queries)
+			}
+		}
 	}
 	empty, err := New(Options{Space: d.Space, PageSize: 1024})
 	if err != nil {

@@ -77,7 +77,7 @@ func (t *Tree) RangeOr(preds []Pred, opt QueryOptions) ([]Match, error) {
 // complexAt is the shared traversal. distQP[i] is d(preds[i].Q, routing
 // object of this node), NaN at the root. conj selects AND (true) or OR.
 func (t *Tree) complexAt(id pager.PageID, preds []Pred, distQP []float64, conj bool, opt QueryOptions, out *[]Match) error {
-	n, err := t.store.fetch(id)
+	n, err := t.fetch(id)
 	if err != nil {
 		return err
 	}

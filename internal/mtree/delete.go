@@ -52,7 +52,7 @@ func (t *Tree) Delete(obj metric.Object, oid uint64) error {
 	}
 	// Shrink the root while it is an internal node with a single child.
 	for {
-		n, err := t.store.fetch(t.root)
+		n, err := t.fetch(t.root)
 		if err != nil {
 			return err
 		}
@@ -64,7 +64,7 @@ func (t *Tree) Delete(obj metric.Object, oid uint64) error {
 		t.height--
 		// The new root's entries lose their routing object: parent
 		// distances become NaN by the root convention.
-		nr, err := t.store.fetch(t.root)
+		nr, err := t.fetch(t.root)
 		if err != nil {
 			return err
 		}
@@ -85,7 +85,7 @@ var ErrNotFound = errors.New("mtree: object not found")
 // the entry was removed and whether the node is now empty (so the parent
 // must unlink it).
 func (t *Tree) deleteAt(id pager.PageID, obj metric.Object, oid uint64) (removed, empty bool, err error) {
-	n, err := t.store.fetch(id)
+	n, err := t.fetch(id)
 	if err != nil {
 		return false, false, err
 	}

@@ -22,7 +22,7 @@ type splitResult struct {
 // (nil at the root, whose region has no routing object). A non-nil
 // splitResult means this node split and the parent must patch itself.
 func (t *Tree) insertAt(id pager.PageID, obj metric.Object, oid uint64, distToRouting float64, routing metric.Object) (*splitResult, error) {
-	n, err := t.store.fetch(id)
+	n, err := t.fetch(id)
 	if err != nil {
 		return nil, err
 	}

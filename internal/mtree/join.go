@@ -37,7 +37,7 @@ func (t *Tree) SimilarityJoin(eps float64) ([]JoinPair, error) {
 // joinNodes emits qualifying pairs between the subtrees at a and b
 // (a == b handles the self-join diagonal).
 func (t *Tree) joinNodes(a, b pager.PageID, eps float64, out *[]JoinPair) error {
-	na, err := t.store.fetch(a)
+	na, err := t.fetch(a)
 	if err != nil {
 		return err
 	}
@@ -45,7 +45,7 @@ func (t *Tree) joinNodes(a, b pager.PageID, eps float64, out *[]JoinPair) error 
 	if a == b {
 		nb = na
 	} else {
-		nb, err = t.store.fetch(b)
+		nb, err = t.fetch(b)
 		if err != nil {
 			return err
 		}

@@ -309,7 +309,7 @@ func TestRangeNoPruningVisitsEveryEntryOfAccessedNodes(t *testing.T) {
 	}
 	// Each accessed node contributes exactly len(entries) distances.
 	// Verify the identity dists == sum(entries(accessed)) by a manual
-	// traversal that mirrors rangeAt's access rule.
+	// traversal that follows rangeVisit's access rule.
 	var walkDists, walkReads int64
 	var walk func(id pager.PageID, q metric.Object, radius float64)
 	walk = func(id pager.PageID, q metric.Object, radius float64) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"mcost/internal/metric"
 	"mcost/internal/pager"
@@ -30,6 +31,33 @@ type node struct {
 	id      pager.PageID
 	leaf    bool
 	entries []Entry
+	// cols caches the columnar transpose of entries the traversal core
+	// reads (see Tree.load). Query goroutines build it lazily; the
+	// memory store drops it whenever the node is stored, which every
+	// mutation does before a query can see the node again.
+	cols atomic.Pointer[columns]
+}
+
+// transpose copies the node's entries into fresh columns, filling only
+// the ones a node of its kind is read through.
+func (n *node) transpose() *columns {
+	k := len(n.entries)
+	c := &columns{parentDist: make([]float64, k), objs: make([]metric.Object, k)}
+	if n.leaf {
+		c.oid = make([]uint64, k)
+	} else {
+		c.radius, c.child = make([]float64, k), make([]int32, k)
+	}
+	for i := range n.entries {
+		e := &n.entries[i]
+		c.parentDist[i], c.objs[i] = e.ParentDist, e.Object
+		if n.leaf {
+			c.oid[i] = e.OID
+		} else {
+			c.radius[i], c.child[i] = e.Radius, int32(e.Child)
+		}
+	}
+	return c
 }
 
 // Page layout:

@@ -1,10 +1,7 @@
 package mtree
 
 import (
-	"container/heap"
 	"context"
-	"errors"
-	"fmt"
 	"math"
 
 	"mcost/internal/budget"
@@ -54,9 +51,42 @@ type Match struct {
 	Distance float64
 }
 
+// engine picks the node source queries run against: the frozen arena
+// when there is one, else the node store.
+func (t *Tree) engine() *engine {
+	if t.arena != nil {
+		return &t.arena.engine
+	}
+	return &t.eng
+}
+
+// roots and load make the node store a nodeSource: a node read is one
+// counted fetch (and, in paged mode, one decode) plus the node's
+// transposed entries — built once per stored node in memory mode, once
+// per decode in paged mode.
+func (t *Tree) roots() (int32, int) {
+	if t.root == pager.InvalidPage {
+		return 0, 0
+	}
+	return int32(t.root), 1
+}
+
+func (t *Tree) load(ref int32) (nodeView, error) {
+	n, err := t.fetch(pager.PageID(ref))
+	if err != nil {
+		return nodeView{}, err
+	}
+	c := n.cols.Load()
+	if c == nil {
+		c = n.transpose()
+		n.cols.Store(c)
+	}
+	return nodeView{columns: c, leaf: n.leaf, hi: int32(len(n.entries))}, nil
+}
+
 // Range returns all objects within radius of q, in unspecified order.
 func (t *Tree) Range(q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	return t.rangeSearch(nil, q, radius, opt)
+	return t.engine().rangeQuery(nil, nil, q, radius, opt)
 }
 
 // RangeCtx is Range honoring ctx and opt.Budget at each node fetch: a
@@ -67,127 +97,7 @@ func (t *Tree) Range(q metric.Object, radius float64, opt QueryOptions) ([]Match
 // returned match is within radius; completeness is what was given up).
 // With a background context and a zero budget it is exactly Range.
 func (t *Tree) RangeCtx(ctx context.Context, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	return t.rangeSearch(budget.NewGuard(ctx, opt.Budget), q, radius, opt)
-}
-
-func (t *Tree) rangeSearch(g *budget.Guard, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if radius < 0 {
-		return nil, fmt.Errorf("mtree: negative radius %g", radius)
-	}
-	if t.root == pager.InvalidPage {
-		return nil, nil
-	}
-	opt.Trace.StartRange(radius)
-	if a := t.arena; a != nil {
-		return a.rangeRun(g, q, radius, opt)
-	}
-	var out []Match
-	err := t.rangeAt(t.root, q, radius, math.NaN(), 1, opt, g, &out)
-	return out, err
-}
-
-// rangeAt recursively collects matches under node id, a node at the
-// given level (root = 1). distQP is d(q, routing object of this node) —
-// NaN at the root.
-func (t *Tree) rangeAt(id pager.PageID, q metric.Object, radius, distQP float64, level int, opt QueryOptions, g *budget.Guard, out *[]Match) error {
-	if err := g.BeforeFetch(); err != nil {
-		return err
-	}
-	n, err := t.store.fetch(id)
-	if err != nil {
-		return err
-	}
-	opt.Trace.Visit(level)
-	for i := range n.entries {
-		e := &n.entries[i]
-		bound := radius
-		if !n.leaf {
-			bound += e.Radius
-		}
-		// Parent-distance pruning: |d(q,parent) - d(object,parent)| is a
-		// lower bound on d(q,object); if it already exceeds the bound the
-		// entry cannot qualify and the distance computation is saved.
-		if opt.UseParentDist && !math.IsNaN(distQP) && !math.IsNaN(e.ParentDist) {
-			if math.Abs(distQP-e.ParentDist) > bound {
-				opt.Trace.PruneParent(level)
-				continue
-			}
-		}
-		d := t.dist(q, e.Object)
-		opt.Trace.Dist(level)
-		if err := g.OnDist(); err != nil {
-			return err
-		}
-		if d > bound {
-			if !n.leaf {
-				opt.Trace.PruneRadius(level)
-			}
-			continue
-		}
-		if n.leaf {
-			*out = append(*out, Match{Object: e.Object, OID: e.OID, Distance: d})
-		} else if err := t.rangeAt(e.Child, q, radius, d, level+1, opt, g, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// nnQueueItem is a pending subtree in the k-NN search, ordered by dMin,
-// the lower bound on the distance from q to any object in the subtree.
-type nnQueueItem struct {
-	id    pager.PageID
-	dMin  float64
-	distQ float64 // d(q, routing object of the subtree); NaN for the root
-	level int     // tree level of the subtree root (tree root = 1)
-}
-
-type nnQueue []nnQueueItem
-
-func (h nnQueue) Len() int            { return len(h) }
-func (h nnQueue) Less(i, j int) bool  { return h[i].dMin < h[j].dMin }
-func (h nnQueue) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nnQueue) Push(x interface{}) { *h = append(*h, x.(nnQueueItem)) }
-func (h *nnQueue) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// resultHeap keeps the k best matches seen so far, max-distance on top.
-// Distance ties break on OID so the retained set — and therefore the
-// k-NN answer at a tied k-th boundary — is the k smallest (distance,
-// OID) pairs regardless of traversal encounter order. Canonical answers
-// let result caches and cross-engine comparisons demand bit-identity.
-type resultHeap []Match
-
-func (h resultHeap) Len() int { return len(h) }
-func (h resultHeap) Less(i, j int) bool {
-	if h[i].Distance != h[j].Distance {
-		return h[i].Distance > h[j].Distance
-	}
-	return h[i].OID > h[j].OID
-}
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Match)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// drain empties the heap into increasing-distance order.
-func (h *resultHeap) drain() []Match {
-	out := make([]Match, h.Len())
-	for i := h.Len() - 1; i >= 0; i-- {
-		out[i] = heap.Pop(h).(Match)
-	}
-	return out
+	return t.engine().rangeQuery(budget.NewGuard(ctx, opt.Budget), nil, q, radius, opt)
 }
 
 // NN returns the k nearest neighbors of q ordered by increasing
@@ -196,11 +106,7 @@ func (h *resultHeap) drain() []Match {
 // the dynamic search radius set by the k-th best match so far. It
 // accesses only nodes whose region intersects the final NN(q,k) ball.
 func (t *Tree) NN(q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	out, err := t.nnSearch(nil, q, k, math.Inf(1), opt)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return t.NNWithStop(q, k, math.Inf(1), opt)
 }
 
 // NNCtx is NN honoring ctx and opt.Budget at each node fetch (see
@@ -209,7 +115,7 @@ func (t *Tree) NN(q metric.Object, k int, opt QueryOptions) ([]Match, error) {
 // partial result — each returned object is a true object at its true
 // distance, but a closer neighbor may not have been reached yet.
 func (t *Tree) NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	return t.nnSearch(budget.NewGuard(ctx, opt.Budget), q, k, math.Inf(1), opt)
+	return t.NNWithStopCtx(ctx, q, k, math.Inf(1), opt)
 }
 
 // NNWithStop is NN with an additional stop radius: subtrees whose
@@ -220,129 +126,67 @@ func (t *Tree) NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptio
 // probably-approximately-correct NN: the true neighbors are missed only
 // in the low-probability tail where nn_k exceeds the chosen quantile.
 func (t *Tree) NNWithStop(q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	if stopRadius < 0 {
-		return nil, fmt.Errorf("mtree: negative stop radius %g", stopRadius)
-	}
-	out, err := t.nnSearch(nil, q, k, stopRadius, opt)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return t.engine().nnQuery(nil, nil, q, k, stopRadius, opt)
 }
 
 // NNWithStopCtx is NNWithStop honoring ctx and opt.Budget (see NNCtx).
 func (t *Tree) NNWithStopCtx(ctx context.Context, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	if stopRadius < 0 {
-		return nil, fmt.Errorf("mtree: negative stop radius %g", stopRadius)
-	}
-	return t.nnSearch(budget.NewGuard(ctx, opt.Budget), q, k, stopRadius, opt)
+	return t.engine().nnQuery(budget.NewGuard(ctx, opt.Budget), nil, q, k, stopRadius, opt)
 }
 
-// fetchFunc fetches one node for a query traversal, enforcing the
-// budget guard and recording the trace visit. The batch engine swaps in
-// a memoizing fetcher so node reads amortize across a query batch.
-type fetchFunc func(id pager.PageID, level int) (*node, error)
+// Batched query execution. RangeBatch and NNBatch run a slice of
+// queries in one shared traversal: each node is fetched (and decoded,
+// in paged mode) at most once per batch and its entries are tested
+// against every still-active query, so node reads amortize across the
+// batch while distance computations stay per-query. Every query's
+// pruning decisions depend only on its own state, so per-query results
+// are bit-identical to running the queries one by one through
+// Range/NN — the equivalence matrix in batch_test.go pins this at every
+// batch size, and in paged mode TestBatchPagedEquivalence pins it
+// against the memory tree.
+//
+// Batches share the Tree's read-only concurrency contract: a batch must
+// not run concurrently with mutation, and a QueryOptions.Trace or
+// Budget belongs to one batch at a time. A traced batch records each
+// node visit once per batch (the amortized accounting) and each
+// distance computation per query; Trace.Batches counts executions. An
+// empty batch does no work and records no trace.
 
-// queryFetcher is the plain per-query fetcher: every call is one
-// guarded, counted, traced node read.
-func (t *Tree) queryFetcher(g *budget.Guard, tr *obs.Trace) fetchFunc {
-	return func(id pager.PageID, level int) (*node, error) {
-		if err := g.BeforeFetch(); err != nil {
-			return nil, err
-		}
-		n, err := t.store.fetch(id)
-		if err != nil {
-			return nil, err
-		}
-		tr.Visit(level)
-		return n, nil
-	}
+// RangeBatch returns, for each query in qs, all objects within radius
+// of it — out[i] is exactly what Range(qs[i], radius, opt) returns, in
+// the same order, but the batch traverses the tree once, fetching each
+// node a single time for all queries that need it.
+func (t *Tree) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
+	return t.engine().rangeBatch(nil, qs, radius, opt)
 }
 
-// nnSearch is the shared best-first search: NN is the stopRadius=+Inf
-// case. On a guard stop (context or budget) it returns the current best
-// matches with the guard's error.
-func (t *Tree) nnSearch(g *budget.Guard, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("mtree: k = %d", k)
-	}
-	if t.root == pager.InvalidPage {
-		return nil, nil
-	}
-	opt.Trace.StartNN(k)
-	if a := t.arena; a != nil {
-		return a.nnRun(g, q, k, stopRadius, opt, nil)
-	}
-	return t.nnSearchFetch(t.queryFetcher(g, opt.Trace), g, q, k, stopRadius, opt)
+// RangeBatchCtx is RangeBatch honoring ctx and opt.Budget. The budget
+// caps the batch as a whole (node reads are shared property of the
+// batch; distance computations sum over queries). On a stop the
+// per-query partial result sets accumulated so far are returned
+// alongside the typed error — every returned match is a true match
+// within radius.
+func (t *Tree) RangeBatchCtx(ctx context.Context, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
+	return t.engine().rangeBatch(budget.NewGuard(ctx, opt.Budget), qs, radius, opt)
 }
 
-// nnSearchFetch is the best-first loop with node access abstracted:
-// callers have validated inputs and recorded the trace start. The guard
-// only meters distance computations here — node fetches are metered by
-// the fetcher, which in batch mode skips the guard on memo hits.
-func (t *Tree) nnSearchFetch(fetch fetchFunc, g *budget.Guard, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	pq := &nnQueue{{id: t.root, dMin: 0, distQ: math.NaN(), level: 1}}
-	best := &resultHeap{}
-	rk := func() float64 {
-		r := t.opt.Space.Bound
-		if best.Len() >= k {
-			r = (*best)[0].Distance
-		}
-		if stopRadius < r {
-			return stopRadius
-		}
-		return r
-	}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nnQueueItem)
-		if item.dMin > rk() {
-			break
-		}
-		n, err := fetch(item.id, item.level)
-		if err != nil {
-			return best.drain(), err
-		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			bound := rk()
-			if !n.leaf {
-				bound += e.Radius
-			}
-			if opt.UseParentDist && !math.IsNaN(item.distQ) && !math.IsNaN(e.ParentDist) {
-				if math.Abs(item.distQ-e.ParentDist) > bound {
-					opt.Trace.PruneParent(item.level)
-					continue
-				}
-			}
-			d := t.dist(q, e.Object)
-			opt.Trace.Dist(item.level)
-			if err := g.OnDist(); err != nil {
-				return best.drain(), err
-			}
-			if n.leaf {
-				if d <= rk() {
-					heap.Push(best, Match{Object: e.Object, OID: e.OID, Distance: d})
-					if best.Len() > k {
-						heap.Pop(best)
-					}
-				}
-				continue
-			}
-			dMin := d - e.Radius
-			if dMin < 0 {
-				dMin = 0
-			}
-			if dMin <= rk() {
-				heap.Push(pq, nnQueueItem{id: e.Child, dMin: dMin, distQ: d, level: item.level + 1})
-			} else {
-				opt.Trace.PruneRadius(item.level)
-			}
-		}
-	}
-	return best.drain(), nil
+// NNBatch returns, for each query in qs, its k nearest neighbors,
+// closest first — out[i] is bit-identical to NN(qs[i], k, opt). The
+// batch shares one node memo: the best-first searches run per query
+// (the dynamic search radius is inherently per-query state) but a node
+// fetched for one query is served from memory to every later query in
+// the batch, so each node is read and decoded at most once per batch.
+func (t *Tree) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
+	return t.engine().nnBatch(nil, qs, k, opt)
+}
+
+// NNBatchCtx is NNBatch honoring ctx and opt.Budget; the budget caps
+// the batch as a whole (see RangeBatchCtx). On a stop, queries already
+// finished keep their complete results, the in-flight query returns its
+// best-so-far, and queries not yet started return nil — all returned
+// neighbors are true objects at true distances.
+func (t *Tree) NNBatchCtx(ctx context.Context, qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
+	return t.engine().nnBatch(budget.NewGuard(ctx, opt.Budget), qs, k, opt)
 }
 
 // LinearScanRange is the baseline: scan all objects, computing every
@@ -358,18 +202,9 @@ func LinearScanRange(objs []metric.Object, space *metric.Space, q metric.Object,
 	return out
 }
 
-// LinearScanNN is the k-NN baseline over a plain object slice.
+// LinearScanNN is the k-NN baseline over a plain object slice: the
+// first k of all objects in (distance, OID) order.
 func LinearScanNN(objs []metric.Object, space *metric.Space, q metric.Object, k int) []Match {
-	best := &resultHeap{}
-	for i, o := range objs {
-		d := space.Distance(q, o)
-		if best.Len() < k {
-			heap.Push(best, Match{Object: o, OID: uint64(i), Distance: d})
-		} else if worst := (*best)[0]; d < worst.Distance ||
-			(d == worst.Distance && uint64(i) < worst.OID) {
-			heap.Pop(best)
-			heap.Push(best, Match{Object: o, OID: uint64(i), Distance: d})
-		}
-	}
-	return best.drain()
+	all := canonical(LinearScanRange(objs, space, q, math.Inf(1)))
+	return all[:min(k, len(all))]
 }

@@ -1,11 +1,10 @@
 package mtree
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"sync/atomic"
 
 	"mcost/internal/budget"
@@ -26,26 +25,24 @@ import (
 // Budgets and contexts are honored at page granularity, like the tree's
 // per-node-fetch checks: a stopped query returns the valid partial
 // result accumulated so far with the typed budget/context error. Batch
-// variants share the page reads across the batch, mirroring the tree's
-// shared-traversal amortization.
+// variants share the page reads across the batch, like the tree's: the
+// scan is a node source of the same traversal core (core.go).
 //
 // Like the tree, a Scan is safe for concurrent read-only queries;
 // Insert/Remove must not run concurrently with queries.
 type Scan struct {
-	space   *metric.Space
-	objs    []metric.Object
-	oids    []uint64
+	engine  // src is the scan itself; counter meters its distances
+	columns // objs and their oid, in scan order; no other column is read at level 1
 	perPage int
 
 	nodeReads atomic.Int64
-	distCalcs atomic.Int64
 }
 
 // NewScan builds a scan engine over the objects with OIDs equal to the
 // slice index — the same OIDs the tree assigns at BulkLoad, so results
 // are comparable across engines. pageSize sizes the leaf-equivalent
-// page used for the node-read meter; sample (usually objs[0]) fixes the
-// per-object encoded size.
+// page used for the node-read meter; objs[0] fixes the per-object
+// encoded size.
 func NewScan(space *metric.Space, objs []metric.Object, pageSize int) (*Scan, error) {
 	if space == nil {
 		return nil, errors.New("mtree: scan: nil space")
@@ -61,12 +58,11 @@ func NewScan(space *metric.Space, objs []metric.Object, pageSize int) (*Scan, er
 	for i := range oids {
 		oids[i] = uint64(i)
 	}
-	return &Scan{
-		space:   space,
-		objs:    append([]metric.Object(nil), objs...),
-		oids:    oids,
-		perPage: per,
-	}, nil
+	s := &Scan{columns: columns{objs: append([]metric.Object(nil), objs...), oid: oids}, perPage: per}
+	// No d+ cap on the search radius: the scan answers for whatever
+	// distances the space produces.
+	s.engine = engine{kernel: kernelFor(space, objs[0]), src: s, counter: metric.NewCounter(space), bound: math.Inf(1)}
+	return s, nil
 }
 
 // scanObjectsPerPage derives how many packed objects one leaf-equivalent
@@ -82,10 +78,7 @@ func scanObjectsPerPage(sample metric.Object, pageSize int) (int, error) {
 		pageSize = 4096
 	}
 	leafCap, _ := NodeCapacities(pageSize, codec.Size(sample))
-	if leafCap < 1 {
-		leafCap = 1
-	}
-	return leafCap, nil
+	return max(leafCap, 1), nil
 }
 
 // ScanPages returns the sequential page reads a full scan of n objects
@@ -103,12 +96,7 @@ func ScanPages(sample metric.Object, n, pageSize int) (int, error) {
 func (s *Scan) Size() int { return len(s.objs) }
 
 // Pages returns the sequential page reads one full scan costs.
-func (s *Scan) Pages() int {
-	if len(s.objs) == 0 {
-		return 0
-	}
-	return (len(s.objs) + s.perPage - 1) / s.perPage
-}
+func (s *Scan) Pages() int { return (len(s.objs) + s.perPage - 1) / s.perPage }
 
 // NodeReads returns the leaf-equivalent page reads accumulated since
 // the last ResetCounters.
@@ -116,71 +104,68 @@ func (s *Scan) NodeReads() int64 { return s.nodeReads.Load() }
 
 // DistanceCount returns the distance computations accumulated since the
 // last ResetCounters.
-func (s *Scan) DistanceCount() int64 { return s.distCalcs.Load() }
+func (s *Scan) DistanceCount() int64 { return s.counter.Count() }
 
 // ResetCounters zeroes the cost meters.
 func (s *Scan) ResetCounters() {
 	s.nodeReads.Store(0)
-	s.distCalcs.Store(0)
+	s.counter.Reset()
 }
 
 // Insert appends one object under the given OID (the tree hands out
 // OIDs; the scan mirrors them so the engines stay comparable).
 func (s *Scan) Insert(obj metric.Object, oid uint64) {
 	s.objs = append(s.objs, obj)
-	s.oids = append(s.oids, oid)
+	s.oid = append(s.oid, oid)
 }
 
 // Remove deletes the object stored under oid; it reports whether the
 // OID was present. Order of the remaining objects is preserved — scan
 // results stay deterministic across deletions.
 func (s *Scan) Remove(oid uint64) bool {
-	for i, id := range s.oids {
+	for i, id := range s.oid {
 		if id == oid {
 			s.objs = append(s.objs[:i], s.objs[i+1:]...)
-			s.oids = append(s.oids[:i], s.oids[i+1:]...)
+			s.oid = append(s.oid[:i], s.oid[i+1:]...)
 			return true
 		}
 	}
 	return false
 }
 
+// roots and load make the scan a nodeSource: every leaf-equivalent page
+// is a level-1 leaf node with no routing object, so the core's leaf
+// visit is the page scan — every object pays a distance, nothing is
+// pruned — and distances go through the same kernel dispatch as the
+// arena's, straight off the objects' own coordinates.
+func (s *Scan) roots() (int32, int) { return 0, s.Pages() }
+
+func (s *Scan) load(ref int32) (nodeView, error) {
+	s.nodeReads.Add(1)
+	lo := int(ref) * s.perPage
+	return nodeView{columns: &s.columns, leaf: true, lo: int32(lo), hi: int32(min(lo+s.perPage, len(s.objs)))}, nil
+}
+
 // Range returns all objects within radius of q in (distance, OID)
-// order. Unlike the tree's traversal-order results, a scan's natural
-// order IS canonical, so it is sorted once here and partials stay
-// prefixes of the full answer... in scan order; see rangeScan.
+// order: unlike the tree's traversal order, the scan's answer is
+// canonical. A stopped query's partial is the canonical order of the
+// matches in the pages scanned so far.
 func (s *Scan) Range(q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	return s.rangeScan(nil, nil, q, radius, opt)
+	out, err := s.rangeQuery(nil, nil, q, radius, opt)
+	return canonical(out), err
 }
 
 // RangeCtx is Range honoring ctx and opt.Budget at each page boundary
 // (see Tree.RangeCtx for the partial-result semantics).
 func (s *Scan) RangeCtx(ctx context.Context, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	return s.rangeScan(ctx, budget.NewGuard(ctx, opt.Budget), q, radius, opt)
-}
-
-func (s *Scan) rangeScan(ctx context.Context, g *budget.Guard, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if radius < 0 {
-		return nil, fmt.Errorf("mtree: negative radius %g", radius)
-	}
-	opt.Trace.StartRange(radius)
-	var out []Match
-	err := s.walk(g, opt, func(i int) {
-		if d := s.space.Distance(q, s.objs[i]); d <= radius {
-			out = append(out, Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
-		}
-	}, 1)
-	sortMatches(out)
-	return out, err
+	out, err := s.rangeQuery(budget.NewGuard(ctx, opt.Budget), nil, q, radius, opt)
+	return canonical(out), err
 }
 
 // NN returns the k nearest neighbors of q, closest first, with the
 // canonical (distance, OID) tie-break shared by every engine.
 func (s *Scan) NN(q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	return s.nnScan(nil, q, k, opt)
+	return s.nnQuery(nil, nil, q, k, math.Inf(1), opt)
 }
 
 // NNCtx is NN honoring ctx and opt.Budget at each page boundary. On a
@@ -188,119 +173,32 @@ func (s *Scan) NN(q metric.Object, k int, opt QueryOptions) ([]Match, error) {
 // the typed error — valid objects at true distances; a closer neighbor
 // may live in the unscanned suffix.
 func (s *Scan) NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	return s.nnScan(budget.NewGuard(ctx, opt.Budget), q, k, opt)
-}
-
-func (s *Scan) nnScan(g *budget.Guard, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	if q == nil {
-		return nil, errors.New("mtree: nil query object")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("mtree: k = %d", k)
-	}
-	opt.Trace.StartNN(k)
-	best := &resultHeap{}
-	err := s.walk(g, opt, func(i int) {
-		d := s.space.Distance(q, s.objs[i])
-		pushBest(best, k, Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
-	}, 1)
-	return best.drain(), err
-}
-
-// walk drives one metered pass over the object list: a guarded node
-// read per page of perQueries distinct queries (scanning for a batch
-// reads each page once), a distance charge per visit() call. visit runs
-// once per object index; the caller computes distances inside it so the
-// meter and the work stay in lockstep.
-func (s *Scan) walk(g *budget.Guard, opt QueryOptions, visit func(i int), perQueries int) error {
-	for lo := 0; lo < len(s.objs); lo += s.perPage {
-		if err := g.BeforeFetch(); err != nil {
-			return err
-		}
-		s.nodeReads.Add(1)
-		opt.Trace.Visit(1)
-		hi := lo + s.perPage
-		if hi > len(s.objs) {
-			hi = len(s.objs)
-		}
-		for i := lo; i < hi; i++ {
-			visit(i)
-			s.distCalcs.Add(int64(perQueries))
-			for rep := 0; rep < perQueries; rep++ {
-				opt.Trace.Dist(1)
-				if err := g.OnDist(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// pushBest keeps the k smallest (distance, OID) pairs on the heap —
-// LinearScanNN's tie-break, shared verbatim.
-func pushBest(best *resultHeap, k int, m Match) {
-	if best.Len() < k {
-		heap.Push(best, m)
-		return
-	}
-	if worst := (*best)[0]; m.Distance < worst.Distance ||
-		(m.Distance == worst.Distance && m.OID < worst.OID) {
-		heap.Pop(best)
-		heap.Push(best, m)
-	}
-}
-
-// sortMatches orders matches by (distance, OID) — the canonical result
-// order result caches and cross-engine equivalence tests compare under.
-func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Distance != ms[j].Distance {
-			return ms[i].Distance < ms[j].Distance
-		}
-		return ms[i].OID < ms[j].OID
-	})
+	return s.nnQuery(budget.NewGuard(ctx, opt.Budget), nil, q, k, math.Inf(1), opt)
 }
 
 // RangeBatch answers a batch of range queries in one shared pass: each
 // page is read (and charged) once for the whole batch, every query pays
 // its own distance computations. out[i] is exactly Range(qs[i], radius).
 func (s *Scan) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	return s.rangeBatch(nil, qs, radius, opt)
+	return s.rangeBatchSorted(nil, qs, radius, opt)
 }
 
 // RangeBatchCtx is RangeBatch honoring ctx and a batch-wide budget; on
 // a stop every query keeps the partial matches found before it.
 func (s *Scan) RangeBatchCtx(ctx context.Context, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	return s.rangeBatch(budget.NewGuard(ctx, opt.Budget), qs, radius, opt)
+	return s.rangeBatchSorted(budget.NewGuard(ctx, opt.Budget), qs, radius, opt)
 }
 
-func (s *Scan) rangeBatch(g *budget.Guard, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	if radius < 0 {
-		return nil, fmt.Errorf("mtree: negative radius %g", radius)
-	}
-	for _, q := range qs {
-		if q == nil {
-			return nil, errors.New("mtree: nil query object")
-		}
-	}
-	opt.Trace.StartRangeBatch(radius, len(qs))
-	out := make([][]Match, len(qs))
-	err := s.walk(g, opt, func(i int) {
-		for qi, q := range qs {
-			if d := s.space.Distance(q, s.objs[i]); d <= radius {
-				out[qi] = append(out[qi], Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
-			}
-		}
-	}, len(qs))
-	for qi := range out {
-		sortMatches(out[qi])
+func (s *Scan) rangeBatchSorted(g *budget.Guard, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
+	out, err := s.rangeBatch(g, qs, radius, opt)
+	for _, ms := range out {
+		canonical(ms)
 	}
 	return out, err
 }
 
-// NNBatch answers a batch of k-NN queries in one shared pass (page
-// reads amortize across the batch; see RangeBatch).
+// NNBatch answers a batch of k-NN queries over one page memo: page
+// reads amortize across the batch (see Tree.NNBatch).
 func (s *Scan) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
 	return s.nnBatch(nil, qs, k, opt)
 }
@@ -308,33 +206,6 @@ func (s *Scan) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, 
 // NNBatchCtx is NNBatch honoring ctx and a batch-wide budget.
 func (s *Scan) NNBatchCtx(ctx context.Context, qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
 	return s.nnBatch(budget.NewGuard(ctx, opt.Budget), qs, k, opt)
-}
-
-func (s *Scan) nnBatch(g *budget.Guard, qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("mtree: k = %d", k)
-	}
-	for _, q := range qs {
-		if q == nil {
-			return nil, errors.New("mtree: nil query object")
-		}
-	}
-	opt.Trace.StartNNBatch(k, len(qs))
-	heaps := make([]*resultHeap, len(qs))
-	for i := range heaps {
-		heaps[i] = &resultHeap{}
-	}
-	err := s.walk(g, opt, func(i int) {
-		for qi, q := range qs {
-			d := s.space.Distance(q, s.objs[i])
-			pushBest(heaps[qi], k, Match{Object: s.objs[i], OID: s.oids[i], Distance: d})
-		}
-	}, len(qs))
-	out := make([][]Match, len(qs))
-	for qi, h := range heaps {
-		out[qi] = h.drain()
-	}
-	return out, err
 }
 
 // CostEstimateScan reports what one full scan costs in the paper's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mcost/internal/budget"
@@ -34,7 +35,12 @@ func scanFixture(t *testing.T, n, dim int) (*Scan, []metric.Object, *metric.Spac
 // the order the scan engine promises.
 func canonicalize(ms []Match) []Match {
 	out := append([]Match(nil), ms...)
-	sortMatches(out)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Distance != out[j].Distance {
+			return out[i].Distance < out[j].Distance
+		}
+		return out[i].OID < out[j].OID
+	})
 	return out
 }
 

@@ -4,28 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sync/atomic"
 
 	"mcost/internal/obs"
 	"mcost/internal/pager"
 )
 
 // nodeStore abstracts node storage so the tree logic is identical in
-// memory and paged modes. fetch counts as one node read (the I/O cost
-// unit of the paper); store persists a node after modification.
+// memory and paged modes. store persists a node after modification.
 type nodeStore interface {
 	alloc(leaf bool) (*node, error)
-	fetch(id pager.PageID) (*node, error)
-	// peek is fetch without counting: used by statistics collection and
-	// the invariant verifier, which are bookkeeping, not query I/O.
+	// peek reads a node without counting it: statistics collection and
+	// the invariant verifier are bookkeeping, not query I/O. Tree.fetch
+	// is the counted read (the I/O cost unit of the paper).
 	peek(id pager.PageID) (*node, error)
 	store(n *node) error
 	// free releases a node unlinked by deletion; its ID may be reused by
 	// a later alloc.
 	free(id pager.PageID)
-	// reads returns the number of fetches since the last resetReads.
-	reads() int64
-	resetReads()
 	// numNodes returns the number of allocated nodes.
 	numNodes() int
 }
@@ -36,7 +31,6 @@ type memStore struct {
 	nodes    map[pager.PageID]*node
 	next     pager.PageID
 	freelist []pager.PageID
-	r        atomic.Int64
 }
 
 func newMemStore() *memStore {
@@ -57,15 +51,6 @@ func (s *memStore) alloc(leaf bool) (*node, error) {
 	return n, nil
 }
 
-func (s *memStore) fetch(id pager.PageID) (*node, error) {
-	n, ok := s.nodes[id]
-	if !ok {
-		return nil, fmt.Errorf("mtree: unknown node %d", id)
-	}
-	s.r.Add(1)
-	return n, nil
-}
-
 func (s *memStore) peek(id pager.PageID) (*node, error) {
 	n, ok := s.nodes[id]
 	if !ok {
@@ -74,7 +59,10 @@ func (s *memStore) peek(id pager.PageID) (*node, error) {
 	return n, nil
 }
 
-func (s *memStore) store(*node) error { return nil }
+func (s *memStore) store(n *node) error {
+	n.cols.Store(nil)
+	return nil
+}
 
 func (s *memStore) free(id pager.PageID) {
 	if _, ok := s.nodes[id]; ok {
@@ -82,10 +70,6 @@ func (s *memStore) free(id pager.PageID) {
 		s.freelist = append(s.freelist, id)
 	}
 }
-
-func (s *memStore) reads() int64 { return s.r.Load() }
-
-func (s *memStore) resetReads() { s.r.Store(0) }
 
 func (s *memStore) numNodes() int { return len(s.nodes) }
 
@@ -118,7 +102,6 @@ type pagedStore struct {
 	codec    ObjectCodec
 	corrupt  *obs.Counter
 	freelist []pager.PageID
-	r        atomic.Int64
 }
 
 func newPagedStore(p pager.Pager, codec ObjectCodec, corrupt *obs.Counter) *pagedStore {
@@ -158,19 +141,6 @@ func (s *pagedStore) alloc(leaf bool) (*node, error) {
 	return n, nil
 }
 
-func (s *pagedStore) fetch(id pager.PageID) (*node, error) {
-	buf, err := s.p.Read(id)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := s.verify(id, buf)
-	if err != nil {
-		return nil, err
-	}
-	s.r.Add(1)
-	return decodeNode(id, payload, s.codec)
-}
-
 func (s *pagedStore) peek(id pager.PageID) (*node, error) {
 	buf, err := s.p.Read(id)
 	if err != nil {
@@ -205,9 +175,5 @@ func (s *pagedStore) store(n *node) error {
 func (s *pagedStore) free(id pager.PageID) {
 	s.freelist = append(s.freelist, id)
 }
-
-func (s *pagedStore) reads() int64 { return s.r.Load() }
-
-func (s *pagedStore) resetReads() { s.r.Store(0) }
 
 func (s *pagedStore) numNodes() int { return s.p.NumPages() - len(s.freelist) }

@@ -128,10 +128,15 @@ type Tree struct {
 
 	// arena, when non-nil, is the frozen columnar snapshot queries run
 	// against instead of the node store (see FreezeArena). Mutations
-	// thaw it. arenaReads counts its logical node accesses so NodeReads
-	// stays one number whichever engine served the query.
-	arena      *Arena
-	arenaReads atomic.Int64
+	// thaw it.
+	arena *Arena
+	// reads counts node accesses — store fetches and the arena's logical
+	// ones alike, so NodeReads is one number whichever source served the
+	// query.
+	reads atomic.Int64
+	// eng is the traversal core over the node store, used while no arena
+	// is attached.
+	eng engine
 }
 
 // New creates an empty M-tree.
@@ -171,6 +176,7 @@ func New(opt Options) (*Tree, error) {
 	} else {
 		t.store = newMemStore()
 	}
+	t.eng = engine{kernel: kernel{space: t.counter.Space()}, src: t, counter: t.counter, bound: opt.Space.Bound}
 	return t, nil
 }
 
@@ -195,8 +201,8 @@ func (t *Tree) Space() *metric.Space { return t.opt.Space }
 func (t *Tree) DistanceCount() int64 { return t.counter.Count() }
 
 // NodeReads returns the number of node accesses since the last
-// ResetCounters, summed across the store-backed and arena read paths.
-func (t *Tree) NodeReads() int64 { return t.store.reads() + t.arenaReads.Load() }
+// ResetCounters, whichever of the store and the arena served them.
+func (t *Tree) NodeReads() int64 { return t.reads.Load() }
 
 // ResetCounters zeroes the distance-computation and node-read counters,
 // typically called after building and before measuring a query workload.
@@ -211,8 +217,17 @@ func (t *Tree) NodeReads() int64 { return t.store.reads() + t.arenaReads.Load() 
 // TestResetBetweenBatches exercises under the race detector.
 func (t *Tree) ResetCounters() {
 	t.counter.Reset()
-	t.store.resetReads()
-	t.arenaReads.Store(0)
+	t.reads.Store(0)
+}
+
+// fetch reads one node and counts it: one node read, the I/O cost unit
+// of the paper.
+func (t *Tree) fetch(id pager.PageID) (*node, error) {
+	n, err := t.store.peek(id)
+	if err == nil {
+		t.reads.Add(1)
+	}
+	return n, err
 }
 
 // dist computes (and counts) one distance.

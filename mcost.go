@@ -128,10 +128,10 @@ type Index struct {
 	// query validation (dimension, bit-string length, object type).
 	sample Object
 	tree   *mtree.Tree
-	stack *pager.Stack // non-nil only with StorageOptions enabled
-	f     *histogram.Histogram
-	stats *mtree.Stats
-	model *core.MTreeModel
+	stack  *pager.Stack // non-nil only with StorageOptions enabled
+	f      *histogram.Histogram
+	stats  *mtree.Stats
+	model  *core.MTreeModel
 	// rc, when non-nil, keeps the model live under writes: F̂ updates on
 	// every Insert/Delete, bias correction from recent traces, periodic
 	// refits. Enabled by EnableRecalibration.

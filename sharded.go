@@ -54,8 +54,8 @@ type ShardedIndex struct {
 	space *Space
 	// sample is one indexed object, the reference shape for query
 	// validation (see Index.sample).
-	sample Object
-	set    *shard.Set
+	sample  Object
+	set     *shard.Set
 	stacks  []*pager.Stack // per shard; nil entries when storage is off
 	workers int
 	// scan is the linear-scan engine over all objects with global OIDs;
