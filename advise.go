@@ -67,6 +67,16 @@ type treePricer struct{ ix *Index }
 func (p treePricer) PriceRange(radius float64) CostEstimate { return p.ix.priceTreeRange(radius) }
 func (p treePricer) PriceNN(k int) CostEstimate             { return p.ix.priceTreeNN(k) }
 
+// PriceNNPrefix is priceTreeNN(k) for k = 1..K from one pass of the
+// model (see advisor.Predictor).
+func (p treePricer) PriceNNPrefix(K int) []CostEstimate {
+	est := p.ix.model.NNLPrefix(K)
+	if p.ix.rc != nil {
+		p.ix.rc.CorrectNNs(est)
+	}
+	return est
+}
+
 // buildPlanner attaches the linear-scan engine and the hardness profile
 // to a finished index.
 func (ix *Index) buildPlanner(objects []Object) error {
@@ -81,8 +91,13 @@ func (ix *Index) buildPlanner(objects []Object) error {
 }
 
 // refreshProfile recomputes the hardness profile from the current F̂ and
-// model. Cheap (no data passes), called after every model refit so the
-// crossover points track the live model.
+// model, after every model refit so the crossover points track the live
+// model. No data passes: moments of F̂, a bisection over PriceRange, and
+// a walk up the k-NN prices that stops at the crossover k and costs in
+// proportion to it (advisor.crossoverK) — 40 ms at n = 2 000 with the
+// crossover at k = 489, 0.3 s at n = 12 000 and k = 3 628, under 1 ms
+// where the tree already loses at k = 1 (BenchmarkComputeProfile). A
+// recalibration refit pays it under the write lock.
 func (ix *Index) refreshProfile() {
 	ix.profile = advisor.ComputeProfile(ix.f, ix.scan.Size(), ix.scan.Pages(), ix.space.Bound, treePricer{ix})
 }
@@ -108,16 +123,25 @@ func (ix *Index) SetEngineMode(mode EngineMode) error {
 // EngineMode returns the current engine mode.
 func (ix *Index) EngineMode() EngineMode { return ix.mode }
 
+// planProfile is the profile a query is planned against: the one
+// computed at build or at the last refit, with the scan priced as it
+// stands now. Writes between refits grow and shrink the scan, and a plan
+// must quote the price PriceRange/PriceNN charge for it.
+func planProfile(p HardnessProfile, scan CostEstimate) HardnessProfile {
+	p.ScanNodes, p.ScanDists = scan.Nodes, scan.Dists
+	return p
+}
+
 // PlanRange prices both engines for a range query and returns the
 // advisor's decision.
 func (ix *Index) PlanRange(radius float64) (PlanDecision, error) {
-	return advisor.Plan(treePricer{ix}, ix.profile, advisor.Query{Kind: advisor.KindRange, Radius: radius})
+	return advisor.Plan(treePricer{ix}, planProfile(ix.profile, ix.scanEstimate()), advisor.Query{Kind: advisor.KindRange, Radius: radius})
 }
 
 // PlanNN prices both engines for a k-NN query and returns the advisor's
 // decision.
 func (ix *Index) PlanNN(k int) (PlanDecision, error) {
-	return advisor.Plan(treePricer{ix}, ix.profile, advisor.Query{Kind: advisor.KindNN, K: k})
+	return advisor.Plan(treePricer{ix}, planProfile(ix.profile, ix.scanEstimate()), advisor.Query{Kind: advisor.KindNN, K: k})
 }
 
 // RangeAuto plans the query and executes it on the chosen engine. The
@@ -202,6 +226,9 @@ func (p shardedPricer) PriceRange(radius float64) CostEstimate {
 	return p.sx.set.PredictRange(radius)
 }
 func (p shardedPricer) PriceNN(k int) CostEstimate { return p.sx.set.PredictNN(k) }
+func (p shardedPricer) PriceNNPrefix(K int) []CostEstimate {
+	return p.sx.set.PredictNNPrefix(K)
+}
 
 // buildPlanner attaches the scan engine (over all objects, global OIDs)
 // and the hardness profile to a sharded index. The dataset-level F̂ is
@@ -257,14 +284,14 @@ func fanout(d PlanDecision) PlanDecision {
 // PlanRange prices the sharded fan-out against the scan (see
 // Index.PlanRange); tree-side decisions report engine "sharded-fanout".
 func (sx *ShardedIndex) PlanRange(radius float64) (PlanDecision, error) {
-	d, err := advisor.Plan(shardedPricer{sx}, sx.profile, advisor.Query{Kind: advisor.KindRange, Radius: radius})
+	d, err := advisor.Plan(shardedPricer{sx}, planProfile(sx.profile, sx.scanEstimate()), advisor.Query{Kind: advisor.KindRange, Radius: radius})
 	return fanout(d), err
 }
 
 // PlanNN prices the sharded fan-out against the scan (see
 // Index.PlanNN).
 func (sx *ShardedIndex) PlanNN(k int) (PlanDecision, error) {
-	d, err := advisor.Plan(shardedPricer{sx}, sx.profile, advisor.Query{Kind: advisor.KindNN, K: k})
+	d, err := advisor.Plan(shardedPricer{sx}, planProfile(sx.profile, sx.scanEstimate()), advisor.Query{Kind: advisor.KindNN, K: k})
 	return fanout(d), err
 }
 

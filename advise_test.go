@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"mcost/internal/advisor"
+	"mcost/internal/dataset"
+	"mcost/internal/recal"
 )
 
 // canonOrder sorts a copy of matches into the canonical (distance, OID)
@@ -310,4 +312,139 @@ func TestInsertDeleteKeepScanInSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	matchesEqual(t, "post-churn", scan[0], canonOrder(tree))
+}
+
+// TestPlanQuotesTheLiveScanPrice: a plan's scan alternative is the scan
+// as it stands, not as it stood when the profile was computed. The
+// profile's scan price was refreshed only by a recalibration refit on
+// Index and never on ShardedIndex, so after writes PlanNN's
+// PredictedScan fell behind what PriceNN charges in scan mode.
+func TestPlanQuotesTheLiveScanPrice(t *testing.T) {
+	space := VectorSpace("L2", 3)
+	objs := randomVectors(300, 3, 41)
+	extra := randomVectors(150, 3, 42)
+	type planner interface {
+		Insert(Object) (uint64, error)
+		SetEngineMode(EngineMode) error
+		PlanRange(float64) (PlanDecision, error)
+		PlanNN(int) (PlanDecision, error)
+		PriceRange(float64) CostEstimate
+		PriceNN(int) CostEstimate
+	}
+	ix, err := Build(space, objs, Options{Seed: 41, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := BuildSharded(space, objs, Options{Seed: 41, Workers: 1}, ShardOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]planner{"Index": ix, "ShardedIndex": sx} {
+		for _, o := range extra {
+			if _, err := p.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.SetEngineMode(EngineScan); err != nil {
+			t.Fatal(err)
+		}
+		nn, err := p.PlanNN(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := nn.PredictedScan, p.PriceNN(5); got != want || want.Dists != 450 {
+			t.Errorf("%s: PlanNN quotes the scan at %+v, PriceNN charges %+v (450 objects)", name, got, want)
+		}
+		rg, err := p.PlanRange(0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rg.PredictedScan, p.PriceRange(0.1); got != want {
+			t.Errorf("%s: PlanRange quotes the scan at %+v, PriceRange charges %+v", name, got, want)
+		}
+	}
+}
+
+// TestPricersPrefixEqualsPriceNN: the prefix the profile walks is, price
+// for price, what the same pricer quotes one k at a time — through the
+// recalibrator's correction on Index, through the per-shard sum on
+// ShardedIndex.
+func TestPricersPrefixEqualsPriceNN(t *testing.T) {
+	space := VectorSpace("L2", 3)
+	objs := randomVectors(120, 3, 43)
+	ix, err := Build(space, objs, Options{Seed: 43, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := BuildSharded(space, objs, Options{Seed: 43, Workers: 1}, ShardOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, p advisor.Predictor, wantLen int) {
+		t.Helper()
+		prefix := p.PriceNNPrefix(len(objs))
+		if len(prefix) != wantLen {
+			t.Fatalf("%s: prefix of %d prices, want %d", name, len(prefix), wantLen)
+		}
+		for k := 1; k <= len(prefix); k++ {
+			if got, want := prefix[k-1], p.PriceNN(k); got != want {
+				t.Fatalf("%s: k=%d: prefix %+v, PriceNN %+v", name, k, got, want)
+			}
+		}
+	}
+	check("Index", treePricer{ix}, 60)
+	check("ShardedIndex", shardedPricer{sx}, 20) // three shards of 40
+
+	if err := ix.EnableRecalibration(recal.Config{}, objs); err != nil {
+		t.Fatal(err)
+	}
+	if err := sx.EnableRecalibration(recal.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := ix.NNBatchTraced(context.Background(), objs[i:i+1], 5, QueryBudget{}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sx.NNBatchTraced(context.Background(), objs[i:i+1], 5, QueryBudget{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if raw, corrected := ix.model.NNL(5), (treePricer{ix}).PriceNN(5); raw == corrected {
+		t.Fatalf("recalibration left NNL(5) = %+v uncorrected; the test exercises nothing", raw)
+	}
+	check("Index, recalibrated", treePricer{ix}, 60)
+	check("ShardedIndex, recalibrated", shardedPricer{sx}, 20)
+}
+
+// TestBenchmarkDatasetProfilesPinned pins the hardness profile on the
+// two dataset shapes the benchmark's tree-l2 and scan-l2 workloads
+// serve. The values are those the k-by-k bisection produced before the
+// prefix walk replaced it.
+func TestBenchmarkDatasetProfilesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		objs   []Object
+		dim    int
+		wantK  int
+		wantR  float64
+		scanNs float64
+	}{
+		{"clustered D=16 n=2000", dataset.PaperClustered(2000, 16, 1).Objects, 16, 489, 1.3697912655770779, 72},
+		{"uniform D=64 n=10000", dataset.Uniform(10000, 64, 1).Objects, 64, 1, 0.4135943129658699, 1429},
+	} {
+		ix, err := Build(VectorSpace("L2", c.dim), c.objs, Options{Seed: 1, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := ix.Hardness()
+		if p.CrossoverK != c.wantK {
+			t.Errorf("%s: CrossoverK = %d, want %d", c.name, p.CrossoverK, c.wantK)
+		}
+		if math.Abs(p.CrossoverRadius-c.wantR) > 1e-9 {
+			t.Errorf("%s: CrossoverRadius = %.17g, want %.17g", c.name, p.CrossoverRadius, c.wantR)
+		}
+		if p.ScanNodes != c.scanNs || p.ScanDists != float64(len(c.objs)) {
+			t.Errorf("%s: scan priced at %g+%g", c.name, p.ScanNodes, p.ScanDists)
+		}
+	}
 }

@@ -308,6 +308,62 @@ func BenchmarkHMCM(b *testing.B) {
 	b.ReportMetric(h8RangeErr, "h8-range-err-%")
 }
 
+// BenchmarkComputeProfile times the hardness profile alone — what
+// Build, RefreshModel and every recalibration refit pay after the model
+// is fitted, the in-repo twin of the ledger's advisor.profile_ms — on the
+// benchmark's tree-l2 and scan-l2 dataset shapes and on a clustered
+// dataset six times tree-l2's size.
+func BenchmarkComputeProfile(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		objs func() []Object
+		dim  int
+	}{
+		{"clustered-d16-n2000", func() []Object { return dataset.PaperClustered(2000, 16, 1).Objects }, 16},
+		{"clustered-d16-n12000", func() []Object { return dataset.PaperClustered(12000, 16, 1).Objects }, 16},
+		{"uniform-d64-n10000", func() []Object { return dataset.Uniform(10000, 64, 1).Objects }, 64},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ix, err := Build(VectorSpace("L2", c.dim), c.objs(), Options{Seed: 1, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.refreshProfile()
+			}
+			b.ReportMetric(float64(ix.profile.CrossoverK), "crossover-k")
+		})
+	}
+}
+
+// BenchmarkNNLPrefix times one pass pricing NN(Q,k) for k = 1..K on the
+// tree-l2 dataset shape, beside the K-th of those prices on its own:
+// the pass adds K binomial terms per grid point from a table of
+// ln C(n,i), NNL(K) adds 2K and takes three Lgamma for each.
+func BenchmarkNNLPrefix(b *testing.B) {
+	ix, err := Build(VectorSpace("L2", 16), dataset.PaperClustered(2000, 16, 1).Objects, Options{Seed: 1, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, K := range []int{16, 512} {
+		b.Run(fmt.Sprintf("prefix-K%d", K), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := ix.model.NNLPrefix(K); len(got) != K {
+					b.Fatalf("%d prices", len(got))
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("single-k%d", K), func(b *testing.B) {
+			var sink CostEstimate
+			for i := 0; i < b.N; i++ {
+				sink = ix.model.NNL(K)
+			}
+			_ = sink
+		})
+	}
+}
+
 // BenchmarkStatsFree regenerates the zero-statistics model validation
 // (the paper's first open question).
 func BenchmarkStatsFree(b *testing.B) {

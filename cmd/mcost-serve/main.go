@@ -148,13 +148,15 @@ func main() {
 		fmt.Printf("engine: %d objects, %d nodes, height %d (mode %s)\n",
 			eng.Size(), eng.NumNodes(), eng.Height(), ef.Mode)
 		var hard mcost.HardnessProfile
+		var stages mcost.BuildStages
 		if sx != nil {
-			hard = sx.Hardness()
+			hard, stages = sx.Hardness(), sx.BuildStages()
 		} else {
-			hard = ix.Hardness()
+			hard, stages = ix.Hardness(), ix.BuildStages()
 		}
 		fmt.Printf("hardness: intrinsic dim %.2f, concentration %.4f, crossover radius %g, crossover k %d\n",
 			hard.Hardness(), hard.Concentration, hard.CrossoverRadius, hard.CrossoverK)
+		fmt.Printf("build: %s\n", stages)
 		if rf.Enabled {
 			rc := rf.Config(tf.Seed).Effective()
 			fmt.Printf("recalibration: on (window %d, band %g); /v1/insert and /v1/delete keep the model live\n",

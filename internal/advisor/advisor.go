@@ -68,6 +68,12 @@ type Query struct {
 type Predictor interface {
 	PriceRange(radius float64) core.CostEstimate
 	PriceNN(k int) core.CostEstimate
+	// PriceNNPrefix returns PriceNN(k) for k = 1..K at index k-1, priced
+	// together (core.MTreeModel.NNLPrefix) for less than PriceNN(K) alone
+	// costs. It returns fewer than K prices only where the model has
+	// nothing to share between them (k past half the dataset); PriceNN
+	// prices those.
+	PriceNNPrefix(K int) []core.CostEstimate
 }
 
 // ModelPredictor adapts a bare cost model (no recalibration layer) to
@@ -81,6 +87,9 @@ func (m ModelPredictor) PriceRange(radius float64) core.CostEstimate {
 
 // PriceNN implements Predictor.
 func (m ModelPredictor) PriceNN(k int) core.CostEstimate { return m.Model.NNL(k) }
+
+// PriceNNPrefix implements Predictor.
+func (m ModelPredictor) PriceNNPrefix(K int) []core.CostEstimate { return m.Model.NNLPrefix(K) }
 
 // Profile is a dataset hardness profile: everything the planner knows
 // about how close this dataset sits to the metric-indexing breakdown
@@ -191,8 +200,14 @@ func crossoverRadius(pred Predictor, prof Profile, bound float64) float64 {
 }
 
 // crossoverK finds the smallest k whose predicted tree cost reaches the
-// scan's, by binary search on the (monotone in k) NN cost. Returns 0
-// when the tree wins for every k ≤ N.
+// scan's. Returns 0 when the tree wins for every k ≤ N (judged, as the
+// plan for k = N would be, by PriceNN(N) alone). Otherwise it walks the
+// prices up from k = 1 and stops at the first that reaches the scan's,
+// asking for them in prefixes of doubling length: a crossover at k costs
+// prefixes of under 4k prices in total, and a dataset past the breakdown
+// point, where the answer is 1, costs one price. Only where the
+// predictor has no prefix to offer — k past half the dataset — does it
+// price k by k, bisecting on the (monotone in k) NN cost.
 func crossoverK(pred Predictor, prof Profile) int {
 	scan := prof.ScanNodes + prof.ScanDists
 	if prof.N < 1 {
@@ -201,7 +216,20 @@ func crossoverK(pred Predictor, prof Profile) int {
 	if !(cost(pred.PriceNN(prof.N)) >= scan) {
 		return 0
 	}
-	lo, hi := 1, prof.N
+	below := 0 // every k ≤ below is known to price under the scan
+	for K := 1; ; K = min(2*K, prof.N) {
+		prices := pred.PriceNNPrefix(K)
+		for k := below + 1; k <= len(prices); k++ {
+			if cost(prices[k-1]) >= scan {
+				return k
+			}
+		}
+		below = max(below, len(prices))
+		if len(prices) < K || K == prof.N {
+			break
+		}
+	}
+	lo, hi := min(below+1, prof.N), prof.N
 	for lo < hi {
 		mid := lo + (hi-lo)/2
 		if cost(pred.PriceNN(mid)) >= scan {

@@ -18,6 +18,19 @@ type fakePred struct {
 
 func (f fakePred) PriceRange(r float64) core.CostEstimate { return f.rangeFn(r) }
 func (f fakePred) PriceNN(k int) core.CostEstimate        { return f.nnFn(k) }
+func (f fakePred) PriceNNPrefix(K int) []core.CostEstimate {
+	return nnPrefix(f, K)
+}
+
+// nnPrefix is the definition of Predictor.PriceNNPrefix: PriceNN(k) for
+// k = 1..K.
+func nnPrefix(p interface{ PriceNN(int) core.CostEstimate }, K int) []core.CostEstimate {
+	out := make([]core.CostEstimate, K)
+	for i := range out {
+		out[i] = p.PriceNN(i + 1)
+	}
+	return out
+}
 
 // linearPred prices range queries linearly in radius and NN queries
 // linearly in k — monotone, like the real model.
@@ -210,6 +223,141 @@ func TestCrossoverK(t *testing.T) {
 	prof := ComputeProfile(f, 100, 10, 1, pred)
 	if prof.CrossoverK != 10 {
 		t.Fatalf("crossover k = %d, want 10", prof.CrossoverK)
+	}
+}
+
+// linearCrossoverK is crossoverK's specification: the smallest k whose
+// price reaches the scan's, 0 when the tree wins at k = N.
+func linearCrossoverK(pred Predictor, prof Profile) int {
+	scan := prof.ScanNodes + prof.ScanDists
+	if prof.N < 1 || !(cost(pred.PriceNN(prof.N)) >= scan) {
+		return 0
+	}
+	for k := 1; k < prof.N; k++ {
+		if cost(pred.PriceNN(k)) >= scan {
+			return k
+		}
+	}
+	return prof.N
+}
+
+// bisectCrossoverK is crossoverK as it was before the prefix walk,
+// kept as a second oracle: on a predictor monotone in k it finds the
+// same k, at a cost of log2(N) prices however small the answer.
+func bisectCrossoverK(pred Predictor, prof Profile) int {
+	scan := prof.ScanNodes + prof.ScanDists
+	if prof.N < 1 {
+		return 0
+	}
+	if !(cost(pred.PriceNN(prof.N)) >= scan) {
+		return 0
+	}
+	lo, hi := 1, prof.N
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if cost(pred.PriceNN(mid)) >= scan {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// countingPred counts what crossoverK asks of its predictor.
+// prefixCap > 0 cuts every prefix short there, as the model does past
+// half the dataset.
+type countingPred struct {
+	fakePred
+	prefixCap   int
+	prefixTotal *int // summed K over PriceNNPrefix calls
+	single      *int // PriceNN calls
+}
+
+func (c countingPred) PriceNN(k int) core.CostEstimate {
+	*c.single++
+	return c.fakePred.PriceNN(k)
+}
+
+func (c countingPred) PriceNNPrefix(K int) []core.CostEstimate {
+	*c.prefixTotal += K
+	if c.prefixCap > 0 && K > c.prefixCap {
+		K = c.prefixCap
+	}
+	return nnPrefix(c.fakePred, K)
+}
+
+// stepAt prices k-NN at the scan's cost from k = at up, and just under
+// it below; at > n never crosses.
+func stepAt(at int, scan float64) fakePred {
+	return fakePred{nnFn: func(k int) core.CostEstimate {
+		if k >= at {
+			return core.CostEstimate{Dists: scan}
+		}
+		return core.CostEstimate{Dists: math.Nextafter(scan, 0)}
+	}}
+}
+
+func TestCrossoverKIsTheFirstKAtScanCost(t *testing.T) {
+	const n = 1000
+	prof := Profile{N: n, ScanNodes: 10, ScanDists: n}
+	scan := prof.ScanNodes + prof.ScanDists
+	// A plateau that sits on the scan's cost and dips one ulp under it at
+	// scattered k, the way a concentrated dataset's prices do: not
+	// monotone, so only the linear reference defines the answer.
+	wobble := func(first int) fakePred {
+		return fakePred{nnFn: func(k int) core.CostEstimate {
+			if k < first || (k > first && k%7 == 3) {
+				return core.CostEstimate{Dists: math.Nextafter(scan, 0)}
+			}
+			return core.CostEstimate{Dists: scan}
+		}}
+	}
+	cases := []struct {
+		name     string
+		pred     fakePred
+		want     int
+		monotone bool
+	}{
+		{"crosses at 1", stepAt(1, scan), 1, true},
+		{"crosses at 2", stepAt(2, scan), 2, true},
+		{"crosses at 489", stepAt(489, scan), 489, true},
+		{"crosses at a power of two", stepAt(512, scan), 512, true},
+		{"crosses just past one", stepAt(513, scan), 513, true},
+		{"crosses at N", stepAt(n, scan), n, true},
+		{"never crosses", stepAt(n+1, scan), 0, true},
+		{"linear in k", linearPred(1, 10), 92, true},
+		{"plateau wobbling from 1", wobble(1), 1, false},
+		{"plateau wobbling from 40", wobble(40), 40, false},
+	}
+	for _, c := range cases {
+		for _, prefixCap := range []int{0, n / 2, 5} {
+			if !c.monotone && prefixCap > 0 && c.want > prefixCap {
+				continue // past a cut-off prefix crossoverK bisects, which presumes monotone prices
+			}
+			var prefixTotal, single int
+			pred := countingPred{c.pred, prefixCap, &prefixTotal, &single}
+			got := crossoverK(pred, prof)
+			if ref := linearCrossoverK(c.pred, prof); got != ref || got != c.want {
+				t.Errorf("%s, prefixes cut at %d: crossoverK = %d, linear reference %d, want %d", c.name, prefixCap, got, ref, c.want)
+			}
+			if old := bisectCrossoverK(c.pred, prof); c.monotone && got != old {
+				t.Errorf("%s, prefixes cut at %d: crossoverK = %d, bisection %d", c.name, prefixCap, got, old)
+			}
+			// The work bound that replaces a timing: prefixes double, so
+			// reaching k asks for under 4k prices in all, and single prices
+			// are the k = N check plus a bisection past a cut-off prefix.
+			if prefixTotal > 4*got+16 {
+				t.Errorf("%s, prefixes cut at %d: asked for prefixes totalling %d prices, bound %d", c.name, prefixCap, prefixTotal, 4*got+16)
+			}
+			walked := prefixCap == 0 || (got > 0 && got <= prefixCap) // the answer lay inside a prefix
+			if walked && single != 1 {
+				t.Errorf("%s, prefixes cut at %d: %d single prices, want 1", c.name, prefixCap, single)
+			}
+			if single > 1+10 { // log2(1000) < 10
+				t.Errorf("%s, prefixes cut at %d: %d single prices", c.name, prefixCap, single)
+			}
+		}
 	}
 }
 

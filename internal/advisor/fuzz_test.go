@@ -21,6 +21,8 @@ func (p fuzzPredictor) PriceNN(int) core.CostEstimate {
 	return core.CostEstimate{Nodes: p.nodes, Dists: p.dists}
 }
 
+func (p fuzzPredictor) PriceNNPrefix(K int) []core.CostEstimate { return nnPrefix(p, K) }
+
 // FuzzPlan feeds Plan arbitrary F̂ shapes (via ComputeProfile over a
 // fuzzed weighted histogram), arbitrary tree predictions (including
 // NaN/±Inf), and arbitrary queries straight off the wire: the contract

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -362,6 +363,80 @@ func TestNNCostsMonotoneInK(t *testing.T) {
 		if nn.Dists > full.Dists || nn.Nodes > full.Nodes {
 			t.Fatalf("k=%d: NN estimate exceeds full-radius costs", k)
 		}
+	}
+}
+
+// prefixEqualsNNL asserts NNLPrefix(K)[k-1] == NNL(k), both fields, for
+// the given k.
+func prefixEqualsNNL(t *testing.T, label string, m *MTreeModel, K int, ks []int) []CostEstimate {
+	t.Helper()
+	prefix := m.NNLPrefix(K)
+	if want := min(K, (m.N()+1)/2); len(prefix) != want {
+		t.Fatalf("%s: NNLPrefix(%d) has %d prices, want %d", label, K, len(prefix), want)
+	}
+	for _, k := range ks {
+		if got, want := prefix[k-1], m.NNL(k); got != want {
+			t.Fatalf("%s: k=%d: prefix %+v, NNL %+v", label, k, got, want)
+		}
+	}
+	return prefix
+}
+
+func upTo(k int) []int {
+	ks := make([]int, k)
+	for i := range ks {
+		ks[i] = i + 1
+	}
+	return ks
+}
+
+func TestNNLPrefixEqualsNNL(t *testing.T) {
+	// Every k the prefix covers, on a fixture small enough to afford the
+	// ~k²/2 binomial terms per grid point that calling NNL for each costs
+	// (on a coarser grid for the same reason; the identity is per cell).
+	small := newFixture(t, dataset.PaperClustered(301, 6, 1407), 1024)
+	small.model.steps = 400
+	prefixEqualsNNL(t, "clustered n=301", small.model, 1000, upTo(151))
+	// A shorter prefix is the same prices, cut.
+	if got, want := small.model.NNLPrefix(7), small.model.NNLPrefix(151)[:7]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("NNLPrefix(7) = %+v, want %+v", got, want)
+	}
+	if got := small.model.NNLPrefix(0); len(got) != 0 {
+		t.Fatalf("NNLPrefix(0) = %+v", got)
+	}
+
+	// The full grid at the size the other tests use, at sampled k up to
+	// the last one covered.
+	fx := newFixture(t, dataset.Uniform(1200, 5, 1405), 1024)
+	prefixEqualsNNL(t, "uniform n=1200", fx.model, 600, []int{1, 2, 3, 10, 60, 599, 600})
+
+	// A point-mass F̂: P_{Q,k} jumps from 0 to 1 inside one bin for every
+	// k, so each price is a handful of cells.
+	weights := make([]float64, 50)
+	weights[20] = 1
+	point, err := histogram.FromWeightedCounts(weights, small.d.Space.Bound, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := NewMTreeModel(point, small.model.stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.steps = 400
+	prefixEqualsNNL(t, "point mass", pm, 151, upTo(151))
+
+	// Past the breakdown point (uniform D=64) every k-NN query reads the
+	// whole tree: the prices differ from k to k in the last few bits
+	// only, which is the case "equal" has to mean bit for bit.
+	curse := newFixture(t, dataset.Uniform(301, 64, 1408), 4096)
+	curse.model.steps = 400
+	prices := prefixEqualsNNL(t, "uniform D=64", curse.model, 151, upTo(151))
+	lo, hi := prices[0].Dists, prices[0].Dists
+	for _, e := range prices {
+		lo, hi = math.Min(lo, e.Dists), math.Max(hi, e.Dists)
+	}
+	if (hi-lo)/hi > 1e-9 {
+		t.Fatalf("uniform D=64 prices are no plateau: dists %v..%v", lo, hi)
 	}
 }
 

@@ -24,6 +24,18 @@ func LogChoose(n, k int) float64 {
 	return ln1 - lk - lnk
 }
 
+// binomialTerm returns C(n,i) p^i q^(n-i) from ln C(n,i), ln p and ln q.
+// It is the one place the term is written: BinomialTail and
+// BinomialPrefix.Tails add the same values in the same order, which is
+// what makes their results equal bit for bit.
+func binomialTerm(logChoose float64, n, i int, logP, logQ float64) float64 {
+	return math.Exp(logChoose + float64(i)*logP + float64(n-i)*logQ)
+}
+
+// LowerTailMaxK returns the largest k for which BinomialTail(n, k, p)
+// sums the lower tail (2k <= n+1) — the k that BinomialPrefix covers.
+func LowerTailMaxK(n int) int { return (n + 1) / 2 }
+
 // BinomialTail returns Pr{X >= k} for X ~ Binomial(n, p), computed in log
 // space term by term. This is exactly P_{Q,k}(r) of the paper (Eq. 9)
 // with p = F(r): the probability that at least k of n objects fall inside
@@ -43,26 +55,81 @@ func BinomialTail(n, k int, p float64) float64 {
 	}
 	logP := math.Log(p)
 	logQ := math.Log1p(-p)
-	if k <= n-k+1 {
+	if k <= LowerTailMaxK(n) {
 		// Pr{X >= k} = 1 - sum_{i=0}^{k-1} C(n,i) p^i q^(n-i)
 		var lower float64
 		for i := 0; i < k; i++ {
-			lower += math.Exp(LogChoose(n, i) + float64(i)*logP + float64(n-i)*logQ)
+			lower += binomialTerm(LogChoose(n, i), n, i, logP, logQ)
 		}
-		if lower > 1 {
-			lower = 1
-		}
-		return 1 - lower
+		return oneMinus(lower)
 	}
 	// Sum the upper tail directly.
 	var upper float64
 	for i := k; i <= n; i++ {
-		upper += math.Exp(LogChoose(n, i) + float64(i)*logP + float64(n-i)*logQ)
+		upper += binomialTerm(LogChoose(n, i), n, i, logP, logQ)
 	}
 	if upper > 1 {
 		upper = 1
 	}
 	return upper
+}
+
+// oneMinus turns a lower-tail sum into the upper tail, absorbing the
+// rounding that can carry the sum past 1.
+func oneMinus(lower float64) float64 {
+	if lower > 1 {
+		lower = 1
+	}
+	return 1 - lower
+}
+
+// BinomialPrefix evaluates BinomialTail(n, k, p) for every k = 1..K in
+// one pass. BinomialTail's lower-tail sum for k is the running sum of
+// the same term loop stopped after k terms, so the tails for all k <= K
+// are the successive prefixes of one loop of K terms — K terms instead
+// of K(K+1)/2 — with ln C(n,i) tabulated once for all p instead of
+// three Lgamma per term. Each result equals BinomialTail's bit for bit.
+// The upper-tail branch (2k > n+1) shares nothing of the kind — its
+// sum for k starts at term k, so no two k add the same sequence — and is
+// not covered: K is at most LowerTailMaxK(n).
+type BinomialPrefix struct {
+	n         int
+	logChoose []float64 // ln C(n,i), i < K
+}
+
+// NewBinomialPrefix tabulates ln C(n,i) for i < K. It panics when K is
+// outside [0, LowerTailMaxK(n)], a programming error.
+func NewBinomialPrefix(n, K int) *BinomialPrefix {
+	if K < 0 || K > LowerTailMaxK(n) {
+		panic(fmt.Sprintf("numeric: NewBinomialPrefix(%d, %d) out of domain", n, K))
+	}
+	b := &BinomialPrefix{n: n, logChoose: make([]float64, K)}
+	for i := range b.logChoose {
+		b.logChoose[i] = LogChoose(n, i)
+	}
+	return b
+}
+
+// Tails sets out[k-1] = BinomialTail(n, k, p) for k = 1..len(out);
+// len(out) must not exceed the K given to NewBinomialPrefix.
+func (b *BinomialPrefix) Tails(p float64, out []float64) {
+	switch {
+	case p <= 0:
+		clear(out)
+		return
+	case p >= 1:
+		for i := range out {
+			out[i] = 1
+		}
+		return
+	}
+	logP := math.Log(p)
+	logQ := math.Log1p(-p)
+	var lower float64
+	for i := range out {
+		lower += binomialTerm(b.logChoose[i], b.n, i, logP, logQ)
+		out[i] = oneMinus(lower)
+	}
 }
 
 // Trapezoid integrates f over [a, b] with the given number of equal steps

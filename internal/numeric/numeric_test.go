@@ -128,6 +128,57 @@ func TestBinomialTailMonotoneQuick(t *testing.T) {
 	}
 }
 
+func TestBinomialPrefixEqualsBinomialTail(t *testing.T) {
+	// Bit for bit, at every k the prefix covers, where the sum is empty
+	// (p = 0), one rounding from empty, around its mode (p = k/n), one
+	// rounding from saturated, and saturated (p = 1).
+	for _, n := range []int{1, 2, 7, 100, 2001} {
+		K := LowerTailMaxK(n)
+		b := NewBinomialPrefix(n, K)
+		ps := []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-9, 1 - 1e-9, math.Nextafter(1, 0), 1}
+		for _, k := range []int{1, 2, K / 2, K, n} {
+			ps = append(ps, float64(k)/float64(n))
+		}
+		out := make([]float64, K)
+		for _, p := range ps {
+			b.Tails(p, out)
+			for k := 1; k <= K; k++ {
+				if want := BinomialTail(n, k, p); out[k-1] != want {
+					t.Fatalf("n=%d p=%g k=%d: prefix %v, BinomialTail %v", n, p, k, out[k-1], want)
+				}
+			}
+		}
+		// A shorter out is the same prefix, cut.
+		short := make([]float64, K/2)
+		b.Tails(0.25, short)
+		b.Tails(0.25, out)
+		for i := range short {
+			if short[i] != out[i] {
+				t.Fatalf("n=%d: short prefix differs at k=%d", n, i+1)
+			}
+		}
+	}
+	if got := LowerTailMaxK(10); got != 5 {
+		t.Errorf("LowerTailMaxK(10) = %d", got)
+	}
+	if got := LowerTailMaxK(11); got != 6 {
+		t.Errorf("LowerTailMaxK(11) = %d", got)
+	}
+}
+
+func TestNewBinomialPrefixPanicsPastTheLowerTail(t *testing.T) {
+	for _, bad := range [][2]int{{10, 6}, {10, -1}, {0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBinomialPrefix(%d,%d) should panic", bad[0], bad[1])
+				}
+			}()
+			NewBinomialPrefix(bad[0], bad[1])
+		}()
+	}
+}
+
 func TestTrapezoid(t *testing.T) {
 	// ∫0..1 x^2 dx = 1/3
 	got := Trapezoid(func(x float64) float64 { return x * x }, 0, 1, 1000)

@@ -532,6 +532,17 @@ func (r *Recalibrator) CorrectNN(raw core.CostEstimate) core.CostEstimate {
 	return r.CorrectTotal(raw)
 }
 
+// CorrectNNs applies CorrectNN to every prediction in place, reading
+// the window once for all of them.
+func (r *Recalibrator) CorrectNNs(raw []core.CostEstimate) {
+	r.mu.Lock()
+	_, _, aggN, aggD := r.biasLocked()
+	r.mu.Unlock()
+	for i := range raw {
+		raw[i] = core.CostEstimate{Nodes: raw[i].Nodes * aggN, Dists: raw[i].Dists * aggD}
+	}
+}
+
 // Stats is the observable state of a recalibrator, exposed on
 // /v1/stats and by the drift experiments.
 type Stats struct {

@@ -2,6 +2,7 @@ package recal_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"mcost/internal/core"
@@ -199,6 +200,12 @@ func TestCorrectNNUsesAggregate(t *testing.T) {
 	got := r.CorrectNN(raw)
 	if got.Nodes < 25 || got.Nodes > 35 || got.Dists < 125 || got.Dists > 175 {
 		t.Fatalf("aggregate NN correction %+v, want ~3x of %+v", got, raw)
+	}
+	// The bulk form is the same correction, price for price.
+	many := []core.CostEstimate{raw, {Nodes: 1, Dists: 2}, {}}
+	want := []core.CostEstimate{r.CorrectNN(many[0]), r.CorrectNN(many[1]), r.CorrectNN(many[2])}
+	if r.CorrectNNs(many); !reflect.DeepEqual(many, want) {
+		t.Fatalf("CorrectNNs = %+v, want %+v", many, want)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"mcost/internal/budget"
 	"mcost/internal/core"
@@ -132,9 +133,18 @@ type Shard struct {
 	// nil for RoundRobin shards (no geometric bound; Radius is d+).
 	Pivot  metric.Object
 	Radius float64
+	// Stages is where this shard's build time went.
+	Stages Stages
 	// rc, when non-nil, keeps this shard's model live under writes (see
 	// Set.EnableRecalibration).
 	rc *recal.Recalibrator
+}
+
+// Stages times the stages of one shard's build: tree construction,
+// arena freeze (0 with the arena off), sampling F̂, and tree statistics
+// plus model fit.
+type Stages struct {
+	Bulkload, Freeze, Estimate, Model time.Duration
 }
 
 // priceRange returns the shard's range price, bias-corrected when
@@ -159,6 +169,17 @@ func (sh *Shard) priceNN(k int) core.CostEstimate {
 		return sh.rc.CorrectNN(sh.Model.NNL(k))
 	}
 	return sh.Model.NNL(k)
+}
+
+// priceNNPrefix returns priceNN(k) for k = 1..K on a non-empty shard,
+// as far as the model prices them in one pass (core's NNLPrefix) and
+// priceNN does not clamp k.
+func (sh *Shard) priceNNPrefix(K int) []core.CostEstimate {
+	est := sh.Model.NNLPrefix(min(K, sh.Tree.Size()))
+	if sh.rc != nil {
+		sh.rc.CorrectNNs(est)
+	}
+	return est
 }
 
 // observeRange feeds one clean range execution on sh back into its
@@ -375,6 +396,8 @@ func buildShard(space *metric.Space, objects []metric.Object, members []int, i i
 	mo.Space = space
 	mo.PageSize = opt.PageSize
 	mo.Seed = parallel.SplitSeed(opt.Seed, 2+i)
+	var stages Stages
+	clock := obs.StartStopwatch()
 	tr, err := mtree.New(mo)
 	if err != nil {
 		return nil, err
@@ -387,6 +410,7 @@ func buildShard(space *metric.Space, objects []metric.Object, members []int, i i
 	if err != nil {
 		return nil, err
 	}
+	stages.Bulkload = clock.Lap()
 	if opt.Arena != nil {
 		cfg := *opt.Arena
 		if cfg.Mmap && cfg.Path != "" {
@@ -395,11 +419,13 @@ func buildShard(space *metric.Space, objects []metric.Object, members []int, i i
 		if err := tr.FreezeArena(cfg); err != nil {
 			return nil, fmt.Errorf("shard %d: freezing arena: %w", i, err)
 		}
+		stages.Freeze = clock.Lap()
 	}
 	stats, err := tr.CollectStats()
 	if err != nil {
 		return nil, err
 	}
+	stages.Model = clock.Lap()
 	ds := &dataset.Dataset{Name: fmt.Sprintf("shard-%d", i), Space: space, Objects: objs}
 	f, err := distdist.Estimate(ds, distdist.Options{
 		Bins:     opt.HistogramBins,
@@ -410,11 +436,13 @@ func buildShard(space *metric.Space, objects []metric.Object, members []int, i i
 	if err != nil {
 		return nil, err
 	}
+	stages.Estimate = clock.Lap()
 	model, err := core.NewMTreeModel(f, stats)
 	if err != nil {
 		return nil, err
 	}
-	return &Shard{Tree: tr, F: f, Model: model, Objects: objs, OIDs: oids}, nil
+	stages.Model += clock.Lap()
+	return &Shard{Tree: tr, F: f, Model: model, Objects: objs, OIDs: oids, Stages: stages}, nil
 }
 
 // NumShards returns S.
@@ -507,6 +535,25 @@ func (s *Set) PredictNN(k int) core.CostEstimate {
 		est.Dists += e.Dists
 	}
 	return est
+}
+
+// PredictNNPrefix returns PredictNN(k) for k = 1..K, summed in the same
+// shard order from each shard's one-pass prices. The result stops at
+// the shortest prefix any non-empty shard offers (half its size).
+func (s *Set) PredictNNPrefix(K int) []core.CostEstimate {
+	sum := make([]core.CostEstimate, max(K, 0))
+	for _, sh := range s.shards {
+		if sh.Tree.Size() == 0 {
+			continue
+		}
+		est := sh.priceNNPrefix(K)
+		sum = sum[:min(len(sum), len(est))]
+		for k := range sum {
+			sum[k].Nodes += est[k].Nodes
+			sum[k].Dists += est[k].Dists
+		}
+	}
+	return sum
 }
 
 // rangeLB returns the lower bound on d(q, member) for shard sh, and

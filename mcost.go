@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"mcost/internal/core"
 	"mcost/internal/dataset"
@@ -34,6 +35,7 @@ import (
 	"mcost/internal/histogram"
 	"mcost/internal/metric"
 	"mcost/internal/mtree"
+	"mcost/internal/obs"
 	"mcost/internal/pager"
 	"mcost/internal/recal"
 )
@@ -143,7 +145,31 @@ type Index struct {
 	scan    *mtree.Scan
 	profile HardnessProfile
 	mode    EngineMode
+	stages  BuildStages
 }
+
+// BuildStages is where a build's time went, stage by stage — what
+// mcost-serve prints at start-up and what the benchmark's per-layer rows
+// (mtree.bulkload_ms, distdist.estimate_ms, core.model_fit_ms,
+// advisor.profile_ms, mtree.freeze_ms) time from outside. On a
+// ShardedIndex every stage but Profile is summed over the shards, which
+// build in parallel: the sum can exceed the time that passed.
+type BuildStages struct {
+	Bulkload time.Duration // tree construction: bulk load, or the inserts of an Incremental build
+	Estimate time.Duration // sampling the distance distribution F̂
+	Model    time.Duration // tree statistics and model fit
+	Profile  time.Duration // scan engine and hardness profile
+	Freeze   time.Duration // arena freeze; 0 with the arena off
+}
+
+func (s BuildStages) String() string {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return fmt.Sprintf("bulkload %.1f ms, estimate %.1f ms, model %.1f ms, profile %.1f ms, freeze %.1f ms",
+		ms(s.Bulkload), ms(s.Estimate), ms(s.Model), ms(s.Profile), ms(s.Freeze))
+}
+
+// BuildStages returns where Build's time went.
+func (ix *Index) BuildStages() BuildStages { return ix.stages }
 
 // Build indexes the objects and fits the cost model: it constructs the
 // M-tree (bulk-loaded unless Incremental), estimates the distance
@@ -161,6 +187,7 @@ func Build(space *Space, objects []Object, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	clock := obs.StartStopwatch()
 	tree, err := mtree.New(mo)
 	if err != nil {
 		return nil, err
@@ -173,24 +200,31 @@ func Build(space *Space, objects []Object, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	bulkload := clock.Lap()
 	ix, err := finishIndex(space, tree, objects, opt)
 	if err != nil {
 		return nil, err
 	}
+	ix.stages.Bulkload = bulkload
 	ix.stack = stack
 	if opt.Arena.Enabled && opt.Storage.Faults == nil {
+		clock.Lap()
 		if err := tree.FreezeArena(mtree.ArenaConfig{Mmap: opt.Arena.Mmap, Path: opt.Arena.Path}); err != nil {
 			return nil, fmt.Errorf("mcost: freezing arena: %w", err)
 		}
+		ix.stages.Freeze = clock.Lap()
 	}
 	return ix, nil
 }
 
 func finishIndex(space *Space, tree *mtree.Tree, objects []Object, opt Options) (*Index, error) {
+	var stages BuildStages
+	clock := obs.StartStopwatch()
 	stats, err := tree.CollectStats()
 	if err != nil {
 		return nil, err
 	}
+	stages.Model = clock.Lap()
 	ds := &dataset.Dataset{Name: "indexed", Space: space, Objects: objects}
 	f, err := distdist.Estimate(ds, distdist.Options{
 		Bins:     opt.HistogramBins,
@@ -201,14 +235,18 @@ func finishIndex(space *Space, tree *mtree.Tree, objects []Object, opt Options) 
 	if err != nil {
 		return nil, err
 	}
+	stages.Estimate = clock.Lap()
 	model, err := core.NewMTreeModel(f, stats)
 	if err != nil {
 		return nil, err
 	}
+	stages.Model += clock.Lap()
 	ix := &Index{space: space, sample: objects[0], tree: tree, f: f, stats: stats, model: model}
 	if err := ix.buildPlanner(objects); err != nil {
 		return nil, err
 	}
+	stages.Profile = clock.Lap()
+	ix.stages = stages
 	return ix, nil
 }
 

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 )
 
 func randomVectors(n, dim int, seed int64) []Object {
@@ -572,5 +574,50 @@ func TestIndexStats(t *testing.T) {
 	}
 	if sum != st.Nodes {
 		t.Fatalf("level sums %d != nodes %d", sum, st.Nodes)
+	}
+}
+
+// TestBuildStagesAccountForTheBuild: every stage a build ran is timed,
+// and on a single index the stages are disjoint parts of the build.
+func TestBuildStagesAccountForTheBuild(t *testing.T) {
+	space := VectorSpace("L2", 4)
+	objs := randomVectors(600, 4, 51)
+	opt := Options{Seed: 51, Workers: 1, Arena: ArenaOptions{Enabled: true}}
+	began := time.Now()
+	ix, err := Build(space, objs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(began)
+	st := ix.BuildStages()
+	for name, d := range map[string]time.Duration{"bulkload": st.Bulkload, "estimate": st.Estimate, "model": st.Model, "profile": st.Profile, "freeze": st.Freeze} {
+		if d <= 0 {
+			t.Errorf("stage %s timed at %v", name, d)
+		}
+	}
+	if sum := st.Bulkload + st.Estimate + st.Model + st.Profile + st.Freeze; sum > elapsed {
+		t.Errorf("stages sum to %v, Build took %v", sum, elapsed)
+	}
+	if s := st.String(); !strings.Contains(s, "profile") || !strings.Contains(s, " ms") {
+		t.Errorf("String() = %q", s)
+	}
+
+	plain, err := Build(space, objs, Options{Seed: 51, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := plain.BuildStages().Freeze; d != 0 {
+		t.Errorf("no arena, freeze timed at %v", d)
+	}
+
+	sx, err := BuildSharded(space, objs, opt, ShardOptions{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := sx.BuildStages()
+	for name, d := range map[string]time.Duration{"bulkload": ss.Bulkload, "estimate": ss.Estimate, "model": ss.Model, "profile": ss.Profile, "freeze": ss.Freeze} {
+		if d <= 0 {
+			t.Errorf("sharded stage %s timed at %v", name, d)
+		}
 	}
 }

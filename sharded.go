@@ -3,10 +3,12 @@ package mcost
 import (
 	"context"
 	"errors"
+	"time"
 
 	"mcost/internal/histogram"
 	"mcost/internal/metric"
 	"mcost/internal/mtree"
+	"mcost/internal/obs"
 	"mcost/internal/pager"
 	"mcost/internal/recal"
 	"mcost/internal/shard"
@@ -65,6 +67,8 @@ type ShardedIndex struct {
 	f       *histogram.Histogram
 	profile HardnessProfile
 	mode    EngineMode
+	// profileTime is what buildPlanner took (see BuildStages).
+	profileTime time.Duration
 }
 
 // BuildSharded partitions the objects into so.Shards shards and builds
@@ -108,10 +112,25 @@ func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) 
 		return nil, err
 	}
 	sx := &ShardedIndex{space: space, sample: objects[0], set: set, stacks: stacks, workers: opt.Workers}
+	clock := obs.StartStopwatch()
 	if err := sx.buildPlanner(objects); err != nil {
 		return nil, err
 	}
+	sx.profileTime = clock.Lap()
 	return sx, nil
+}
+
+// BuildStages returns where BuildSharded's time went: the profile's, and
+// each other stage summed over the shards (see BuildStages).
+func (sx *ShardedIndex) BuildStages() BuildStages {
+	st := BuildStages{Profile: sx.profileTime}
+	for _, sh := range sx.set.Shards() {
+		st.Bulkload += sh.Stages.Bulkload
+		st.Estimate += sh.Stages.Estimate
+		st.Model += sh.Stages.Model
+		st.Freeze += sh.Stages.Freeze
+	}
+	return st
 }
 
 func (sx *ShardedIndex) qopt() shard.QueryOptions {
