@@ -82,6 +82,7 @@ func TestClusterSmoke(t *testing.T) {
 		"-min-shard-timeout", "2s",
 		nodeAddrs[0], nodeAddrs[1], nodeAddrs[2])
 	router.Stdout, router.Stderr = &routerLog, &routerLog
+	routerStarted := time.Now()
 	if err := router.Start(); err != nil {
 		t.Fatalf("start router: %v", err)
 	}
@@ -108,8 +109,19 @@ func TestClusterSmoke(t *testing.T) {
 	for i, addr := range nodeAddrs {
 		waitHealthy(t, "http://"+addr, fmt.Sprintf("node %d", i))
 	}
+	nodesUp := time.Now()
 	routerURL := "http://" + routerAddr
 	waitHealthy(t, routerURL, "router")
+	// The router polls the nodes' /v1/model from 10ms apart, doubling, so
+	// it is up within about as long again as the nodes took — not a fixed
+	// half second after its first refused attempt, as it once was. Nodes
+	// this small build in well under 250ms; on a machine too loaded for
+	// that the polls may by then be 500ms apart and the check says nothing.
+	if took, lag := nodesUp.Sub(routerStarted), time.Since(nodesUp); took > 250*time.Millisecond {
+		t.Logf("nodes took %v to come up; router boot lag %v not checked", took, lag)
+	} else if lag > 300*time.Millisecond {
+		t.Errorf("router turned healthy %v after the last node (nodes took %v), want within 300ms", lag, took)
+	}
 
 	d := dataset.Uniform(nObjects, dim, seed)
 	mix := &workload.Workload{Classes: []workload.QueryClass{
@@ -285,7 +297,7 @@ func waitHealthy(t *testing.T, base, label string) {
 				return
 			}
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("%s at %s never became healthy", label, base)
 }

@@ -99,12 +99,14 @@ func main() {
 	}
 
 	// Nodes listen before they finish building (503 "building"), so the
-	// boot-time model fetch polls until every shard's summary is up.
+	// boot-time model fetch polls until every shard's summary is up: from
+	// 10ms, doubling to a 500ms cap, so the router is ready within about
+	// as long again as the nodes took, and a slow build is not hammered.
 	fmt.Printf("fetching shard models from %d shard(s)...\n", len(shards))
 	var rt *router.Router
 	var err error
 	deadline := time.Now().Add(*modelWait)
-	for {
+	for wait := 10 * time.Millisecond; ; wait = min(2*wait, 500*time.Millisecond) {
 		rt, err = router.New(context.Background(), cfg)
 		if err == nil {
 			break
@@ -112,7 +114,7 @@ func main() {
 		if time.Now().After(deadline) {
 			fail(err)
 		}
-		time.Sleep(500 * time.Millisecond)
+		time.Sleep(wait)
 	}
 	defer rt.Close()
 	fmt.Printf("router: %d shards, %d objects total\n", rt.Shards(), rt.Size())

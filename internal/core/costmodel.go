@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mcost/internal/histogram"
 	"mcost/internal/mtree"
@@ -42,6 +43,9 @@ type MTreeModel struct {
 	stats *mtree.Stats
 	// steps controls integration granularity for NN estimates.
 	steps int
+	// nn holds the k-NN integrals already evaluated on this model (see
+	// NNLCached).
+	nn nnTable
 }
 
 // NewMTreeModel builds a model from the estimated distance distribution
@@ -220,6 +224,65 @@ func (m *MTreeModel) NNLPrefix(K int) []CostEstimate {
 		prev, next = next, prev
 	}
 	return est
+}
+
+// nnTable is a cache in front of NNL and ExpectedNNDist, keyed by
+// clamped k. Both are functions of (F̂, tree statistics, k) alone and a
+// model never changes after NewMTreeModel — every refresh path fits a
+// new model and swaps the pointer — so an entry can never go stale and
+// dropping the model is the invalidation. It grows by one entry per
+// distinct k asked for, n at most.
+type nnTable struct {
+	mu  sync.Mutex
+	byK map[int]*nnEntry
+}
+
+// nnEntry fills each integral on first use, once, however many
+// goroutines ask together; those asking for another k are not held up.
+type nnEntry struct {
+	costOnce, distOnce sync.Once
+	cost               CostEstimate
+	dist               float64
+}
+
+func (m *MTreeModel) nnEntry(k int) *nnEntry {
+	k = m.clampK(k)
+	m.nn.mu.Lock()
+	defer m.nn.mu.Unlock()
+	e := m.nn.byK[k]
+	if e == nil {
+		if m.nn.byK == nil {
+			m.nn.byK = make(map[int]*nnEntry)
+		}
+		e = &nnEntry{}
+		m.nn.byK[k] = e
+	}
+	return e
+}
+
+// NNLCached returns NNL(k), computing it the first time this model is
+// asked for k (after clamping) and remembering it. The distributed
+// tier prices through it: a router or a shard node quotes the same few
+// k on every request, and one NNL is hundreds of times the search it
+// prices (DESIGN.md "What pricing costs").
+func (m *MTreeModel) NNLCached(k int) CostEstimate {
+	e := m.nnEntry(k)
+	e.costOnce.Do(func() { e.cost = m.NNL(k) })
+	return e.cost
+}
+
+// ExpectedNNDistCached is ExpectedNNDist(k) through the same table.
+func (m *MTreeModel) ExpectedNNDistCached(k int) float64 {
+	e := m.nnEntry(k)
+	e.distOnce.Do(func() { e.dist = m.ExpectedNNDist(k) })
+	return e.dist
+}
+
+// CachedKs returns how many distinct (clamped) k the table holds.
+func (m *MTreeModel) CachedKs() int {
+	m.nn.mu.Lock()
+	defer m.nn.mu.Unlock()
+	return len(m.nn.byK)
 }
 
 // NNViaExpectedDist predicts NN(Q,k) costs as those of a range query

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -437,6 +438,67 @@ func TestNNLPrefixEqualsNNL(t *testing.T) {
 	}
 	if (hi-lo)/hi > 1e-9 {
 		t.Fatalf("uniform D=64 prices are no plateau: dists %v..%v", lo, hi)
+	}
+}
+
+// TestNNTableEqualsUncached: the table is a cache in front of NNL and
+// ExpectedNNDist, not a second way to price — on the fill and on the
+// hit every value equals the uncached one bit for bit, at the clamping
+// edges (k <= 0 prices as 1, k > n as n) and on both sides of the
+// binomial tail's switch at (n+1)/2.
+func TestNNTableEqualsUncached(t *testing.T) {
+	fx := newFixture(t, dataset.PaperClustered(301, 6, 1407), 1024)
+	m := fx.model
+	m.steps = 400 // NNL(n) is an n-term sum per grid point
+	n := m.N()
+	for _, pass := range []string{"fill", "hit"} {
+		for _, k := range []int{-1, 0, 1, 2, 10, (n + 1) / 2, n, n + 5} {
+			if got, want := m.NNLCached(k), m.NNL(k); got != want {
+				t.Errorf("%s k=%d: NNLCached %+v, NNL %+v", pass, k, got, want)
+			}
+			if got, want := m.ExpectedNNDistCached(k), m.ExpectedNNDist(k); got != want {
+				t.Errorf("%s k=%d: ExpectedNNDistCached %v, ExpectedNNDist %v", pass, k, got, want)
+			}
+		}
+	}
+	// -1, 0 and 1 share an entry, as do n and n+5.
+	if got := m.CachedKs(); got != 5 {
+		t.Errorf("table holds %d entries after 8 k that clamp to 5", got)
+	}
+}
+
+// TestNNTableConcurrent hammers one model's table from 32 goroutines
+// with interleaved k, cold: every read is the uncached value and the
+// table ends with one entry per k (run under -race in CI).
+func TestNNTableConcurrent(t *testing.T) {
+	fx := newFixture(t, dataset.PaperClustered(301, 6, 1407), 1024)
+	m := fx.model
+	m.steps = 400
+	ks := []int{1, 2, 3, 5, 10, 20, 40}
+	cost := make(map[int]CostEstimate)
+	dist := make(map[int]float64)
+	for _, k := range ks {
+		cost[k], dist[k] = m.NNL(k), m.ExpectedNNDist(k)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				k := ks[(g+i)%len(ks)]
+				if got := m.NNLCached(k); got != cost[k] {
+					t.Errorf("goroutine %d k=%d: NNLCached %+v, NNL %+v", g, k, got, cost[k])
+				}
+				if got := m.ExpectedNNDistCached(k); got != dist[k] {
+					t.Errorf("goroutine %d k=%d: ExpectedNNDistCached %v, ExpectedNNDist %v", g, k, got, dist[k])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := m.CachedKs(); got != len(ks) {
+		t.Errorf("table holds %d entries for %d distinct k", got, len(ks))
 	}
 }
 

@@ -3,9 +3,10 @@
 // holding one partition of a shared deterministic assignment. At boot
 // the router fetches every shard's F̂/L-MCM summary from GET /v1/model
 // and reconstructs the per-shard predictors locally, so each incoming
-// query is priced per shard before any network call. The predictions
-// drive everything the tier does: shards whose pivot-ball lower bound
-// proves them irrelevant are skipped without being contacted, per-shard
+// query is priced per shard before any network call — each (shard, k)
+// once, through the model's own price table. The predictions and the
+// pivots drive everything the tier does: shards that shard.LowerBounds
+// proves empty are skipped without being contacted, per-shard
 // timeouts are seeded from predicted cost × slack (an expensive shard
 // earns a longer leash than a trivial one), and requests are hedged to
 // a replica only when the predicted cost is below a threshold —
@@ -184,13 +185,11 @@ type endpoint struct {
 }
 
 // shardState is everything the router knows about one shard: the
-// reconstructed L-MCM predictor, the pivot ball for pruning, and the
-// endpoints that can answer for it.
+// reconstructed L-MCM predictor and the endpoints that can answer for
+// it (its bounding ball is Router.balls[index]).
 type shardState struct {
 	index     int
 	model     *core.MTreeModel
-	pivot     metric.Object
-	radius    float64
 	size      int
 	scanPages int // 0 when the node's summary predates the planner
 	endpoints []*endpoint
@@ -217,7 +216,8 @@ func (st *shardState) priceRange(radius float64) core.CostEstimate {
 }
 
 // priceNN is the shard's L-MCM k-NN prediction with k clamped to the
-// shard size, mirroring Shard.priceNN.
+// shard size, mirroring Shard.priceNN. The models are fetched once at
+// boot, so each (shard, k) is integrated once for the router's life.
 func (st *shardState) priceNN(k int) core.CostEstimate {
 	if k > st.size {
 		k = st.size
@@ -225,7 +225,7 @@ func (st *shardState) priceNN(k int) core.CostEstimate {
 	if k < 1 {
 		return core.CostEstimate{}
 	}
-	return st.model.NNL(k)
+	return st.model.NNLCached(k)
 }
 
 // priceScan is the shard's linear-scan cost: every page read, every
@@ -243,6 +243,7 @@ type Router struct {
 	space       *metric.Space
 	decode      server.ObjectDecoder
 	shards      []*shardState
+	balls       []shard.Ball // per shard, what shard.LowerBounds prunes with
 	totalSize   int
 	maxNodeBody int64
 
@@ -279,7 +280,7 @@ type Router struct {
 // predictors, and starts the health loop. It fails if any shard has no
 // reachable endpoint — a router that cannot price every shard cannot
 // promise the canonical merge.
-func New(ctx context.Context, cfg Config) (*Router, error) {
+func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("router: no shards configured")
@@ -291,7 +292,14 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{}
+		client = &http.Client{Transport: newTransport()}
+		// A boot loop calls New until the nodes are up; a failed attempt
+		// must not leave its connections behind.
+		defer func() {
+			if err != nil {
+				client.CloseIdleConnections()
+			}
+		}()
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -365,11 +373,15 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 		if err != nil {
 			return nil, fmt.Errorf("router: shard %d: %w", i, err)
 		}
+		if i > 0 && (pivot == nil) != (rt.balls[0].Pivot == nil) {
+			// The hyperplane bound compares every pivot distance with the
+			// nearest one: pivots are all there or all absent.
+			return nil, fmt.Errorf("router: shard %d disagrees with shard 0 about carrying a pivot", i)
+		}
+		rt.balls = append(rt.balls, shard.Ball{Pivot: pivot, Radius: sum.Radius})
 		st := &shardState{
 			index:     i,
 			model:     model,
-			pivot:     pivot,
-			radius:    sum.Radius,
 			size:      sum.Size,
 			scanPages: sum.ScanPages,
 			latency:   reg.Hist(fmt.Sprintf("router.shard_latency_ms.s%d", i), 40, 0, 2000),
@@ -394,6 +406,25 @@ func New(ctx context.Context, cfg Config) (*Router, error) {
 	return rt, nil
 }
 
+// idleConnsPerShard is the keep-alive pool the router holds per node
+// address. http.DefaultTransport keeps two: with more requests in
+// flight than that, every further shard call dials a connection and
+// throws it away on completion. 64 is well above the concurrency the
+// cluster smoke (8 workers) and the benchmark (2 clients) drive; beyond
+// it the router still works, it only stops reusing.
+const idleConnsPerShard = 64
+
+// newTransport is the transport of the router's own client. Bodies are
+// small JSON between processes that are usually a rack apart at most;
+// compressing them costs more than sending them.
+func newTransport() *http.Transport {
+	return &http.Transport{
+		MaxIdleConnsPerHost: idleConnsPerShard,
+		IdleConnTimeout:     90 * time.Second,
+		DisableCompression:  true,
+	}
+}
+
 // fetchShardSummary tries each endpoint of a shard group until one
 // serves /v1/model.
 func (rt *Router) fetchShardSummary(ctx context.Context, eps []string) (*shard.Summary, error) {
@@ -408,10 +439,12 @@ func (rt *Router) fetchShardSummary(ctx context.Context, eps []string) (*shard.S
 	return nil, lastErr
 }
 
-// Close stops the health loop. In-flight requests finish on their own.
+// Close stops the health loop and drops the idle node connections.
+// In-flight requests finish on their own.
 func (rt *Router) Close() {
 	rt.closeOnce.Do(func() { close(rt.stop) })
 	rt.wg.Wait()
+	rt.client.CloseIdleConnections()
 }
 
 // Registry returns the router's metrics registry.
@@ -487,7 +520,7 @@ type QueryResponse struct {
 	// Degraded reports shard-level loss: one or more shards failed
 	// every attempt and their results are missing. ShardsFailed lists
 	// them; ShardsSkipped lists shards the pivot lower bound proved
-	// irrelevant (a proof, not a degradation).
+	// empty (a proof, not a degradation: a skipped shard has answered).
 	Degraded      bool  `json:"degraded,omitempty"`
 	ShardsFailed  []int `json:"shards_failed,omitempty"`
 	ShardsSkipped []int `json:"shards_skipped,omitempty"`
@@ -620,19 +653,6 @@ func (rt *Router) timeoutFor(est core.CostEstimate) time.Duration {
 	return d
 }
 
-// rangeLB mirrors Set.rangeLB: the pivot-ball lower bound on the
-// distance from q to any member of the shard.
-func (rt *Router) rangeLB(st *shardState, q metric.Object) float64 {
-	if st.pivot == nil {
-		return 0
-	}
-	lb := rt.space.Distance(q, st.pivot) - st.radius
-	if lb < 0 {
-		return 0
-	}
-	return lb
-}
-
 // handleQuery prices, prunes, scatters, and gathers one query.
 func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 	path := "/v1/range"
@@ -660,6 +680,10 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 		var planEngines []string
 		var skipped []int
 		var plans []shardPlan
+		var lb []float64 // k-NN has no radius to compare a bound with
+		if !nn {
+			lb = shard.LowerBounds(rt.space, req.q, rt.balls)
+		}
 		for _, st := range rt.shards {
 			var est core.CostEstimate
 			if nn {
@@ -687,7 +711,7 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 					rt.cPlanScan.Inc()
 				}
 			}
-			if !nn && rt.rangeLB(st, req.q) > req.radius {
+			if !nn && lb[st.index] > req.radius {
 				skipped = append(skipped, st.index)
 				rt.cShardsSkipped.Inc()
 				continue
@@ -760,7 +784,9 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 				resp.Matches = append(resp.Matches, Match{OID: m.OID, Distance: m.Distance, Object: m.Object})
 			}
 		}
-		if len(failed) == len(plans) {
+		if len(failed) == len(plans) && len(skipped) == 0 {
+			// A skipped shard has answered — with the empty set, by proof —
+			// so only a query that skipped none can have heard from nobody.
 			rt.cErrors.Inc()
 			rt.writeJSON(w, http.StatusServiceUnavailable, errorBody{
 				Code:         "all_shards_failed",

@@ -30,7 +30,7 @@ type cluster struct {
 	handlers []http.Handler
 }
 
-func buildCluster(t *testing.T, shards int) *cluster {
+func buildCluster(t testing.TB, shards int) *cluster {
 	t.Helper()
 	d := dataset.Uniform(600, 4, 7)
 	opt := mcost.Options{Seed: 7, Workers: 1}

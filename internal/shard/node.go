@@ -86,8 +86,8 @@ type Summary struct {
 	ObjectKind string           `json:"object_kind"`
 	Dim        int              `json:"dim,omitempty"`
 	// Pivot and Radius are the shard's bounding ball under pivot
-	// assignment (Pivot empty for round-robin): d(q,Pivot)−Radius
-	// lower-bounds the distance from q to any member.
+	// assignment (Pivot empty for round-robin). With every shard's ball
+	// in hand a router prunes by LowerBounds, as the Set does.
 	Pivot  json.RawMessage `json:"pivot,omitempty"`
 	Radius float64         `json:"radius"`
 	// FHat is the shard's distance distribution, Levels the per-level

@@ -4,9 +4,11 @@
 // distance histogram F̂ᵢ and fitted L-MCM cost model, so the set can
 // both predict workload cost (per-shard predictions sum) and prune
 // whole shards at query time: with pivot-based assignment every shard
-// is a metric ball around its pivot, d(q, pivotᵢ) − radiusᵢ lower-bounds
-// the distance from q to anything inside, and a k-NN visit is skipped
-// once the running k-th distance beats that bound.
+// holds the objects nearest its pivot, inside a ball around it, so the
+// S query-to-pivot distances lower-bound the distance from q to
+// anything in each shard (LowerBounds); a range query skips the shards
+// whose bound exceeds its radius, and a k-NN visit is skipped once the
+// running k-th distance beats the bound.
 //
 // Determinism: shard assignment, per-shard builds, and result merging
 // are all functions of (objects, Options) alone — fan-out parallelism
@@ -166,9 +168,9 @@ func (sh *Shard) priceNN(k int) core.CostEstimate {
 		return core.CostEstimate{}
 	}
 	if sh.rc != nil {
-		return sh.rc.CorrectNN(sh.Model.NNL(k))
+		return sh.rc.CorrectNN(sh.Model.NNLCached(k))
 	}
-	return sh.Model.NNL(k)
+	return sh.Model.NNLCached(k)
 }
 
 // priceNNPrefix returns priceNN(k) for k = 1..K on a non-empty shard,
@@ -198,7 +200,7 @@ func (sh *Shard) observeNN(k int, tr *obs.Trace) {
 	if k < 1 {
 		return
 	}
-	raw := sh.Model.NNL(k)
+	raw := sh.Model.NNLCached(k)
 	sh.rc.ObserveNN(raw, sh.rc.CorrectNN(raw), tr)
 }
 
@@ -556,18 +558,78 @@ func (s *Set) PredictNNPrefix(K int) []core.CostEstimate {
 	return sum
 }
 
-// rangeLB returns the lower bound on d(q, member) for shard sh, and
-// counts the pivot distance it spends. RoundRobin shards have no bound.
-func (s *Set) rangeLB(sh *Shard, q metric.Object) float64 {
-	if sh.Pivot == nil {
-		return 0
+// Ball is a shard's bounding ball under Pivot assignment: every member
+// lies within Radius of Pivot. Pivot is nil for a RoundRobin shard.
+type Ball struct {
+	Pivot  metric.Object
+	Radius float64
+}
+
+// boundGuard is the share of d(q,Pᵢ) every lower bound gives up so that
+// rounding can never turn it into a wrong proof. The bound combines
+// three computed distances (q to two pivots, and through the assignment
+// or the radius a member to its pivot), each off by at most about D/2
+// ulps for a D-term sum and all of them at most 1.5·d(q,Pᵢ) when the
+// bound is positive; 2⁻⁴⁰ is some four thousand ulps. Without it a
+// member at exactly the query radius on the segment between two pivots
+// is lost to the last bit. Integer-valued metrics are exact: their
+// bounds are multiples of ½ and the guard moves none across an integer
+// or half-integer radius.
+const boundGuard = 0x1p-40
+
+// LowerBounds returns, for each shard i, a lower bound on d(q, X) over
+// every member X of the shard, from the S query-to-pivot distances and
+// nothing else — the one pruning rule of the in-process Set and of the
+// router:
+//
+//	lbᵢ = max(0, d(q,Pᵢ) − Rᵢ, (d(q,Pᵢ) − minⱼ d(q,Pⱼ)) / 2)
+//
+// The middle term is the shard's covering ball. The last is the
+// generalized-hyperplane bound, and rests on one invariant: every
+// member was assigned to its nearest pivot, by assign at build and by
+// Set.Insert afterwards (deletes move nothing). So for X in shard i
+// and any j,
+//
+//	d(q,Pᵢ) ≤ d(q,X) + d(X,Pᵢ)      (triangle inequality)
+//	        ≤ d(q,X) + d(X,Pⱼ)      (Pᵢ is X's nearest pivot)
+//	        ≤ 2·d(q,X) + d(q,Pⱼ)    (triangle inequality)
+//
+// Where the balls overlap — pivots 2.0 apart under radii of 1.9 on
+// clustered D=16 data — the ball term proves almost nothing and this
+// one proves most shards empty. A set without pivots has no bound:
+// every lbᵢ is 0.
+func LowerBounds(space *metric.Space, q metric.Object, balls []Ball) []float64 {
+	lb := make([]float64, len(balls))
+	if len(balls) == 0 || balls[0].Pivot == nil {
+		return lb
 	}
-	s.pruneDists.Add(1)
-	lb := s.space.Distance(q, sh.Pivot) - sh.Radius
-	if lb < 0 {
-		return 0
+	nearest := math.Inf(1)
+	for i, b := range balls {
+		lb[i] = space.Distance(q, b.Pivot)
+		nearest = min(nearest, lb[i])
+	}
+	for i, d := range lb {
+		lb[i] = max(0, max(d-balls[i].Radius, (d-nearest)/2)-boundGuard*d)
 	}
 	return lb
+}
+
+// balls returns the shards' bounding balls in shard order.
+func (s *Set) balls() []Ball {
+	balls := make([]Ball, len(s.shards))
+	for i, sh := range s.shards {
+		balls[i] = Ball{Pivot: sh.Pivot, Radius: sh.Radius}
+	}
+	return balls
+}
+
+// lowerBounds is LowerBounds for one query against the set, counting
+// the pivot distances it spends.
+func (s *Set) lowerBounds(q metric.Object, balls []Ball) []float64 {
+	if balls[0].Pivot != nil {
+		s.pruneDists.Add(int64(len(balls)))
+	}
+	return LowerBounds(s.space, q, balls)
 }
 
 // globalize rewrites a shard-local result to global OIDs, in place.
@@ -607,8 +669,8 @@ func (s *Set) Range(q metric.Object, radius float64, opt QueryOptions) ([]mtree.
 	errs := make([]error, S)
 	traces := make([]*obs.Trace, S)
 	visit := make([]bool, S)
-	for i, sh := range s.shards {
-		if s.rangeLB(sh, q) > radius {
+	for i, lb := range s.lowerBounds(q, s.balls()) {
+		if lb > radius {
 			s.skipped.Add(1)
 			continue
 		}
@@ -679,6 +741,7 @@ type shardCand struct {
 
 func (s *Set) shardOrder(q metric.Object, k int) []shardCand {
 	order := make([]shardCand, len(s.shards))
+	lb := s.lowerBounds(q, s.balls())
 	for i, sh := range s.shards {
 		kk := k
 		if n := sh.Tree.Size(); kk > n {
@@ -690,12 +753,12 @@ func (s *Set) shardOrder(q metric.Object, k int) []shardCand {
 				// Recalibrated ordering: rank by corrected predicted
 				// distance cost, which tracks drift the build-time
 				// ExpectedNNDist cannot see.
-				pred = sh.rc.CorrectNN(sh.Model.NNL(kk)).Dists
+				pred = sh.rc.CorrectNN(sh.Model.NNLCached(kk)).Dists
 			} else {
-				pred = sh.Model.ExpectedNNDist(kk)
+				pred = sh.Model.ExpectedNNDistCached(kk)
 			}
 		}
-		order[i] = shardCand{i: i, lb: s.rangeLB(sh, q), pred: pred}
+		order[i] = shardCand{i: i, lb: lb[i], pred: pred}
 	}
 	sort.Slice(order, func(a, b int) bool {
 		x, y := order[a], order[b]
@@ -776,9 +839,10 @@ func (s *Set) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) (
 		return out, nil
 	}
 	subsets := make([][]int, S)
-	for i, sh := range s.shards {
-		for qi, q := range qs {
-			if s.rangeLB(sh, q) > radius {
+	balls := s.balls()
+	for qi, q := range qs {
+		for i, lb := range s.lowerBounds(q, balls) {
+			if lb > radius {
 				s.skipped.Add(1)
 				continue
 			}
@@ -860,13 +924,11 @@ func (s *Set) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]mtree.Ma
 	if len(qs) == 0 {
 		return out, nil
 	}
-	// Lower bounds per (shard, query); one pivot distance each.
-	lb := make([][]float64, S)
-	for i, sh := range s.shards {
-		lb[i] = make([]float64, len(qs))
-		for qi, q := range qs {
-			lb[i][qi] = s.rangeLB(sh, q)
-		}
+	// Lower bounds per (query, shard); one pivot distance each.
+	lb := make([][]float64, len(qs))
+	balls := s.balls()
+	for qi, q := range qs {
+		lb[qi] = s.lowerBounds(q, balls)
 	}
 	// Wave 1: zero-bound shards, plus each query's minimum-bound shard.
 	wave1 := make([][]int, S)
@@ -878,11 +940,11 @@ func (s *Set) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]mtree.Ma
 		minShard, minLB := 0, math.Inf(1)
 		any := false
 		for i := range s.shards {
-			if lb[i][qi] == 0 {
+			if lb[qi][i] == 0 {
 				inWave1[i][qi] = true
 				any = true
-			} else if lb[i][qi] < minLB {
-				minShard, minLB = i, lb[i][qi]
+			} else if lb[qi][i] < minLB {
+				minShard, minLB = i, lb[qi][i]
 			}
 		}
 		if !any {
@@ -907,7 +969,7 @@ func (s *Set) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]mtree.Ma
 			if inWave1[i][qi] {
 				continue
 			}
-			if len(out[qi]) == k && lb[i][qi] > out[qi][k-1].Distance {
+			if len(out[qi]) == k && lb[qi][i] > out[qi][k-1].Distance {
 				s.skipped.Add(1)
 				continue
 			}
@@ -1000,11 +1062,12 @@ func (s *Set) initWrites() {
 }
 
 // Insert routes obj to a shard and returns its new global OID. Under
-// Pivot assignment the nearest pivot wins — metric locality keeps each
-// ball tight — and the shard's covering radius grows if obj lands
-// outside it, preserving the pruning invariant. RoundRobin sets rotate
-// by global OID. Writes follow the tree contract: not safe concurrent
-// with queries or with each other.
+// Pivot assignment the nearest pivot wins, ties to the lower index — the
+// rule assign built the shards by, and the invariant LowerBounds'
+// hyperplane term rests on — and the shard's covering radius grows if
+// obj lands outside it, which keeps the ball term valid. RoundRobin
+// sets rotate by global OID. Writes follow the tree contract: not safe
+// concurrent with queries or with each other.
 func (s *Set) Insert(obj metric.Object) (uint64, error) {
 	if obj == nil {
 		return 0, errors.New("shard: nil object")

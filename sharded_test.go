@@ -3,6 +3,9 @@ package mcost
 import (
 	"sort"
 	"testing"
+
+	"mcost/internal/core"
+	"mcost/internal/recal"
 )
 
 func shardedFixture(t *testing.T, n, shards int, assign ShardAssignment, opt Options) (*ShardedIndex, []Object) {
@@ -130,6 +133,60 @@ func TestShardedPredictionsAndCosts(t *testing.T) {
 	}
 	if nn := sx.PredictNN(5); nn.Nodes <= 0 || nn.Dists <= 0 {
 		t.Errorf("NN prediction %+v", nn)
+	}
+}
+
+// TestShardedPredictNNFollowsModelSwap: the shards price k-NN through
+// their models' tables, and a recalibration refit swaps in a new model.
+// After one, PredictNN must quote the refitted model — the sum, shard
+// by shard, of what a model built afresh from the shard's F̂ and tree
+// statistics prices cold — not the entry the old model had filled.
+func TestShardedPredictNNFollowsModelSwap(t *testing.T) {
+	sx, _ := shardedFixture(t, 900, 3, ShardPivot, Options{Seed: 19})
+	if err := sx.EnableRecalibration(recal.Config{RefreshEvery: 16, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	before := sx.PredictNN(k)
+	shards := sx.set.Shards()
+	old := shards[0].Model
+	// Objects next to shard 0's pivot all route to shard 0; the insert
+	// that swaps its model ends the loop, so the live tree statistics are
+	// the ones the refit read.
+	pivot := shards[0].Pivot.(Vector)
+	for i := 1; shards[0].Model == old; i++ {
+		if i > 64 {
+			t.Fatal("64 inserts into one shard and no model refit")
+		}
+		v := pivot.Clone()
+		v[0] += float64(i) * 1e-6
+		if _, err := sx.Insert(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := shards[0].Model.CachedKs(); got != 0 {
+		t.Errorf("the refitted model starts with %d table entries, want 0", got)
+	}
+	var want CostEstimate
+	for i, sh := range shards {
+		stats, err := sh.Tree.CollectStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := core.NewMTreeModel(sh.F, stats)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		e := fresh.NNL(k)
+		want.Nodes += e.Nodes
+		want.Dists += e.Dists
+	}
+	got := sx.PredictNN(k)
+	if got != want {
+		t.Errorf("PredictNN(%d) after the refit = %+v, fresh models sum to %+v", k, got, want)
+	}
+	if got == before {
+		t.Errorf("PredictNN(%d) did not move with the refit: %+v", k, got)
 	}
 }
 
