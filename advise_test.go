@@ -25,6 +25,33 @@ func canonOrder(ms []Match) []Match {
 	return out
 }
 
+// batchSurface is the mode-aware batch surface Index and ShardedIndex
+// share.
+type batchSurface interface {
+	RangeBatchTraced(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error)
+	NNBatchTraced(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error)
+}
+
+// rangeSets and nnSets run qs through the batch surface under the
+// current engine mode, unbudgeted and untraced.
+func rangeSets(t *testing.T, e batchSurface, qs []Object, radius float64) [][]Match {
+	t.Helper()
+	sets, err := e.RangeBatchTraced(context.Background(), qs, radius, QueryBudget{}, nil)
+	if err != nil {
+		t.Fatalf("RangeBatchTraced(%g): %v", radius, err)
+	}
+	return sets
+}
+
+func nnSets(t *testing.T, e batchSurface, qs []Object, k int) [][]Match {
+	t.Helper()
+	sets, err := e.NNBatchTraced(context.Background(), qs, k, QueryBudget{}, nil)
+	if err != nil {
+		t.Fatalf("NNBatchTraced(%d): %v", k, err)
+	}
+	return sets
+}
+
 func matchesEqual(t *testing.T, label string, got, want []Match) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -103,10 +130,8 @@ func TestScanModeBitIdenticalToTree(t *testing.T) {
 	qs := []Object{objs[7], objs[400], Vector{0.5, 0.5, 0.5, 0.5, 0.5}}
 	const radius = 0.45
 
-	treeSets, err := ix.RangeBatch(qs, radius)
-	if err != nil {
-		t.Fatal(err)
-	}
+	treeSets := rangeSets(t, ix, qs, radius)
+	treeNN := nnSets(t, ix, qs, 9)
 	if err := ix.SetEngineMode(EngineScan); err != nil {
 		t.Fatal(err)
 	}
@@ -118,22 +143,11 @@ func TestScanModeBitIdenticalToTree(t *testing.T) {
 			est, ix.Hardness().ScanNodes, ix.Hardness().ScanDists)
 	}
 
-	scanSets, err := ix.RangeBatchTraced(context.Background(), qs, radius, QueryBudget{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scanSets := rangeSets(t, ix, qs, radius)
 	for i := range qs {
 		matchesEqual(t, "range", scanSets[i], canonOrder(treeSets[i]))
 	}
-
-	treeNN, err := ix.NNBatch(qs, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanNN, err := ix.NNBatchTraced(context.Background(), qs, 9, QueryBudget{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scanNN := nnSets(t, ix, qs, 9)
 	for i := range qs {
 		matchesEqual(t, "nn", scanNN[i], treeNN[i])
 	}
@@ -146,8 +160,9 @@ func TestScanModeBitIdenticalToTree(t *testing.T) {
 	}
 }
 
-// TestAutoExecutesPlannedEngine checks RangeAuto/NNAuto return exactly
-// what the decided engine returns when run directly.
+// TestAutoExecutesPlannedEngine checks that under EngineAuto the batch
+// surface returns exactly what the planned engine returns when run
+// directly.
 func TestAutoExecutesPlannedEngine(t *testing.T) {
 	space := VectorSpace("L2", 4)
 	objs := randomVectors(700, 4, 17)
@@ -155,11 +170,14 @@ func TestAutoExecutesPlannedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := ix.SetEngineMode(EngineAuto); err != nil {
+		t.Fatal(err)
+	}
 	q := Vector{0.4, 0.6, 0.5, 0.5}
 	for _, radius := range []float64{0.05, 0.3, space.Bound} {
-		got, d, err := ix.RangeAuto(q, radius)
+		d, err := ix.PlanRange(radius)
 		if err != nil {
-			t.Fatalf("RangeAuto(%g): %v", radius, err)
+			t.Fatalf("PlanRange(%g): %v", radius, err)
 		}
 		if d.Engine != advisor.EngineTree && d.Engine != advisor.EngineScan {
 			t.Fatalf("decision engine %q", d.Engine)
@@ -176,19 +194,19 @@ func TestAutoExecutesPlannedEngine(t *testing.T) {
 		if d.Engine == advisor.EngineScan {
 			direct = canonOrder(direct)
 		}
-		matchesEqual(t, "auto range", got, direct)
+		matchesEqual(t, "auto range", rangeSets(t, ix, []Object{q}, radius)[0], direct)
 	}
 
 	for _, k := range []int{1, 5, 700} {
-		got, d, err := ix.NNAuto(q, k)
+		d, err := ix.PlanNN(k)
 		if err != nil {
-			t.Fatalf("NNAuto(%d): %v", k, err)
+			t.Fatalf("PlanNN(%d): %v", k, err)
 		}
 		direct, err := ix.NN(q, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		matchesEqual(t, "auto nn", got, direct)
+		matchesEqual(t, "auto nn", nnSets(t, ix, []Object{q}, k)[0], direct)
 		if d.Reason == "" {
 			t.Fatal("empty decision reason")
 		}
@@ -218,8 +236,11 @@ func TestShardedAutoAndScanMode(t *testing.T) {
 		t.Fatalf("sharded profile N=%d ScanDists=%g", p.N, p.ScanDists)
 	}
 
+	if err := sx.SetEngineMode(EngineAuto); err != nil {
+		t.Fatal(err)
+	}
 	q := Vector{0.5, 0.5, 0.5, 0.5}
-	got, d, err := sx.RangeAuto(q, 0.3)
+	d, err := sx.PlanRange(0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,27 +254,19 @@ func TestShardedAutoAndScanMode(t *testing.T) {
 	if d.Engine == advisor.EngineScan {
 		direct = canonOrder(direct)
 	}
-	matchesEqual(t, "sharded auto range", got, direct)
+	matchesEqual(t, "sharded auto range", rangeSets(t, sx, []Object{q}, 0.3)[0], direct)
 
-	nnGot, _, err := sx.NNAuto(q, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
 	nnDirect, err := sx.NN(q, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesEqual(t, "sharded auto nn", nnGot, nnDirect)
+	matchesEqual(t, "sharded auto nn", nnSets(t, sx, []Object{q}, 11)[0], nnDirect)
 
 	// Scan mode over the sharded surface: canonical order, global OIDs.
 	if err := sx.SetEngineMode(EngineScan); err != nil {
 		t.Fatal(err)
 	}
-	scanSets, err := sx.RangeBatchTraced(context.Background(), []Object{q}, 0.3, QueryBudget{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matchesEqual(t, "sharded scan mode", scanSets[0], canonOrder(direct))
+	matchesEqual(t, "sharded scan mode", rangeSets(t, sx, []Object{q}, 0.3)[0], canonOrder(direct))
 	est := sx.PriceRange(0.3)
 	if est.Dists != 600 {
 		t.Fatalf("sharded scan price dists = %g", est.Dists)
@@ -392,8 +405,8 @@ func TestPricersPrefixEqualsPriceNN(t *testing.T) {
 			}
 		}
 	}
-	check("Index", treePricer{ix}, 60)
-	check("ShardedIndex", shardedPricer{sx}, 20) // three shards of 40
+	check("Index", ix.side, 60)
+	check("ShardedIndex", sx.side, 20) // three shards of 40
 
 	if err := ix.EnableRecalibration(recal.Config{}, objs); err != nil {
 		t.Fatal(err)
@@ -409,11 +422,11 @@ func TestPricersPrefixEqualsPriceNN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if raw, corrected := ix.model.NNL(5), (treePricer{ix}).PriceNN(5); raw == corrected {
+	if raw, corrected := ix.model.NNL(5), ix.side.PriceNN(5); raw == corrected {
 		t.Fatalf("recalibration left NNL(5) = %+v uncorrected; the test exercises nothing", raw)
 	}
-	check("Index, recalibrated", treePricer{ix}, 60)
-	check("ShardedIndex, recalibrated", shardedPricer{sx}, 20)
+	check("Index, recalibrated", ix.side, 60)
+	check("ShardedIndex, recalibrated", sx.side, 20)
 }
 
 // TestBenchmarkDatasetProfilesPinned pins the hardness profile on the

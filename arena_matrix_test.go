@@ -85,8 +85,12 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 						}
 						rangeOne = func(q Object) ([]Match, error) { return ix.Range(q, c.radius) }
 						nnOne = func(q Object) ([]Match, error) { return ix.NN(q, k) }
-						rangeB = func(qs []Object) ([][]Match, error) { return ix.RangeBatch(qs, c.radius) }
-						nnB = func(qs []Object) ([][]Match, error) { return ix.NNBatch(qs, k) }
+						rangeB = func(qs []Object) ([][]Match, error) {
+							return ix.RangeBatchTraced(context.Background(), qs, c.radius, QueryBudget{}, nil)
+						}
+						nnB = func(qs []Object) ([][]Match, error) {
+							return ix.NNBatchTraced(context.Background(), qs, k, QueryBudget{}, nil)
+						}
 					} else {
 						sx, err := BuildSharded(c.d.Space, c.d.Objects, opt, ShardOptions{Shards: shards})
 						if err != nil {
@@ -162,12 +166,12 @@ func TestArenaTraceEquivalence(t *testing.T) {
 		var traces []string
 		for _, q := range qs {
 			tr := NewQueryTrace()
-			if _, err := ix.RangeTraced(q, 0.35, tr); err != nil {
+			if _, err := ix.RangeBatchTraced(context.Background(), []Object{q}, 0.35, QueryBudget{}, tr); err != nil {
 				t.Fatal(err)
 			}
 			traces = append(traces, tr.String())
 			tr = NewQueryTrace()
-			if _, err := ix.NNTraced(q, 7, tr); err != nil {
+			if _, err := ix.NNBatchTraced(context.Background(), []Object{q}, 7, QueryBudget{}, tr); err != nil {
 				t.Fatal(err)
 			}
 			traces = append(traces, tr.String())

@@ -330,7 +330,7 @@ func BenchmarkComputeProfile(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.refreshProfile()
+				ix.refreshProfile(ix.f)
 			}
 			b.ReportMetric(float64(ix.profile.CrossoverK), "crossover-k")
 		})

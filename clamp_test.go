@@ -1,6 +1,7 @@
 package mcost
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestPricingClampsK(t *testing.T) {
 	// Feed the bias window through the traced path so the corrected
 	// estimates are exercised with real observations.
 	for i := 0; i < 8; i++ {
-		if _, err := ix.NNTraced(objs[i], 5, nil); err != nil {
+		if _, err := ix.NNBatchTraced(context.Background(), objs[i:i+1], 5, QueryBudget{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

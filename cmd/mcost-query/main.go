@@ -9,6 +9,11 @@
 //	mcost-query -dataset words -n 10000 -query tempesta -nn 10
 //	mcost-query -dataset clustered -dim 10 -qvec 0.5,0.5,... -range 0.2
 //	mcost-query -file vocab.ds -query castello -range 3
+//
+// Every query runs through the serving surface Index and ShardedIndex
+// share — priced, planned, budgeted and executed as mcost-serve would —
+// so -shards, -batch, -engine, -budget-slack, -trace and -explain all
+// compose on the one path.
 package main
 
 import (
@@ -17,21 +22,38 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	_ "net/http/pprof" // -debug-addr serves the default mux
 	"os"
+	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"mcost"
+	"mcost/internal/budget"
 	"mcost/internal/cliutil"
 	"mcost/internal/dataset"
 	"mcost/internal/metric"
 	"mcost/internal/obs"
 	"mcost/internal/rescache"
 )
+
+// engine is the serving surface Index and ShardedIndex share.
+type engine interface {
+	Hardness() mcost.HardnessProfile
+	EngineMode() mcost.EngineMode
+	PlanRange(radius float64) (mcost.PlanDecision, error)
+	PlanNN(k int) (mcost.PlanDecision, error)
+	PriceRange(radius float64) mcost.CostEstimate
+	PriceNN(k int) mcost.CostEstimate
+	RangeBatchTraced(ctx context.Context, qs []mcost.Object, radius float64, b mcost.QueryBudget, tr *mcost.QueryTrace) ([][]mcost.Match, error)
+	NNBatchTraced(ctx context.Context, qs []mcost.Object, k int, b mcost.QueryBudget, tr *mcost.QueryTrace) ([][]mcost.Match, error)
+	Costs() (nodeReads, distances int64)
+	ResetCosts()
+	NumNodes() int
+	Height() int
+	SetFaultsEnabled(on bool) bool
+}
 
 func main() {
 	fs := flag.CommandLine
@@ -60,9 +82,6 @@ func main() {
 	if err := tf.ValidateLayout(); err != nil {
 		fail(err)
 	}
-	storage := stf.Options(nil)
-	budgetSlack, timeout := &bf.Slack, &bf.Timeout
-
 	reg := mcost.NewMetricsRegistry()
 	if *dbgAddr != "" {
 		reg.PublishExpvar("mcost")
@@ -82,110 +101,99 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *radius < 0 && *k <= 0 {
+	isRange := *radius >= 0
+	if !isRange && *k <= 0 {
 		fail(fmt.Errorf("specify -range R or -nn K"))
 	}
-	if shf.Shards > 1 || shf.Batch > 1 {
-		if *explain || *trace || *mOut != "" {
-			fail(fmt.Errorf("-explain, -trace and -metrics-out require the single-tree, single-query path (drop -shards/-batch)"))
-		}
-		runSharded(d, q, shardedRun{
-			shards: shf.Shards, assign: shf.Assign, batch: shf.Batch,
-			pageSize: tf.PageSize, seed: tf.Seed, workers: tf.Workers,
-			storage: storage, radius: *radius, k: *k, show: *show,
-			budgetSlack: *budgetSlack, timeout: *timeout, recal: rf,
-		})
-		return
+	if *explain && shf.Shards > 1 {
+		fail(fmt.Errorf("-explain breaks down a query on a single M-tree (drop -shards)"))
 	}
 
-	fmt.Printf("building M-tree over %s (n=%d, node size %d B)...\n", d.Name, d.N(), tf.PageSize)
-	storage.Metrics = reg
-	ix, err := mcost.Build(d.Space, d.Objects, tf.Options(storage))
+	what := "M-tree"
+	if shf.Shards > 1 {
+		what = fmt.Sprintf("%d-shard M-tree (%s assignment)", shf.Shards, shf.Assign)
+	}
+	fmt.Printf("building %s over %s (n=%d, node size %d B)...\n", what, d.Name, d.N(), tf.PageSize)
+	storage := stf.Options(reg)
+	ix, sx, err := cliutil.Build(d, tf.Options(storage), shf)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("tree: %d nodes, height %d", ix.NumNodes(), ix.Height())
+	var eng engine = ix
+	if sx != nil {
+		eng = sx
+	}
+	fmt.Printf("tree: %d nodes, height %d", eng.NumNodes(), eng.Height())
+	if sx != nil {
+		fmt.Printf(", shards of %v objects", sx.ShardSizes())
+	}
 	if storage.Paged {
 		fmt.Printf(" (paged, checksummed%s)", map[bool]string{true: ", fault injection armed", false: ""}[storage.Faults != nil])
 	}
 	fmt.Printf("\n\n")
 	if storage.Faults != nil {
-		ix.SetFaultsEnabled(true) // build is clean; faults target the query phase
+		eng.SetFaultsEnabled(true) // build is clean; faults target the query phase
 	}
-	if err := rf.Apply(ix, nil, d, tf.Seed); err != nil {
+	if err := rf.Apply(ix, sx, d, tf.Seed); err != nil {
 		fail(err)
 	}
-	if err := ef.Apply(ix, nil); err != nil {
+	if err := ef.Apply(ix, sx); err != nil {
 		fail(err)
 	}
-	if ix.EngineMode() != mcost.EngineTree {
-		if *explain {
-			fail(fmt.Errorf("-explain walks the M-tree; drop -engine %s", ef.Mode))
-		}
-		runEngineMode(ix, q, *radius, *k, *show, bf.Slack, bf.Timeout, *trace)
-		return
+
+	// -batch pads the query with dataset objects so the batched traversal
+	// has company to amortize node reads against; only the first query's
+	// results are printed.
+	queries := []mcost.Object{q}
+	for i := 0; i < shf.Batch-1 && i < len(d.Objects); i++ {
+		queries = append(queries, d.Objects[i])
 	}
 
-	if *explain && *radius >= 0 {
-		matches, levels, err := ix.ExplainRange(q, *radius)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("explain range(Q, %g) — L-MCM prediction vs measurement (no pruning):\n", *radius)
-		fmt.Printf("%6s %22s %22s\n", "level", "pred nodes/dists", "actual nodes/dists")
-		for _, l := range levels {
-			fmt.Printf("%6d %10.1f / %-10.1f %10d / %-10d\n",
-				l.Level, l.PredNodes, l.PredDists, l.ActNodes, l.ActDists)
-		}
-		fmt.Printf("\n%d results\n", len(matches))
-		return
+	hard := eng.Hardness()
+	fmt.Printf("hardness: intrinsic dim %.2f, concentration %.4f, crossover radius %g, crossover k %d\n",
+		hard.Hardness(), hard.Concentration, hard.CrossoverRadius, hard.CrossoverK)
+	var (
+		plan  mcost.PlanDecision
+		pred  mcost.CostEstimate
+		label string
+	)
+	if isRange {
+		plan, err = eng.PlanRange(*radius)
+		pred, label = eng.PriceRange(*radius), fmt.Sprintf("range(Q, %g)", *radius)
+	} else {
+		plan, err = eng.PlanNN(*k)
+		pred, label = eng.PriceNN(*k), fmt.Sprintf("NN(Q, %d)", *k)
 	}
+	if err != nil {
+		fail(err)
+	}
+	fmt.Printf("plan: %s\n", plan.Reason)
+	fmt.Printf("%s x %d queries, engine mode %s: priced at %.1f node reads, %.1f distance computations per query\n",
+		label, len(queries), eng.EngineMode(), pred.Nodes, pred.Dists)
 
-	var qtr *mcost.QueryTrace
-	guarded := *budgetSlack > 0 || *timeout > 0
-	if !guarded && (*trace || *mOut != "" || *dbgAddr != "") {
-		qtr = mcost.NewQueryTrace()
+	var qb mcost.QueryBudget
+	if bf.Slack > 0 {
+		qb = budget.FromPrediction(pred.Nodes, pred.Dists, bf.Slack, eng.Height())
+		fmt.Printf("budget: %d node reads, %d distance computations (prediction x %.1f, at least the tree height)\n",
+			qb.MaxNodeReads, qb.MaxDistCalcs, bf.Slack)
 	}
 	ctx := context.Background()
-	if *timeout > 0 {
+	if bf.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, bf.Timeout)
 		defer cancel()
 	}
-	var matches []mcost.Match
-	var predicted mcost.CostEstimate
-	if *radius >= 0 {
-		predicted = ix.PredictRange(*radius)
-		fmt.Printf("range(Q, %g): predicted %.1f node reads, %.1f distance computations, ~%.1f results\n",
-			*radius, predicted.Nodes, predicted.Dists, ix.PredictSelectivity(*radius))
-		ix.ResetCosts()
-		switch {
-		case *budgetSlack > 0:
-			b := ix.RangeBudget(*radius, *budgetSlack)
-			fmt.Printf("budget: %d node reads, %d distance computations (L-MCM x %.1f)\n",
-				b.MaxNodeReads, b.MaxDistCalcs, *budgetSlack)
-			matches, err = ix.RangeCtx(ctx, q, *radius, b)
-		case guarded:
-			matches, err = ix.RangeCtx(ctx, q, *radius, mcost.QueryBudget{})
-		default:
-			matches, err = ix.RangeTraced(q, *radius, qtr)
-		}
+	var qtr *mcost.QueryTrace
+	if *trace || *mOut != "" || *dbgAddr != "" {
+		qtr = mcost.NewQueryTrace()
+	}
+
+	eng.ResetCosts()
+	var sets [][]mcost.Match
+	if isRange {
+		sets, err = eng.RangeBatchTraced(ctx, queries, *radius, qb, qtr)
 	} else {
-		predicted = ix.PredictNN(*k)
-		fmt.Printf("NN(Q, %d): predicted %.1f node reads, %.1f distance computations, E[nn_k] = %.3f\n",
-			*k, predicted.Nodes, predicted.Dists, ix.ExpectedNNDistance(*k))
-		ix.ResetCosts()
-		switch {
-		case *budgetSlack > 0:
-			b := ix.NNBudget(*k, *budgetSlack)
-			fmt.Printf("budget: %d node reads, %d distance computations (L-MCM x %.1f)\n",
-				b.MaxNodeReads, b.MaxDistCalcs, *budgetSlack)
-			matches, err = ix.NNCtx(ctx, q, *k, b)
-		case guarded:
-			matches, err = ix.NNCtx(ctx, q, *k, mcost.QueryBudget{})
-		default:
-			matches, err = ix.NNTraced(q, *k, qtr)
-		}
+		sets, err = eng.NNBatchTraced(ctx, queries, *k, qb, qtr)
 	}
 	switch {
 	case err == nil:
@@ -196,38 +204,34 @@ func main() {
 	default:
 		fail(err)
 	}
-	nodes, dists := ix.Costs()
-	fmt.Printf("measured: %d node reads, %d distance computations (parent-distance pruning ON)\n", nodes, dists)
-	if storage.Faults != nil {
+	nodes, dists := eng.Costs()
+	fmt.Printf("measured: %d node reads, %d distance computations", nodes, dists)
+	if nq := float64(len(queries)); nq > 1 {
+		fmt.Printf(" (%.1f / %.1f per query, amortized over the batch)", float64(nodes)/nq, float64(dists)/nq)
+	}
+	if sx != nil {
+		fmt.Printf(", %d shard visits pruned", sx.ShardsSkipped())
+	}
+	fmt.Println()
+	if ix != nil && storage.Faults != nil {
 		fs := ix.FaultStats()
 		fmt.Printf("faults injected: %d read errors, %d write errors, %d torn writes, %d corrupt reads\n",
 			fs.ReadErrors, fs.WriteErrors, fs.TornWrites, fs.CorruptReads)
 	}
+	var matches []mcost.Match
+	if len(sets) > 0 {
+		matches = sets[0]
+	}
 	if cf.Enabled() && err == nil {
-		// Demonstrate the result cache on the query just answered: cache
-		// the complete result, then probe for the same query and report
-		// what a repeat would cost instead of the predicted traversal.
-		cache, cerr := cf.Build(d.Space)
-		if cerr != nil {
-			fail(cerr)
-		}
-		var pr rescache.Probe
-		if *radius >= 0 {
-			cache.PutRange(q, *radius, matches, predicted)
-			pr = cache.GetRange(q, *radius, predicted)
-		} else {
-			cache.PutNN(q, *k, matches, predicted)
-			pr = cache.GetNN(q, *k, predicted)
-		}
-		if pr.Hit {
-			fmt.Printf("result cache: a repeat query is answered exactly for %d distance computations (vs %.1f node reads + %.1f dists predicted)\n",
-				pr.Dists, predicted.Nodes, predicted.Dists)
-		} else {
-			fmt.Printf("result cache: result not cacheable under the current flags (radius cap or zero-radius ball)\n")
-		}
+		cacheDemo(cf, d.Space, q, *radius, *k, matches, pred)
 	}
 	fmt.Println()
 
+	if *explain && isRange {
+		if err := printExplain(ix, q, *radius); err != nil {
+			fail(err)
+		}
+	}
 	if qtr != nil {
 		recordMetrics(reg, qtr, matches, d.Space.Bound)
 	}
@@ -245,231 +249,71 @@ func main() {
 		fmt.Printf("wrote metrics snapshot to %s\n", *mOut)
 	}
 
-	fmt.Printf("%d results", len(matches))
-	if len(matches) > *show {
-		fmt.Printf(" (showing %d)", *show)
-	}
-	fmt.Println(":")
-	for i, m := range matches {
-		if i >= *show {
-			break
-		}
-		fmt.Printf("  %2d. d=%-8.3f %v\n", i+1, m.Distance, m.Object)
-	}
-
+	printResults(matches, *show)
 	if *dbgAddr != "" {
 		fmt.Printf("\nquery done; debug server still serving on http://%s — Ctrl-C to exit\n", *dbgAddr)
 		select {}
 	}
 }
 
-// runEngineMode answers the query through the mode-aware priced surface
-// — the same path the serving layer executes — so -engine scan runs the
-// linear scan and -engine auto runs whichever engine the advisor plans.
-// Results are bit-identical to running the chosen engine directly.
-func runEngineMode(ix *mcost.Index, q mcost.Object, radius float64, k int, show int, slack float64, timeout time.Duration, trace bool) {
-	hard := ix.Hardness()
-	fmt.Printf("hardness: intrinsic dim %.2f, concentration %.4f, crossover radius %g, crossover k %d\n",
-		hard.Hardness(), hard.Concentration, hard.CrossoverRadius, hard.CrossoverK)
-	var (
-		d    mcost.PlanDecision
-		perr error
-		pred mcost.CostEstimate
-	)
-	if radius >= 0 {
-		d, perr = ix.PlanRange(radius)
-		pred = ix.PriceRange(radius)
-	} else {
-		d, perr = ix.PlanNN(k)
-		pred = ix.PriceNN(k)
-	}
-	if perr != nil {
-		fail(perr)
-	}
-	fmt.Printf("plan: %s\n", d.Reason)
-	fmt.Printf("engine mode %s: priced at %.1f node reads, %.1f distance computations\n",
-		ix.EngineMode(), pred.Nodes, pred.Dists)
-
-	var qb mcost.QueryBudget
-	if slack > 0 {
-		qb = mcost.QueryBudget{
-			MaxNodeReads: int64(math.Ceil(pred.Nodes * slack)),
-			MaxDistCalcs: int64(math.Ceil(pred.Dists * slack)),
-		}
-		fmt.Printf("budget: %d node reads, %d distance computations (prediction x %.1f)\n",
-			qb.MaxNodeReads, qb.MaxDistCalcs, slack)
-	}
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	var qtr *mcost.QueryTrace
-	if trace {
-		qtr = mcost.NewQueryTrace()
-	}
-
-	ix.ResetCosts()
-	var (
-		sets [][]mcost.Match
-		err  error
-	)
-	if radius >= 0 {
-		sets, err = ix.RangeBatchTraced(ctx, []mcost.Object{q}, radius, qb, qtr)
-	} else {
-		sets, err = ix.NNBatchTraced(ctx, []mcost.Object{q}, k, qb, qtr)
-	}
-	switch {
-	case err == nil:
-	case errors.Is(err, mcost.ErrBudgetExceeded),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		fmt.Printf("DEGRADED: %v — returning the partial result set\n", err)
-	default:
+// cacheDemo caches the complete result of the query just answered, then
+// probes for the same query and reports what a repeat would cost
+// instead of the predicted traversal.
+func cacheDemo(cf *cliutil.CacheFlags, space *mcost.Space, q mcost.Object, radius float64, k int, matches []mcost.Match, pred mcost.CostEstimate) {
+	cache, err := cf.Build(space)
+	if err != nil {
 		fail(err)
 	}
-	nodes, dists := ix.Costs()
-	fmt.Printf("measured: %d node reads, %d distance computations\n\n", nodes, dists)
-	if trace {
-		out, jerr := json.MarshalIndent(qtr, "", "  ")
-		if jerr != nil {
-			fail(jerr)
-		}
-		fmt.Printf("query trace:\n%s\n\n", out)
+	var pr rescache.Probe
+	if radius >= 0 {
+		cache.PutRange(q, radius, matches, pred)
+		pr = cache.GetRange(q, radius, pred)
+	} else {
+		cache.PutNN(q, k, matches, pred)
+		pr = cache.GetNN(q, k, pred)
 	}
+	if !pr.Hit {
+		fmt.Printf("result cache: result not cacheable under the current flags (radius cap or zero-radius ball)\n")
+		return
+	}
+	fmt.Printf("result cache: a repeat query is answered exactly for %d distance computations (vs %.1f node reads + %.1f dists predicted)\n",
+		pr.Dists, pred.Nodes, pred.Dists)
+}
 
-	var matches []mcost.Match
-	if len(sets) > 0 {
-		matches = sets[0]
+// printExplain re-runs the range query on the tree without the
+// parent-distance optimization, so the measurement is exactly what
+// L-MCM predicts, and prints the per-level comparison.
+func printExplain(ix *mcost.Index, q mcost.Object, radius float64) error {
+	matches, levels, err := ix.ExplainRange(q, radius)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("%d results", len(matches))
-	if len(matches) > show {
+	fmt.Printf("explain range(Q, %g) — L-MCM prediction vs measurement (no pruning):\n", radius)
+	fmt.Printf("%6s %22s %22s\n", "level", "pred nodes/dists", "actual nodes/dists")
+	for _, l := range levels {
+		fmt.Printf("%6d %10.1f / %-10.1f %10d / %-10d\n", l.Level, l.PredNodes, l.PredDists, l.ActNodes, l.ActDists)
+	}
+	fmt.Printf("(%d results)\n\n", len(matches))
+	return nil
+}
+
+// printResults prints up to show matches in canonical (distance, OID)
+// order, so every engine, layout and shard count prints the same list.
+func printResults(matches []mcost.Match, show int) {
+	sorted := append([]mcost.Match(nil), matches...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Distance != sorted[j].Distance {
+			return sorted[i].Distance < sorted[j].Distance
+		}
+		return sorted[i].OID < sorted[j].OID
+	})
+	fmt.Printf("%d results", len(sorted))
+	if len(sorted) > show {
 		fmt.Printf(" (showing %d)", show)
 	}
 	fmt.Println(":")
-	for i, m := range matches {
+	for i, m := range sorted {
 		if i >= show {
-			break
-		}
-		fmt.Printf("  %2d. d=%-8.3f %v\n", i+1, m.Distance, m.Object)
-	}
-}
-
-// shardedRun carries the flag values for the sharded / batched path.
-type shardedRun struct {
-	shards, batch int
-	assign        string
-	pageSize      int
-	seed          int64
-	workers       int
-	storage       mcost.StorageOptions
-	radius        float64
-	k             int
-	show          int
-	budgetSlack   float64
-	timeout       time.Duration
-	recal         *cliutil.RecalFlags
-}
-
-// runSharded answers the query through a ShardedIndex (or a 1-shard one
-// when only -batch is set), padding the batch with dataset objects so
-// the batched traversal has company to amortize node reads against. The
-// primary query is always queries[0]; only its results are printed.
-func runSharded(d *dataset.Dataset, q metric.Object, r shardedRun) {
-	assign, err := mcost.ParseShardAssignment(r.assign)
-	if err != nil {
-		fail(err)
-	}
-	nShards := r.shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	fmt.Printf("building %d-shard M-tree (%s assignment) over %s (n=%d, node size %d B)...\n",
-		nShards, assign, d.Name, d.N(), r.pageSize)
-	sx, err := mcost.BuildSharded(d.Space, d.Objects, mcost.Options{
-		PageSize: r.pageSize, Seed: r.seed, Workers: r.workers, Storage: r.storage,
-	}, mcost.ShardOptions{Shards: nShards, Assign: assign})
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("shards: %v objects, %d nodes total, height %d\n\n",
-		sx.ShardSizes(), sx.NumNodes(), sx.Height())
-	if r.storage.Faults != nil {
-		sx.SetFaultsEnabled(true) // build is clean; faults target the query phase
-	}
-	if err := r.recal.Apply(nil, sx, d, r.seed); err != nil {
-		fail(err)
-	}
-
-	queries := []mcost.Object{q}
-	for i := 0; i < r.batch-1 && i < len(d.Objects); i++ {
-		queries = append(queries, d.Objects[i])
-	}
-
-	var pred mcost.CostEstimate
-	if r.radius >= 0 {
-		pred = sx.PredictRange(r.radius)
-		fmt.Printf("range(Q, %g) x %d queries: predicted %.1f node reads, %.1f distance computations per query\n",
-			r.radius, len(queries), pred.Nodes, pred.Dists)
-	} else {
-		pred = sx.PredictNN(r.k)
-		fmt.Printf("NN(Q, %d) x %d queries: predicted %.1f node reads, %.1f distance computations per query (upper bound: shard pruning only reduces it)\n",
-			r.k, len(queries), pred.Nodes, pred.Dists)
-	}
-
-	var qb mcost.QueryBudget
-	if r.budgetSlack > 0 {
-		qb = mcost.QueryBudget{
-			MaxNodeReads: int64(math.Ceil(pred.Nodes * r.budgetSlack)),
-			MaxDistCalcs: int64(math.Ceil(pred.Dists * r.budgetSlack)),
-		}
-		fmt.Printf("budget per shard traversal: %d node reads, %d distance computations (L-MCM x %.1f)\n",
-			qb.MaxNodeReads, qb.MaxDistCalcs, r.budgetSlack)
-	}
-	ctx := context.Background()
-	if r.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.timeout)
-		defer cancel()
-	}
-
-	sx.ResetCosts()
-	var sets [][]mcost.Match
-	if r.radius >= 0 {
-		sets, err = sx.RangeBatchCtx(ctx, queries, r.radius, qb)
-	} else {
-		sets, err = sx.NNBatchCtx(ctx, queries, r.k, qb)
-	}
-	switch {
-	case err == nil:
-	case errors.Is(err, mcost.ErrBudgetExceeded),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		fmt.Printf("DEGRADED: %v — returning the partial result sets\n", err)
-	default:
-		fail(err)
-	}
-	nodes, dists := sx.Costs()
-	nq := float64(len(queries))
-	fmt.Printf("measured: %.1f node reads, %.1f distance computations per query (%d / %d amortized over the batch), %d shard visits pruned\n",
-		float64(nodes)/nq, float64(dists)/nq, nodes, dists, sx.ShardsSkipped())
-	if r.storage.Faults != nil {
-		sx.SetFaultsEnabled(false)
-	}
-	fmt.Println()
-
-	var matches []mcost.Match
-	if len(sets) > 0 {
-		matches = sets[0]
-	}
-	fmt.Printf("%d results", len(matches))
-	if len(matches) > r.show {
-		fmt.Printf(" (showing %d)", r.show)
-	}
-	fmt.Println(":")
-	for i, m := range matches {
-		if i >= r.show {
 			break
 		}
 		fmt.Printf("  %2d. d=%-8.3f %v\n", i+1, m.Distance, m.Object)

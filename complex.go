@@ -12,13 +12,28 @@ type Pred = mtree.Pred
 // RangeAnd returns the objects satisfying every predicate (conjunctive
 // complex query).
 func (ix *Index) RangeAnd(preds []Pred) ([]Match, error) {
+	if err := ix.checkPreds(preds); err != nil {
+		return nil, err
+	}
 	return ix.tree.RangeAnd(preds, mtree.QueryOptions{UseParentDist: true})
 }
 
 // RangeOr returns the objects satisfying at least one predicate
 // (disjunctive complex query).
 func (ix *Index) RangeOr(preds []Pred) ([]Match, error) {
+	if err := ix.checkPreds(preds); err != nil {
+		return nil, err
+	}
 	return ix.tree.RangeOr(preds, mtree.QueryOptions{UseParentDist: true})
+}
+
+// checkPreds validates every predicate's query object.
+func (ix *Index) checkPreds(preds []Pred) error {
+	qs := make([]Object, len(preds))
+	for i, p := range preds {
+		qs[i] = p.Q
+	}
+	return ix.check(qs...)
 }
 
 // PredictRangeAnd predicts conjunctive-query costs under predicate

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Budget caps per-query work. A zero or negative field is unlimited.
@@ -27,6 +28,23 @@ type Budget struct {
 
 // Unlimited reports whether the budget caps nothing.
 func (b Budget) Unlimited() bool { return b.MaxNodeReads <= 0 && b.MaxDistCalcs <= 0 }
+
+// FromPrediction is the one budget derivation: predicted node reads and
+// distance computations × slack, each rounded up and raised to at least
+// floor. A tree query floors at the tree height so it can always walk
+// root to leaf; 0 floors nothing. Callers map their own "no budget"
+// conventions (a negative server slack, a CLI slack ≤ 0) to the zero
+// Budget before calling.
+func FromPrediction(nodes, dists, slack float64, floor int) Budget {
+	limit := func(pred float64) int64 {
+		c := math.Ceil(pred * slack)
+		if c < float64(floor) {
+			c = float64(floor)
+		}
+		return int64(c)
+	}
+	return Budget{MaxNodeReads: limit(nodes), MaxDistCalcs: limit(dists)}
+}
 
 // ErrExceeded is the sentinel for budget-stopped queries. Match with
 // errors.Is; the concrete *ExceededError carries the spend.

@@ -21,6 +21,17 @@ func TestNilGuardIsFree(t *testing.T) {
 	}
 }
 
+func TestFromPrediction(t *testing.T) {
+	// Rounded up, never truncated: 10.2 × 2 = 20.4 → 21.
+	if got := FromPrediction(10.2, 30.1, 2, 0); got != (Budget{MaxNodeReads: 21, MaxDistCalcs: 61}) {
+		t.Errorf("FromPrediction(10.2, 30.1, ×2) = %+v", got)
+	}
+	// A prediction below the floor is raised to it, one above is not.
+	if got := FromPrediction(0.4, 50, 1, 3); got != (Budget{MaxNodeReads: 3, MaxDistCalcs: 50}) {
+		t.Errorf("FromPrediction(0.4, 50, ×1, floor 3) = %+v", got)
+	}
+}
+
 func TestNewGuardNilWhenNothingCanTrip(t *testing.T) {
 	if g := NewGuard(context.Background(), Budget{}); g != nil {
 		t.Error("unlimited budget + Background context should yield a nil guard")

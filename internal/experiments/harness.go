@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 
 	"mcost/internal/budget"
@@ -256,10 +255,7 @@ func (b *built) budgetFor(est core.CostEstimate) budget.Budget {
 	if b.slack <= 0 {
 		return budget.Budget{}
 	}
-	return budget.Budget{
-		MaxNodeReads: int64(math.Ceil(est.Nodes * b.slack)),
-		MaxDistCalcs: int64(math.Ceil(est.Dists * b.slack)),
-	}
+	return budget.FromPrediction(est.Nodes, est.Dists, b.slack, 0)
 }
 
 // measureRange runs the workload without the parent-distance

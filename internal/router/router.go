@@ -27,8 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -353,13 +351,12 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 				return nil, fmt.Errorf("router: shard %d: %w", i, err)
 			}
 			rt.space = space
-			switch sum.ObjectKind {
-			case "vector":
-				rt.decode = server.VectorDecoder(sum.Dim)
-			case "string":
-				rt.decode = server.StringDecoder(int(sum.Space.Bound))
-			default:
-				return nil, fmt.Errorf("router: shard %d: unknown object kind %q", i, sum.ObjectKind)
+			size := sum.Dim
+			if sum.ObjectKind == "string" {
+				size = int(space.Bound) // a Hamming space's d+ is its string length
+			}
+			if rt.decode, err = server.DecoderForKind(space, sum.ObjectKind, size); err != nil {
+				return nil, fmt.Errorf("router: shard %d: %w", i, err)
 			}
 		} else if sum.Space != first.Space || sum.ObjectKind != first.ObjectKind ||
 			sum.Dim != first.Dim || sum.Assign != first.Assign {
@@ -556,80 +553,6 @@ type errorBody struct {
 	ShardsFailed []int  `json:"shards_failed,omitempty"`
 }
 
-// routeRequest is one decoded query plus the raw bytes forwarded to
-// the shards.
-type routeRequest struct {
-	q      metric.Object
-	raw    json.RawMessage
-	radius float64
-	k      int
-}
-
-// decodeQuery strictly validates the router request body, mirroring the
-// node server's discipline: typed 4xx errors, nothing coerced.
-func (rt *Router) decodeQuery(r io.Reader, nn bool) (routeRequest, int, string, string) {
-	var out routeRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var raw struct {
-		Query  json.RawMessage `json:"query"`
-		Radius *float64        `json:"radius"`
-		K      *int            `json:"k"`
-	}
-	if err := dec.Decode(&raw); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return out, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)
-		}
-		return out, http.StatusBadRequest, "bad_json", fmt.Sprintf("invalid request body: %v", err)
-	}
-	if dec.More() {
-		return out, http.StatusBadRequest, "bad_json", "trailing data after request body"
-	}
-	if len(raw.Query) == 0 {
-		return out, http.StatusBadRequest, "missing_query", "request has no \"query\" field"
-	}
-	q, err := rt.decode(raw.Query)
-	if err != nil {
-		return out, http.StatusBadRequest, "bad_query", err.Error()
-	}
-	out.q = q
-	out.raw = raw.Query
-	if nn {
-		if raw.Radius != nil {
-			return out, http.StatusBadRequest, "bad_k", "\"radius\" is not a k-NN parameter; POST /v1/range instead"
-		}
-		if raw.K == nil {
-			return out, http.StatusBadRequest, "missing_k", "k-NN request has no \"k\" field"
-		}
-		k := *raw.K
-		if k <= 0 {
-			return out, http.StatusBadRequest, "bad_k", fmt.Sprintf("k must be positive, got %d", k)
-		}
-		if k > rt.totalSize {
-			return out, http.StatusBadRequest, "bad_k", fmt.Sprintf("k = %d exceeds the maximum %d", k, rt.totalSize)
-		}
-		out.k = k
-		return out, 0, "", ""
-	}
-	if raw.K != nil {
-		return out, http.StatusBadRequest, "bad_radius", "\"k\" is not a range parameter; POST /v1/nn instead"
-	}
-	if raw.Radius == nil {
-		return out, http.StatusBadRequest, "missing_radius", "range request has no \"radius\" field"
-	}
-	rad := *raw.Radius
-	if math.IsNaN(rad) || math.IsInf(rad, 0) {
-		return out, http.StatusBadRequest, "bad_radius", "radius must be finite"
-	}
-	if rad < 0 {
-		return out, http.StatusBadRequest, "bad_radius", fmt.Sprintf("radius must be non-negative, got %g", rad)
-	}
-	out.radius = rad
-	return out, 0, "", ""
-}
-
 // shardPlan is one shard's share of a scatter: what to send, how long
 // to wait, and whether the predicted cost earns a hedge.
 type shardPlan struct {
@@ -667,9 +590,9 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-		req, status, code, msg := rt.decodeQuery(r.Body, nn)
-		if status != 0 {
-			rt.reject(w, status, code, msg)
+		req, aerr := server.DecodeQueryRequest(r.Body, nn, rt.decode, rt.totalSize)
+		if aerr != nil {
+			rt.reject(w, aerr.Status, aerr.Code, aerr.Msg)
 			return
 		}
 
@@ -682,14 +605,14 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 		var plans []shardPlan
 		var lb []float64 // k-NN has no radius to compare a bound with
 		if !nn {
-			lb = shard.LowerBounds(rt.space, req.q, rt.balls)
+			lb = shard.LowerBounds(rt.space, req.Query, rt.balls)
 		}
 		for _, st := range rt.shards {
 			var est core.CostEstimate
 			if nn {
-				est = st.priceNN(req.k)
+				est = st.priceNN(req.K)
 			} else {
-				est = st.priceRange(req.radius)
+				est = st.priceRange(req.Radius)
 			}
 			total.Nodes += est.Nodes
 			total.Dists += est.Dists
@@ -711,7 +634,7 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 					rt.cPlanScan.Inc()
 				}
 			}
-			if !nn && lb[st.index] > req.radius {
+			if !nn && lb[st.index] > req.Radius {
 				skipped = append(skipped, st.index)
 				rt.cShardsSkipped.Inc()
 				continue
@@ -802,8 +725,8 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 				}
 				return resp.Matches[i].OID < resp.Matches[j].OID
 			})
-			if len(resp.Matches) > req.k {
-				resp.Matches = resp.Matches[:req.k]
+			if len(resp.Matches) > req.K {
+				resp.Matches = resp.Matches[:req.K]
 			}
 		}
 		if len(failed) > 0 {
@@ -818,21 +741,21 @@ func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
 // shardBody builds the per-shard request body. The query bytes are
 // forwarded verbatim; a k above the shard's size is clamped to it —
 // same answer, and it keeps the node's own MaxK validation happy.
-func shardBody(req routeRequest, nn bool, shardSize int) ([]byte, error) {
+func shardBody(req server.QueryRequest, nn bool, shardSize int) ([]byte, error) {
 	if nn {
-		k := req.k
+		k := req.K
 		if k > shardSize {
 			k = shardSize
 		}
 		return json.Marshal(struct {
 			Query json.RawMessage `json:"query"`
 			K     int             `json:"k"`
-		}{req.raw, k})
+		}{req.Raw, k})
 	}
 	return json.Marshal(struct {
 		Query  json.RawMessage `json:"query"`
 		Radius float64         `json:"radius"`
-	}{req.raw, req.radius})
+	}{req.Raw, req.Radius})
 }
 
 var errNoEndpoints = &nodeError{code: "breaker_open", msg: "no routable endpoint (all breakers open)", transient: true}

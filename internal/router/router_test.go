@@ -626,3 +626,52 @@ func TestRouterRequestValidation(t *testing.T) {
 		t.Errorf("invalid requests reached the shards: router.shard_calls = %d", n)
 	}
 }
+
+// A bit string of the wrong length is a typed 400 at the router. Under
+// pivot assignment the router measures the query against every shard's
+// pivot before any call, so a decoder that only capped the length let a
+// 4-byte query to a 64-bit HDC cluster panic inside metric.Hamming.
+func TestRouterRejectsWrongLengthHammingQuery(t *testing.T) {
+	d := dataset.HDC(300, 64, 5)
+	opt := mcost.Options{Seed: 5, Workers: 1}
+	so := mcost.ShardOptions{Shards: 3, Assign: mcost.ShardPivot}
+	dec, err := server.DecoderForSpace(d.Space, d.Objects[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eps [][]string
+	for i := 0; i < so.Shards; i++ {
+		node, err := mcost.BuildShardNode(d.Space, d.Objects, opt, so, i)
+		if err != nil {
+			t.Fatalf("shard node %d: %v", i, err)
+		}
+		srv, err := server.New(server.Config{Engine: node, Decode: dec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		eps = append(eps, []string{ts.URL})
+	}
+	h := newRouter(t, router.Config{Shards: eps}).Handler()
+
+	for _, tc := range []struct {
+		path string
+		body map[string]interface{}
+	}{
+		{"/v1/range", map[string]interface{}{"query": "0101", "radius": 20}},
+		{"/v1/nn", map[string]interface{}{"query": "0101", "k": 3}},
+	} {
+		status, body := postJSON(t, h, tc.path, tc.body)
+		var eb struct {
+			Code string `json:"code"`
+		}
+		if err := json.Unmarshal(body, &eb); status != http.StatusBadRequest || err != nil || eb.Code != "bad_query" {
+			t.Errorf("%s with a 4-byte query: status %d, body %s; want 400 bad_query", tc.path, status, body)
+		}
+	}
+	if status, body := postJSON(t, h, "/v1/range", map[string]interface{}{"query": d.Objects[0], "radius": 20}); status != http.StatusOK {
+		t.Errorf("exact-length query: status %d, body %s", status, body)
+	}
+}

@@ -137,30 +137,36 @@ func BitStringDecoder(n int) ObjectDecoder {
 	}
 }
 
-// DecoderFor infers the right decoder from a sample indexed object.
-// Prefer DecoderForSpace, which also distinguishes fixed-length
-// (Hamming) from bounded-length (edit) string spaces.
-func DecoderFor(sample metric.Object, bound float64) (ObjectDecoder, error) {
+// DecoderForSpace infers the strictest decoder the space admits from a
+// sample indexed object (see DecoderForKind).
+func DecoderForSpace(space *metric.Space, sample metric.Object) (ObjectDecoder, error) {
 	switch o := sample.(type) {
 	case metric.Vector:
-		return VectorDecoder(len(o)), nil
+		return DecoderForKind(space, "vector", len(o))
 	case string:
-		return StringDecoder(int(bound)), nil
-	default:
-		return nil, fmt.Errorf("server: no decoder for object type %T", sample)
+		return DecoderForKind(space, "string", len(o))
 	}
+	return nil, fmt.Errorf("server: no decoder for object type %T", sample)
 }
 
-// DecoderForSpace infers the strictest decoder the space admits from a
-// sample indexed object. Unlike DecoderFor, a Hamming space gets a
-// fixed-length decoder keyed to the sample's length, so a mismatched
-// query is a 400 instead of a panic inside the distance function.
-func DecoderForSpace(space *metric.Space, sample metric.Object) (ObjectDecoder, error) {
+// DecoderForKind is the decoder rule for a caller that knows the indexed
+// objects' kind ("vector" or "string") and size rather than holding one
+// — a router reads both from its shards' model summaries. size is the
+// vector dimension, or the string length: a Hamming space gets a
+// fixed-length decoder, so a mismatched query is a 400 instead of a
+// panic inside the distance function; other string spaces only bound
+// the length by d+.
+func DecoderForKind(space *metric.Space, kind string, size int) (ObjectDecoder, error) {
 	if space == nil {
 		return nil, fmt.Errorf("server: nil space")
 	}
-	if s, ok := sample.(string); ok && space.Name == "hamming" {
-		return BitStringDecoder(len(s)), nil
+	switch {
+	case kind == "vector":
+		return VectorDecoder(size), nil
+	case kind == "string" && space.Name == "hamming":
+		return BitStringDecoder(size), nil
+	case kind == "string":
+		return StringDecoder(int(space.Bound)), nil
 	}
-	return DecoderFor(sample, space.Bound)
+	return nil, fmt.Errorf("server: no decoder for object kind %q", kind)
 }

@@ -52,7 +52,7 @@ func planJSON(d advisor.Decision) *PlanJSON {
 // PlanCeiling (node reads + distance computations) is a typed 422 —
 // the server will not start a query whose best case already exceeds
 // what the operator allows.
-func (s *Server) planQuery(nn bool, req queryRequest) (advisor.Decision, *apiError) {
+func (s *Server) planQuery(nn bool, req QueryRequest) (advisor.Decision, *RequestError) {
 	if s.mut != nil {
 		s.wmu.RLock()
 		defer s.wmu.RUnlock()
@@ -62,22 +62,22 @@ func (s *Server) planQuery(nn bool, req queryRequest) (advisor.Decision, *apiErr
 		err error
 	)
 	if nn {
-		d, err = s.planner.PlanNN(req.k)
+		d, err = s.planner.PlanNN(req.K)
 	} else {
-		d, err = s.planner.PlanRange(req.radius)
+		d, err = s.planner.PlanRange(req.Radius)
 	}
 	if err != nil {
-		// decodeQuery already rejected malformed radii/k, so a planning
+		// DecodeQueryRequest already rejected malformed radii/k, so a planning
 		// error here is unexpected input the decoder missed — still a
 		// client error, typed as such.
 		return d, badRequest("bad_query", "planning failed: %v", err)
 	}
 	if s.ceiling > 0 {
 		if best := d.Predicted(); best.Nodes+best.Dists > s.ceiling {
-			return d, &apiError{
-				status: http.StatusUnprocessableEntity,
-				code:   "plan_rejected",
-				msg:    planRejectedMsg(d, s.ceiling),
+			return d, &RequestError{
+				Status: http.StatusUnprocessableEntity,
+				Code:   "plan_rejected",
+				Msg:    planRejectedMsg(d, s.ceiling),
 			}
 		}
 	}

@@ -43,7 +43,7 @@ const retryJitterFrac = 0.25
 type Config struct {
 	// Engine answers and prices the queries (required).
 	Engine Engine
-	// Decode parses the "query" field (required; see DecoderFor).
+	// Decode parses the "query" field (required; see DecoderForSpace).
 	Decode ObjectDecoder
 	// Admission sizes the cost token bucket (zero = admit everything).
 	Admission AdmitConfig
@@ -312,61 +312,64 @@ type ErrorResponse struct {
 	RetryAfterMS  int64     `json:"retry_after_ms,omitempty"`
 }
 
-// apiError is a typed request failure carrying its HTTP status.
-type apiError struct {
-	status int
-	code   string
-	msg    string
+// RequestError is a typed request failure: the HTTP status and the
+// machine-readable code of the ErrorResponse it is answered with.
+type RequestError struct {
+	Status int
+	Code   string
+	Msg    string
 }
 
-func (e *apiError) Error() string { return e.msg }
+func (e *RequestError) Error() string { return e.Msg }
 
-func badRequest(code, format string, args ...interface{}) *apiError {
-	return &apiError{status: http.StatusBadRequest, code: code, msg: fmt.Sprintf(format, args...)}
+func badRequest(code, format string, args ...interface{}) *RequestError {
+	return &RequestError{Status: http.StatusBadRequest, Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// queryRequest is the decoded, validated body of a query endpoint.
-type queryRequest struct {
-	q      metric.Object
-	radius float64
-	k      int
+// QueryRequest is the decoded, validated body of /v1/range or /v1/nn.
+type QueryRequest struct {
+	Query metric.Object
+	// Raw is the "query" field as it arrived: what a router forwards to
+	// its shard nodes verbatim.
+	Raw    json.RawMessage
+	Radius float64
+	K      int
 }
 
-// rawQueryRequest is the wire shape before validation.
-type rawQueryRequest struct {
-	Query  json.RawMessage `json:"query"`
-	Radius *float64        `json:"radius"`
-	K      *int            `json:"k"`
-}
-
-// decodeQuery parses and strictly validates a query body. Every invalid
-// input yields a typed *apiError with a 4xx status; nothing is clamped:
-// a negative radius or k is rejected, never coerced to a runnable
-// query.
-func (s *Server) decodeQuery(r io.Reader, nn bool) (queryRequest, *apiError) {
-	var out queryRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var raw rawQueryRequest
-	if err := dec.Decode(&raw); err != nil {
+// DecodeQueryRequest parses and strictly validates a query body — the
+// one decoder behind the node server's and the router's query
+// endpoints. dec decodes the "query" field; k above maxK is rejected.
+// Every invalid input yields a typed *RequestError with a 4xx status;
+// nothing is clamped: a negative radius or k is rejected, never coerced
+// to a runnable query.
+func DecodeQueryRequest(r io.Reader, nn bool, dec ObjectDecoder, maxK int) (QueryRequest, *RequestError) {
+	var out QueryRequest
+	jd := json.NewDecoder(r)
+	jd.DisallowUnknownFields()
+	var raw struct {
+		Query  json.RawMessage `json:"query"`
+		Radius *float64        `json:"radius"`
+		K      *int            `json:"k"`
+	}
+	if err := jd.Decode(&raw); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			return out, &apiError{status: http.StatusRequestEntityTooLarge, code: "body_too_large",
-				msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+			return out, &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
+				Msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
 		}
 		return out, badRequest("bad_json", "invalid request body: %v", err)
 	}
-	if dec.More() {
+	if jd.More() {
 		return out, badRequest("bad_json", "trailing data after request body")
 	}
 	if len(raw.Query) == 0 {
 		return out, badRequest("missing_query", "request has no \"query\" field")
 	}
-	q, err := s.dec(raw.Query)
+	q, err := dec(raw.Query)
 	if err != nil {
 		return out, badRequest("bad_query", "%v", err)
 	}
-	out.q = q
+	out.Query, out.Raw = q, raw.Query
 	if nn {
 		if raw.Radius != nil {
 			return out, badRequest("bad_k", "\"radius\" is not a k-NN parameter; POST /v1/range instead")
@@ -378,10 +381,10 @@ func (s *Server) decodeQuery(r io.Reader, nn bool) (queryRequest, *apiError) {
 		if k <= 0 {
 			return out, badRequest("bad_k", "k must be positive, got %d", k)
 		}
-		if k > s.maxK {
-			return out, badRequest("bad_k", "k = %d exceeds the maximum %d", k, s.maxK)
+		if k > maxK {
+			return out, badRequest("bad_k", "k = %d exceeds the maximum %d", k, maxK)
 		}
-		out.k = k
+		out.K = k
 		return out, nil
 	}
 	if raw.K != nil {
@@ -397,28 +400,18 @@ func (s *Server) decodeQuery(r io.Reader, nn bool) (queryRequest, *apiError) {
 	if rad < 0 {
 		return out, badRequest("bad_radius", "radius must be non-negative, got %g", rad)
 	}
-	out.radius = rad
+	out.Radius = rad
 	return out, nil
 }
 
-// budgetFor converts a prediction into the per-request execution cap:
-// prediction × slack, rounded up, floored at the tree height so an
-// admitted query can always walk root to leaf. Negative slack disables
-// the budget.
+// budgetFor converts a prediction into the per-request execution cap,
+// floored at the tree height so an admitted query can always walk root
+// to leaf. Negative slack disables the budget.
 func (s *Server) budgetFor(est core.CostEstimate) budget.Budget {
 	if s.slack < 0 {
 		return budget.Budget{}
 	}
-	floor := float64(s.eng.Height())
-	nodes := math.Ceil(est.Nodes * s.slack)
-	if nodes < floor {
-		nodes = floor
-	}
-	dists := math.Ceil(est.Dists * s.slack)
-	if dists < floor {
-		dists = floor
-	}
-	return budget.Budget{MaxNodeReads: int64(nodes), MaxDistCalcs: int64(dists)}
+	return budget.FromPrediction(est.Nodes, est.Dists, s.slack, s.eng.Height())
 }
 
 // handleQuery prices, admits, batches, and executes one query.
@@ -427,12 +420,12 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 		s.cRequests.Inc()
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			s.reject(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-				msg: "query endpoints accept POST only"})
+			s.reject(w, &RequestError{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
+				Msg: "query endpoints accept POST only"})
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-		req, aerr := s.decodeQuery(r.Body, nn)
+		req, aerr := DecodeQueryRequest(r.Body, nn, s.dec, s.maxK)
 		if aerr != nil {
 			s.reject(w, aerr)
 			return
@@ -442,9 +435,9 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 		// the execution budget seed.
 		var est core.CostEstimate
 		if nn {
-			est = s.eng.PriceNN(req.k)
+			est = s.eng.PriceNN(req.K)
 		} else {
-			est = s.eng.PriceRange(req.radius)
+			est = s.eng.PriceRange(req.Radius)
 		}
 		s.cPredNode.Add(int64(math.Ceil(est.Nodes)))
 		s.cPredDist.Add(int64(math.Ceil(est.Dists)))
@@ -460,9 +453,9 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 			cacheEpoch = s.cache.Epoch()
 			var pr rescache.Probe
 			if nn {
-				pr = s.cache.GetNN(req.q, req.k, est)
+				pr = s.cache.GetNN(req.Query, req.K, est)
 			} else {
-				pr = s.cache.GetRange(req.q, req.radius, est)
+				pr = s.cache.GetRange(req.Query, req.Radius, est)
 			}
 			s.cProbeDist.Add(int64(pr.Dists))
 			if pr.Hit {
@@ -490,13 +483,13 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 		if s.planner != nil {
 			d, aerr := s.planQuery(nn, req)
 			if aerr != nil {
-				if aerr.code == "plan_rejected" {
+				if aerr.Code == "plan_rejected" {
 					s.cPlanRejected.Inc()
 					s.cRejected.Inc()
 					best := d.Predicted()
 					cost := costJSON(best)
-					s.writeJSON(w, aerr.status, ErrorResponse{
-						Code: aerr.code, Error: aerr.msg, PredictedCost: &cost,
+					s.writeJSON(w, aerr.Status, ErrorResponse{
+						Code: aerr.Code, Error: aerr.Msg, PredictedCost: &cost,
 					})
 					return
 				}
@@ -523,8 +516,8 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 		}
 		s.cAdmitted.Inc()
 
-		key := batchKey{nn: nn, radius: req.radius, k: req.k}
-		res := s.bat.Do(r.Context(), key, req.q, s.budgetFor(est))
+		key := batchKey{nn: nn, radius: req.Radius, k: req.K}
+		res := s.bat.Do(r.Context(), key, req.Query, s.budgetFor(est))
 		resp := QueryResponse{
 			Predicted: costJSON(est),
 			BatchSize: res.batchSize,
@@ -538,9 +531,9 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 			// a failed dispatch verifies nothing at all.
 			if s.cache != nil {
 				if nn {
-					s.cache.PutNNAt(req.q, req.k, res.matches, est, cacheEpoch)
+					s.cache.PutNNAt(req.Query, req.K, res.matches, est, cacheEpoch)
 				} else {
-					s.cache.PutRangeAt(req.q, req.radius, res.matches, est, cacheEpoch)
+					s.cache.PutRangeAt(req.Query, req.Radius, res.matches, est, cacheEpoch)
 				}
 			}
 		case errors.Is(res.err, budget.ErrExceeded):
@@ -572,8 +565,8 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.reject(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-			msg: "stats endpoint accepts GET only"})
+		s.reject(w, &RequestError{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
+			Msg: "stats endpoint accepts GET only"})
 		return
 	}
 	s.refreshRecalGauges()
@@ -652,13 +645,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.reject(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-			msg: "model endpoint accepts GET only"})
+		s.reject(w, &RequestError{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
+			Msg: "model endpoint accepts GET only"})
 		return
 	}
 	if s.model == nil {
-		s.reject(w, &apiError{status: http.StatusNotFound, code: "no_model",
-			msg: "this engine does not export a model summary"})
+		s.reject(w, &RequestError{Status: http.StatusNotFound, Code: "no_model",
+			Msg: "this engine does not export a model summary"})
 		return
 	}
 	raw, err := s.model.ModelSummary()
@@ -694,9 +687,9 @@ func writeBootJSON(w http.ResponseWriter, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) reject(w http.ResponseWriter, aerr *apiError) {
+func (s *Server) reject(w http.ResponseWriter, aerr *RequestError) {
 	s.cRejected.Inc()
-	s.writeJSON(w, aerr.status, ErrorResponse{Code: aerr.code, Error: aerr.msg})
+	s.writeJSON(w, aerr.Status, ErrorResponse{Code: aerr.Code, Error: aerr.Msg})
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -281,7 +281,7 @@ func TestStringSpaceDecoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecoderFor(d.Objects[0], d.Space.Bound)
+	dec, err := DecoderForSpace(d.Space, d.Objects[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,8 +146,8 @@ type rawWriteRequest struct {
 }
 
 // decodeWrite parses and strictly validates a write body, mirroring
-// decodeQuery's discipline: typed 4xx errors, nothing coerced.
-func (s *Server) decodeWrite(r io.Reader, insert bool) (writeRequest, *apiError) {
+// DecodeQueryRequest's discipline: typed 4xx errors, nothing coerced.
+func (s *Server) decodeWrite(r io.Reader, insert bool) (writeRequest, *RequestError) {
 	var out writeRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -155,8 +155,8 @@ func (s *Server) decodeWrite(r io.Reader, insert bool) (writeRequest, *apiError)
 	if err := dec.Decode(&raw); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			return out, &apiError{status: http.StatusRequestEntityTooLarge, code: "body_too_large",
-				msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+			return out, &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
+				Msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
 		}
 		return out, badRequest("bad_json", "invalid request body: %v", err)
 	}
@@ -193,13 +193,13 @@ func (s *Server) handleWrite(insert bool) http.HandlerFunc {
 		s.cRequests.Inc()
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			s.reject(w, &apiError{status: http.StatusMethodNotAllowed, code: "method_not_allowed",
-				msg: "write endpoints accept POST only"})
+			s.reject(w, &RequestError{Status: http.StatusMethodNotAllowed, Code: "method_not_allowed",
+				Msg: "write endpoints accept POST only"})
 			return
 		}
 		if s.mut == nil {
-			s.reject(w, &apiError{status: http.StatusNotImplemented, code: "read_only",
-				msg: "this engine does not support writes"})
+			s.reject(w, &RequestError{Status: http.StatusNotImplemented, Code: "read_only",
+				Msg: "this engine does not support writes"})
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
@@ -236,7 +236,7 @@ func (s *Server) handleWrite(insert bool) http.HandlerFunc {
 		s.writes.end(wid)
 		if err != nil {
 			if errors.Is(err, mtree.ErrNotFound) {
-				s.reject(w, &apiError{status: http.StatusNotFound, code: "not_found", msg: err.Error()})
+				s.reject(w, &RequestError{Status: http.StatusNotFound, Code: "not_found", Msg: err.Error()})
 				return
 			}
 			s.cErrors.Inc()

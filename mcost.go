@@ -24,11 +24,13 @@
 package mcost
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"mcost/internal/advisor"
 	"mcost/internal/core"
 	"mcost/internal/dataset"
 	"mcost/internal/distdist"
@@ -123,30 +125,77 @@ type ArenaOptions struct {
 	Path string
 }
 
-// Index is a built M-tree together with its fitted cost model.
+// Index is a built M-tree together with its fitted cost model. Its
+// serving surface — planning, pricing, engine modes, traced batches —
+// is the one ShardedIndex shares (surface.go).
 type Index struct {
-	space *Space
-	// sample is one indexed object, kept as the reference shape for
-	// query validation (dimension, bit-string length, object type).
-	sample Object
-	tree   *mtree.Tree
-	stack  *pager.Stack // non-nil only with StorageOptions enabled
-	f      *histogram.Histogram
-	stats  *mtree.Stats
-	model  *core.MTreeModel
+	surface
+	tree  *mtree.Tree
+	stack *pager.Stack // non-nil only with StorageOptions enabled
+	f     *histogram.Histogram
+	stats *mtree.Stats
+	model *core.MTreeModel
 	// rc, when non-nil, keeps the model live under writes: F̂ updates on
 	// every Insert/Delete, bias correction from recent traces, periodic
 	// refits. Enabled by EnableRecalibration.
-	rc *recal.Recalibrator
-	// scan is the first-class linear-scan engine over the same objects
-	// (write-through on Insert/Delete); profile is the dataset's
-	// indexing-hardness profile; mode selects which engine the
-	// priced/batched surface uses. See advise.go.
-	scan    *mtree.Scan
-	profile HardnessProfile
-	mode    EngineMode
-	stages  BuildStages
+	rc     *recal.Recalibrator
+	stages BuildStages
 }
+
+// indexTree is Index's tree side: the M-tree priced by L-MCM,
+// bias-corrected and fed back to the recalibrator when one is enabled.
+type indexTree struct{ ix *Index }
+
+func (t indexTree) PriceRange(radius float64) CostEstimate { return t.ix.PredictRangeLevel(radius) }
+func (t indexTree) PriceNN(k int) CostEstimate             { return t.ix.PredictNNLevel(k) }
+
+// PriceNNPrefix is PriceNN(k) for k = 1..K from one pass of the model
+// (see advisor.Predictor).
+func (t indexTree) PriceNNPrefix(K int) []CostEstimate {
+	est := t.ix.model.NNLPrefix(K)
+	if t.ix.rc != nil {
+		t.ix.rc.CorrectNNs(est)
+	}
+	return est
+}
+
+// RangeBatch runs the batch on the tree. With recalibration enabled it
+// executes under a private trace, so the observation covers exactly this
+// dispatch whatever the caller's trace already holds, and feeds back
+// clean executions only: a budget- or context-truncated traversal
+// observed less work than the full query costs, which would teach the
+// window a downward bias that admission then amplifies.
+func (t indexTree) RangeBatch(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
+	ix := t.ix
+	if ix.rc == nil {
+		return ix.tree.RangeBatchCtx(ctx, qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: tr})
+	}
+	own := obs.NewTrace()
+	sets, err := ix.tree.RangeBatchCtx(ctx, qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: own})
+	tr.Merge(own)
+	if err == nil {
+		ix.rc.ObserveRange(ix.model.RangeLByLevel(radius), t.PriceRange(radius), own)
+	}
+	return sets, err
+}
+
+// NNBatch is RangeBatch for k-NN.
+func (t indexTree) NNBatch(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
+	ix := t.ix
+	if ix.rc == nil {
+		return ix.tree.NNBatchCtx(ctx, qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: tr})
+	}
+	own := obs.NewTrace()
+	sets, err := ix.tree.NNBatchCtx(ctx, qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: own})
+	tr.Merge(own)
+	if err == nil {
+		ix.rc.ObserveNN(ix.model.NNL(k), t.PriceNN(k), own)
+	}
+	return sets, err
+}
+
+func (t indexTree) Costs() (int64, int64) { return t.ix.tree.NodeReads(), t.ix.tree.DistanceCount() }
+func (t indexTree) ResetCosts()           { t.ix.tree.ResetCounters() }
 
 // BuildStages is where a build's time went, stage by stage — what
 // mcost-serve prints at start-up and what the benchmark's per-layer rows
@@ -241,34 +290,13 @@ func finishIndex(space *Space, tree *mtree.Tree, objects []Object, opt Options) 
 		return nil, err
 	}
 	stages.Model += clock.Lap()
-	ix := &Index{space: space, sample: objects[0], tree: tree, f: f, stats: stats, model: model}
-	if err := ix.buildPlanner(objects); err != nil {
+	ix := &Index{tree: tree, f: f, stats: stats, model: model}
+	if ix.surface, err = newSurface(space, objects, tree.PageSize(), indexTree{ix}, advisor.EngineTree, f); err != nil {
 		return nil, err
 	}
 	stages.Profile = clock.Lap()
 	ix.stages = stages
 	return ix, nil
-}
-
-// ErrInvalidQuery is returned (wrapped) by every query entry point when
-// the query object cannot be compared by the index's space — wrong
-// type, wrong vector dimension, non-finite coordinates, or a
-// length-mismatched bit string. The check runs before any distance
-// call, so a malformed query is a typed error, never a panic inside a
-// distance function. Match with errors.Is.
-var ErrInvalidQuery = metric.ErrInvalidQuery
-
-func (ix *Index) validateQuery(q Object) error {
-	return metric.ValidateQuery(ix.space, ix.sample, q)
-}
-
-func validateQueries(s *Space, sample Object, qs []Object) error {
-	for i, q := range qs {
-		if err := metric.ValidateQuery(s, sample, q); err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Size returns the number of indexed objects.
@@ -280,10 +308,13 @@ func (ix *Index) Height() int { return ix.tree.Height() }
 // NumNodes returns the number of tree nodes (pages).
 func (ix *Index) NumNodes() int { return ix.tree.NumNodes() }
 
+// PageSize returns the M-tree node size in bytes.
+func (ix *Index) PageSize() int { return ix.tree.PageSize() }
+
 // Range returns all objects within radius of q. The parent-distance
 // optimization is enabled: real queries should be as fast as possible.
 func (ix *Index) Range(q Object, radius float64) ([]Match, error) {
-	if err := ix.validateQuery(q); err != nil {
+	if err := ix.check(q); err != nil {
 		return nil, err
 	}
 	return ix.tree.Range(q, radius, mtree.QueryOptions{UseParentDist: true})
@@ -291,24 +322,10 @@ func (ix *Index) Range(q Object, radius float64) ([]Match, error) {
 
 // NN returns the k nearest neighbors of q, closest first.
 func (ix *Index) NN(q Object, k int) ([]Match, error) {
-	if err := ix.validateQuery(q); err != nil {
+	if err := ix.check(q); err != nil {
 		return nil, err
 	}
 	return ix.tree.NN(q, k, mtree.QueryOptions{UseParentDist: true})
-}
-
-// Costs returns the node reads and distance computations accumulated
-// since the last ResetCosts — the two cost dimensions of the paper.
-func (ix *Index) Costs() (nodeReads, distances int64) {
-	return ix.tree.NodeReads() + ix.scan.NodeReads(),
-		ix.tree.DistanceCount() + ix.scan.DistanceCount()
-}
-
-// ResetCosts zeroes the cost counters (typically after Build, before a
-// measured workload).
-func (ix *Index) ResetCosts() {
-	ix.tree.ResetCounters()
-	ix.scan.ResetCounters()
 }
 
 // PredictRange predicts range-query costs with the node-based model
@@ -325,7 +342,8 @@ func (ix *Index) PredictRange(radius float64) CostEstimate {
 // PredictRangeLevel predicts range-query costs with the level-based
 // model L-MCM (Eq. 15-16), which needs only per-level statistics. With
 // recalibration enabled the per-level prediction is scaled by the bias
-// factors learned from recent traces.
+// factors learned from recent traces. It is the tree side's price: what
+// PriceRange charges and the advisor compares against the scan.
 func (ix *Index) PredictRangeLevel(radius float64) CostEstimate {
 	if ix.rc != nil {
 		return ix.rc.CorrectRange(ix.model.RangeLByLevel(radius))
@@ -350,7 +368,8 @@ func (ix *Index) PredictNN(k int) CostEstimate {
 	return ix.model.NNN(k)
 }
 
-// PredictNNLevel is the level-based variant (Eq. 17-18).
+// PredictNNLevel is the level-based variant (Eq. 17-18), the tree
+// side's k-NN price.
 func (ix *Index) PredictNNLevel(k int) CostEstimate {
 	if ix.rc != nil {
 		return ix.rc.CorrectNN(ix.model.NNL(k))
@@ -410,7 +429,7 @@ func (ix *Index) RefreshModel() error {
 	}
 	ix.stats = stats
 	ix.model = model
-	ix.refreshProfile()
+	ix.refreshProfile(ix.f)
 	return nil
 }
 
@@ -483,7 +502,7 @@ func (ix *Index) maybeRecalRefresh() error {
 	ix.stats = stats
 	ix.model = model
 	ix.rc.MarkRefreshed()
-	ix.refreshProfile()
+	ix.refreshProfile(ix.f)
 	return nil
 }
 
@@ -549,7 +568,7 @@ func TuneNodeSize(space *Space, objects []Object, sizes []int, radius float64, d
 // to the exact NN. This is the probably-approximately-correct use of the
 // model the paper's optimizer framing invites.
 func (ix *Index) NNApprox(q Object, k int, confidence float64) ([]Match, error) {
-	if err := ix.validateQuery(q); err != nil {
+	if err := ix.check(q); err != nil {
 		return nil, err
 	}
 	stop := ix.model.NNDistQuantile(k, confidence)

@@ -1,9 +1,6 @@
 package mcost
 
-import (
-	"mcost/internal/mtree"
-	"mcost/internal/obs"
-)
+import "mcost/internal/obs"
 
 // QueryTrace records a per-query, level-resolved execution trace: node
 // visits, distance computations, and pruning outcomes attributed per
@@ -21,27 +18,9 @@ type QueryTrace = obs.Trace
 // workers.
 type MetricsRegistry = obs.Registry
 
-// NewQueryTrace returns an empty trace ready to pass to RangeTraced or
-// NNTraced.
+// NewQueryTrace returns an empty trace ready to pass to
+// RangeBatchTraced or NNBatchTraced.
 func NewQueryTrace() *QueryTrace { return obs.NewTrace() }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// RangeTraced is Range with per-level trace recording into tr (which
-// may be nil, degrading to exactly Range).
-func (ix *Index) RangeTraced(q Object, radius float64, tr *QueryTrace) ([]Match, error) {
-	if err := ix.validateQuery(q); err != nil {
-		return nil, err
-	}
-	return ix.tree.Range(q, radius, mtree.QueryOptions{UseParentDist: true, Trace: tr})
-}
-
-// NNTraced is NN with per-level trace recording into tr (which may be
-// nil, degrading to exactly NN).
-func (ix *Index) NNTraced(q Object, k int, tr *QueryTrace) ([]Match, error) {
-	if err := ix.validateQuery(q); err != nil {
-		return nil, err
-	}
-	return ix.tree.NN(q, k, mtree.QueryOptions{UseParentDist: true, Trace: tr})
-}

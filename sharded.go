@@ -3,10 +3,11 @@ package mcost
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
+	"mcost/internal/advisor"
 	"mcost/internal/histogram"
-	"mcost/internal/metric"
 	"mcost/internal/mtree"
 	"mcost/internal/obs"
 	"mcost/internal/pager"
@@ -52,24 +53,44 @@ type ShardOptions struct {
 //
 // Like Index it supports concurrent read-only queries. OIDs in results
 // are global: the object's index in the slice given to BuildSharded.
+// Its serving surface is Index's, with the fan-out as the tree side and
+// the scan over all objects.
 type ShardedIndex struct {
-	space *Space
-	// sample is one indexed object, the reference shape for query
-	// validation (see Index.sample).
-	sample  Object
+	surface
 	set     *shard.Set
 	stacks  []*pager.Stack // per shard; nil entries when storage is off
 	workers int
-	// scan is the linear-scan engine over all objects with global OIDs;
-	// f the merged dataset-level F̂; profile the hardness profile; mode
-	// the serving engine mode. See advise.go.
-	scan    *mtree.Scan
-	f       *histogram.Histogram
-	profile HardnessProfile
-	mode    EngineMode
-	// profileTime is what buildPlanner took (see BuildStages).
+	// profileTime is what the scan and profile took (see BuildStages).
 	profileTime time.Duration
 }
+
+// fanoutTree is ShardedIndex's tree side: the shard set, priced by the
+// summed per-shard L-MCM predictions.
+type fanoutTree struct{ sx *ShardedIndex }
+
+func (t fanoutTree) PriceRange(radius float64) CostEstimate { return t.sx.set.PredictRange(radius) }
+func (t fanoutTree) PriceNN(k int) CostEstimate             { return t.sx.set.PredictNN(k) }
+func (t fanoutTree) PriceNNPrefix(K int) []CostEstimate     { return t.sx.set.PredictNNPrefix(K) }
+
+// RangeBatch fans the batch out with a per-shard budget and a trace
+// merged in shard order.
+func (t fanoutTree) RangeBatch(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
+	return t.sx.set.RangeBatch(qs, radius, t.opt(ctx, b, tr))
+}
+
+// NNBatch is RangeBatch for k-NN.
+func (t fanoutTree) NNBatch(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
+	return t.sx.set.NNBatch(qs, k, t.opt(ctx, b, tr))
+}
+
+func (t fanoutTree) opt(ctx context.Context, b QueryBudget, tr *QueryTrace) shard.QueryOptions {
+	opt := t.sx.qopt()
+	opt.Ctx, opt.Budget, opt.Trace = ctx, b, tr
+	return opt
+}
+
+func (t fanoutTree) Costs() (int64, int64) { return t.sx.set.Costs() }
+func (t fanoutTree) ResetCosts()           { t.sx.set.ResetCosts() }
 
 // BuildSharded partitions the objects into so.Shards shards and builds
 // one cost-modeled M-tree per shard. Options applies per shard: each
@@ -111,9 +132,19 @@ func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) 
 	if err != nil {
 		return nil, err
 	}
-	sx := &ShardedIndex{space: space, sample: objects[0], set: set, stacks: stacks, workers: opt.Workers}
+	sx := &ShardedIndex{set: set, stacks: stacks, workers: opt.Workers}
 	clock := obs.StartStopwatch()
-	if err := sx.buildPlanner(objects); err != nil {
+	// The dataset-level F̂ is the mass-weighted merge of the per-shard
+	// histograms — no extra distance sampling.
+	fs := make([]*histogram.Histogram, 0, set.NumShards())
+	for _, sh := range set.Shards() {
+		fs = append(fs, sh.F)
+	}
+	f, err := histogram.Merge(fs...)
+	if err != nil {
+		return nil, fmt.Errorf("mcost: merging shard histograms: %w", err)
+	}
+	if sx.surface, err = newSurface(space, objects, set.PageSize(), fanoutTree{sx}, advisor.EngineFanout, f); err != nil {
 		return nil, err
 	}
 	sx.profileTime = clock.Lap()
@@ -155,7 +186,7 @@ func (sx *ShardedIndex) PageSize() int { return sx.set.PageSize() }
 // Range returns all objects within radius of q, concatenated in shard
 // order.
 func (sx *ShardedIndex) Range(q Object, radius float64) ([]Match, error) {
-	if err := metric.ValidateQuery(sx.space, sx.sample, q); err != nil {
+	if err := sx.check(q); err != nil {
 		return nil, err
 	}
 	return sx.set.Range(q, radius, sx.qopt())
@@ -164,7 +195,7 @@ func (sx *ShardedIndex) Range(q Object, radius float64) ([]Match, error) {
 // NN returns the k nearest neighbors of q, closest first (ties broken
 // by global OID).
 func (sx *ShardedIndex) NN(q Object, k int) ([]Match, error) {
-	if err := metric.ValidateQuery(sx.space, sx.sample, q); err != nil {
+	if err := sx.check(q); err != nil {
 		return nil, err
 	}
 	return sx.set.NN(q, k, sx.qopt())
@@ -174,7 +205,7 @@ func (sx *ShardedIndex) NN(q Object, k int) ([]Match, error) {
 // matches. Within each shard the whole batch shares one traversal, so
 // node reads amortize across the batch.
 func (sx *ShardedIndex) RangeBatch(qs []Object, radius float64) ([][]Match, error) {
-	if err := validateQueries(sx.space, sx.sample, qs); err != nil {
+	if err := sx.check(qs...); err != nil {
 		return nil, err
 	}
 	return sx.set.RangeBatch(qs, radius, sx.qopt())
@@ -183,56 +214,10 @@ func (sx *ShardedIndex) RangeBatch(qs []Object, radius float64) ([][]Match, erro
 // NNBatch answers a batch of k-NN queries; out[i] holds query i's
 // neighbors, closest first.
 func (sx *ShardedIndex) NNBatch(qs []Object, k int) ([][]Match, error) {
-	if err := validateQueries(sx.space, sx.sample, qs); err != nil {
+	if err := sx.check(qs...); err != nil {
 		return nil, err
 	}
 	return sx.set.NNBatch(qs, k, sx.qopt())
-}
-
-// RangeCtx is Range honoring ctx and a per-shard budget; partial
-// results accompany a typed error (see QueryBudget).
-func (sx *ShardedIndex) RangeCtx(ctx context.Context, q Object, radius float64, b QueryBudget) ([]Match, error) {
-	if err := metric.ValidateQuery(sx.space, sx.sample, q); err != nil {
-		return nil, err
-	}
-	opt := sx.qopt()
-	opt.Ctx = ctx
-	opt.Budget = b
-	return sx.set.Range(q, radius, opt)
-}
-
-// NNCtx is NN honoring ctx and a per-shard budget.
-func (sx *ShardedIndex) NNCtx(ctx context.Context, q Object, k int, b QueryBudget) ([]Match, error) {
-	if err := metric.ValidateQuery(sx.space, sx.sample, q); err != nil {
-		return nil, err
-	}
-	opt := sx.qopt()
-	opt.Ctx = ctx
-	opt.Budget = b
-	return sx.set.NN(q, k, opt)
-}
-
-// RangeBatchCtx is RangeBatch honoring ctx and a per-shard batch
-// budget.
-func (sx *ShardedIndex) RangeBatchCtx(ctx context.Context, qs []Object, radius float64, b QueryBudget) ([][]Match, error) {
-	if err := validateQueries(sx.space, sx.sample, qs); err != nil {
-		return nil, err
-	}
-	opt := sx.qopt()
-	opt.Ctx = ctx
-	opt.Budget = b
-	return sx.set.RangeBatch(qs, radius, opt)
-}
-
-// NNBatchCtx is NNBatch honoring ctx and a per-shard batch budget.
-func (sx *ShardedIndex) NNBatchCtx(ctx context.Context, qs []Object, k int, b QueryBudget) ([][]Match, error) {
-	if err := validateQueries(sx.space, sx.sample, qs); err != nil {
-		return nil, err
-	}
-	opt := sx.qopt()
-	opt.Ctx = ctx
-	opt.Budget = b
-	return sx.set.NNBatch(qs, k, opt)
 }
 
 // PredictRange predicts a range query's total cost as the sum of the
@@ -245,21 +230,6 @@ func (sx *ShardedIndex) PredictRange(radius float64) CostEstimate {
 // per-shard L-MCM predictions (an upper bound: shard pruning only
 // reduces the real cost).
 func (sx *ShardedIndex) PredictNN(k int) CostEstimate { return sx.set.PredictNN(k) }
-
-// Costs returns node reads and distance computations accumulated since
-// the last ResetCosts, summed over shards (including the pivot
-// distances spent ordering and pruning shards) and the scan engine.
-func (sx *ShardedIndex) Costs() (nodeReads, distances int64) {
-	n, d := sx.set.Costs()
-	return n + sx.scan.NodeReads(), d + sx.scan.DistanceCount()
-}
-
-// ResetCosts zeroes the counters behind Costs and ShardsSkipped. Must
-// not race with in-flight queries.
-func (sx *ShardedIndex) ResetCosts() {
-	sx.set.ResetCosts()
-	sx.scan.ResetCounters()
-}
 
 // ShardsSkipped returns the shard visits avoided by lower-bound pruning
 // since the last ResetCosts.
@@ -291,6 +261,9 @@ func (sx *ShardedIndex) SetFaultsEnabled(on bool) bool {
 // batches of opt.Batch queries and scores the summed per-shard model
 // predictions against the measured per-query costs.
 func (sx *ShardedIndex) RunWorkload(w *Workload, queryPool []Object, opt WorkloadOptions) (*WorkloadReport, error) {
+	if err := sx.check(queryPool...); err != nil {
+		return nil, err
+	}
 	return workload.RunEngine(sx, sx, w, queryPool, opt)
 }
 

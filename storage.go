@@ -2,7 +2,6 @@ package mcost
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"mcost/internal/budget"
@@ -14,14 +13,14 @@ import (
 // Fault-tolerant storage and graceful degradation. A Build with
 // StorageOptions.Paged mounts the tree on the resilient page stack —
 // checksummed pages over an in-memory base, optionally wrapped in fault
-// injection (for testing), bounded retry, and an LRU cache — and the
-// context-aware query methods below add cancellation and cost-budgeted
+// injection (for testing), bounded retry, and an LRU cache — and
+// RangeBatchTraced / NNBatchTraced add cancellation and cost-budgeted
 // stops on top of any index.
 
 // QueryBudget caps one query's node reads and distance computations;
-// zero fields are unlimited. Seed it from the cost model via
-// Index.RangeBudget / Index.NNBudget to let the model gate its own
-// queries.
+// zero fields are unlimited. mcost-serve and mcost-query seed it from
+// the query's own price (PriceRange / PriceNN) × slack, letting the
+// model gate its own queries.
 type QueryBudget = budget.Budget
 
 // FaultConfig is a deterministic storage fault schedule (seeded; every
@@ -76,12 +75,12 @@ type StorageOptions struct {
 
 func (s StorageOptions) enabled() bool { return s.Paged || s.Faults != nil }
 
-// DefaultBudgetSlack is the budget slack factor used when a
-// *WithBudget query is given slack <= 0: the query may spend this
-// multiple of the model's predicted cost before being stopped. The
-// predictions are accurate on average (~10%) but are per-workload
-// means; individual queries vary, so the default leaves generous room
-// and only catches pathological degeneration.
+// DefaultBudgetSlack is the budget slack factor used when a VPTree
+// budget is derived with slack <= 0: the query may spend this multiple
+// of the model's predicted cost before being stopped. The predictions
+// are accurate on average (~10%) but are per-workload means; individual
+// queries vary, so the default leaves generous room and only catches
+// pathological degeneration.
 const DefaultBudgetSlack = 4.0
 
 // buildStorage assembles the page stack for Build when storage options
@@ -144,82 +143,13 @@ func (ix *Index) FaultStats() FaultStats {
 	return ix.stack.Faulty.FaultStats()
 }
 
-// RangeCtx is Range honoring ctx and an optional budget: the traversal
-// checks the context at every node access, and if b caps work the query
-// stops with ErrBudgetExceeded once it would exceed it. On any stop —
-// cancellation, deadline, or budget — the matches found so far are
-// returned alongside the typed error; each is a true match within
-// radius, completeness is what was given up.
-func (ix *Index) RangeCtx(ctx context.Context, q Object, radius float64, b QueryBudget) ([]Match, error) {
-	return ix.tree.RangeCtx(ctx, q, radius, mtree.QueryOptions{UseParentDist: true, Budget: b})
-}
-
-// NNCtx is NN honoring ctx and an optional budget (see RangeCtx). On a
-// stop the best neighbors found so far are returned, closest first: true
-// objects at true distances, but a closer neighbor may not have been
-// reached yet.
-func (ix *Index) NNCtx(ctx context.Context, q Object, k int, b QueryBudget) ([]Match, error) {
-	return ix.tree.NNCtx(ctx, q, k, mtree.QueryOptions{UseParentDist: true, Budget: b})
-}
-
-// budgetFrom converts a model prediction into a hard cap: prediction ×
-// slack, rounded up, floored at the tree height (a query must at least
-// be able to walk root → leaf).
-func (ix *Index) budgetFrom(est CostEstimate, slack float64) QueryBudget {
-	if slack <= 0 {
-		slack = DefaultBudgetSlack
-	}
-	floor := float64(ix.tree.Height())
-	nodes := math.Ceil(est.Nodes * slack)
-	if nodes < floor {
-		nodes = floor
-	}
-	dists := math.Ceil(est.Dists * slack)
-	if dists < floor {
-		dists = floor
-	}
-	return QueryBudget{MaxNodeReads: int64(nodes), MaxDistCalcs: int64(dists)}
-}
-
-// RangeBudget derives a QueryBudget for range queries of the given
-// radius: the L-MCM prediction times slack (<= 0 picks
-// DefaultBudgetSlack). The prediction models a search without the
-// parent-distance optimization, so it upper-bounds what RangeCtx
-// actually spends — a well-behaved query never trips its budget.
-func (ix *Index) RangeBudget(radius, slack float64) QueryBudget {
-	return ix.budgetFrom(ix.model.RangeL(radius), slack)
-}
-
-// NNBudget derives a QueryBudget for k-NN queries (see RangeBudget).
-func (ix *Index) NNBudget(k int, slack float64) QueryBudget {
-	return ix.budgetFrom(ix.model.NNL(k), slack)
-}
-
-// RangeWithBudget runs a range query under the model-derived budget:
-// admission control by the index's own cost model. A query whose
-// observed cost stays near its prediction completes normally; one that
-// degenerates (the high-dimensional near-linear-scan regime) is stopped
-// at prediction × slack and returns its partial matches with
-// ErrBudgetExceeded.
-func (ix *Index) RangeWithBudget(ctx context.Context, q Object, radius, slack float64) ([]Match, error) {
-	return ix.RangeCtx(ctx, q, radius, ix.RangeBudget(radius, slack))
-}
-
-// NNWithBudget is the k-NN analogue of RangeWithBudget.
-func (ix *Index) NNWithBudget(ctx context.Context, q Object, k int, slack float64) ([]Match, error) {
-	return ix.NNCtx(ctx, q, k, ix.NNBudget(k, slack))
-}
-
 // VPBudget derives a distance-computation budget for vp-tree queries
 // from the Section 5 model: predicted visits and distances times slack.
 func vpBudget(est core.VPCost, slack float64) QueryBudget {
 	if slack <= 0 {
 		slack = DefaultBudgetSlack
 	}
-	return QueryBudget{
-		MaxNodeReads: int64(math.Ceil((est.InternalVisits + est.LeafVisits) * slack)),
-		MaxDistCalcs: int64(math.Ceil(est.Dists * slack)),
-	}
+	return budget.FromPrediction(est.InternalVisits+est.LeafVisits, est.Dists, slack, 0)
 }
 
 // RangeBudget derives a QueryBudget for vp-tree range queries (slack
@@ -234,14 +164,17 @@ func (vp *VPTree) NNBudget(k int, slack float64) QueryBudget {
 	return vpBudget(vp.model.NNCost(k), slack)
 }
 
-// RangeCtx is VPTree.Range honoring ctx and an optional budget, with
-// the same partial-result contract as Index.RangeCtx.
+// RangeCtx is VPTree.Range honoring ctx and an optional budget: on a
+// budget, cancellation or deadline stop the matches found so far are
+// returned alongside the typed error; each is a true match within
+// radius, completeness is what was given up.
 func (vp *VPTree) RangeCtx(ctx context.Context, q Object, radius float64, b QueryBudget) ([]VPMatch, error) {
 	return vp.tree.RangeCtx(ctx, q, radius, b, nil, nil)
 }
 
 // NNCtx is VPTree.NN honoring ctx and an optional budget (see
-// Index.NNCtx).
+// RangeCtx): on a stop the best neighbors found so far are returned,
+// closest first.
 func (vp *VPTree) NNCtx(ctx context.Context, q Object, k int, b QueryBudget) ([]VPMatch, error) {
 	return vp.tree.NNCtx(ctx, q, k, b, nil, nil)
 }

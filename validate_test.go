@@ -3,6 +3,7 @@ package mcost
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,10 +11,12 @@ import (
 	"mcost/internal/metric"
 )
 
-// Facade boundary validation (PR 9): every query entry point rejects
-// objects the space cannot compare with a typed ErrInvalidQuery before
-// any distance call — previously a wrong-length Hamming query panicked
-// inside the distance function.
+// Facade boundary validation: every query entry point of Index and
+// ShardedIndex rejects objects the space cannot compare with a typed
+// ErrInvalidQuery before any distance call. PR 9 fixed a wrong-length
+// Hamming query panicking inside the distance function; the entry points
+// that kept their own copy of the check drifted until ExplainRange,
+// RangeAnd and RangeOr panicked on a 2-coordinate query to a 4-D index.
 
 func TestIndexRejectsInvalidQueries(t *testing.T) {
 	space := VectorSpace("L2", 4)
@@ -22,6 +25,13 @@ func TestIndexRejectsInvalidQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sx, err := BuildSharded(space, objs, Options{Seed: 3}, ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mix := &Workload{Classes: []QueryClass{{Name: "r", Weight: 1, Radius: 0.5}}}
+	wopt := WorkloadOptions{Queries: 4, Seed: 1}
 	bad := []struct {
 		name string
 		q    Object
@@ -34,37 +44,49 @@ func TestIndexRejectsInvalidQueries(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ix.Range(tc.q, 0.5); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("Range: err = %v, want ErrInvalidQuery", err)
-			}
-			if _, err := ix.NN(tc.q, 3); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("NN: err = %v, want ErrInvalidQuery", err)
-			}
-			if _, err := ix.NNApprox(tc.q, 3, 0.9); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("NNApprox: err = %v, want ErrInvalidQuery", err)
-			}
-			if _, err := ix.RangeTraced(tc.q, 0.5, nil); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("RangeTraced: err = %v, want ErrInvalidQuery", err)
-			}
-			if _, err := ix.NNTraced(tc.q, 3, nil); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("NNTraced: err = %v, want ErrInvalidQuery", err)
-			}
-			// One bad query poisons the whole batch, before any traversal.
+			// One bad query poisons a whole batch, predicate list or
+			// workload pool, before any traversal.
 			qs := []Object{objs[0], tc.q, objs[1]}
-			if _, err := ix.RangeBatch(qs, 0.5); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("RangeBatch: err = %v, want ErrInvalidQuery", err)
+			preds := []Pred{{Q: objs[0], Radius: 0.5}, {Q: tc.q, Radius: 0.5}}
+			calls := map[string]func() error{
+				"Index.Range":            func() error { _, err := ix.Range(tc.q, 0.5); return err },
+				"Index.NN":               func() error { _, err := ix.NN(tc.q, 3); return err },
+				"Index.NNApprox":         func() error { _, err := ix.NNApprox(tc.q, 3, 0.9); return err },
+				"Index.ExplainRange":     func() error { _, _, err := ix.ExplainRange(tc.q, 0.5); return err },
+				"Index.RangeAnd":         func() error { _, err := ix.RangeAnd(preds); return err },
+				"Index.RangeOr":          func() error { _, err := ix.RangeOr(preds); return err },
+				"Index.RunWorkload":      func() error { _, err := ix.RunWorkload(mix, qs, wopt); return err },
+				"Index.RangeBatchTraced": func() error { _, err := ix.RangeBatchTraced(ctx, qs, 0.5, QueryBudget{}, nil); return err },
+				"Index.NNBatchTraced":    func() error { _, err := ix.NNBatchTraced(ctx, qs, 3, QueryBudget{}, nil); return err },
+				"Sharded.Range":          func() error { _, err := sx.Range(tc.q, 0.5); return err },
+				"Sharded.NN":             func() error { _, err := sx.NN(tc.q, 3); return err },
+				"Sharded.RangeBatch":     func() error { _, err := sx.RangeBatch(qs, 0.5); return err },
+				"Sharded.NNBatch":        func() error { _, err := sx.NNBatch(qs, 3); return err },
+				"Sharded.RunWorkload":    func() error { _, err := sx.RunWorkload(mix, qs, wopt); return err },
+				"Sharded.RangeBatchTraced": func() error {
+					_, err := sx.RangeBatchTraced(ctx, qs, 0.5, QueryBudget{}, nil)
+					return err
+				},
+				"Sharded.NNBatchTraced": func() error { _, err := sx.NNBatchTraced(ctx, qs, 3, QueryBudget{}, nil); return err },
 			}
-			if _, err := ix.NNBatch(qs, 3); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("NNBatch: err = %v, want ErrInvalidQuery", err)
-			}
-			if _, err := ix.RangeBatchTraced(context.Background(), qs, 0.5, QueryBudget{}, nil); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("RangeBatchTraced: err = %v, want ErrInvalidQuery", err)
-			}
-			if _, err := ix.NNBatchTraced(context.Background(), qs, 3, QueryBudget{}, nil); !errors.Is(err, ErrInvalidQuery) {
-				t.Errorf("NNBatchTraced: err = %v, want ErrInvalidQuery", err)
+			for name, call := range calls {
+				if err := callNoPanic(call); !errors.Is(err, ErrInvalidQuery) {
+					t.Errorf("%s: err = %v, want ErrInvalidQuery", name, err)
+				}
 			}
 		})
 	}
+}
+
+// callNoPanic turns a panic into an error, so an entry point that skips
+// validation fails the test instead of crashing it.
+func callNoPanic(call func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return call()
 }
 
 func TestHammingFacadeRejectsWrongLength(t *testing.T) {
@@ -104,7 +126,7 @@ func TestHammingFacadeRejectsWrongLength(t *testing.T) {
 	if _, err := sx.NNBatch([]Object{objs[0], "01"}, 2); !errors.Is(err, ErrInvalidQuery) {
 		t.Fatalf("sharded batch with bad query: err = %v, want ErrInvalidQuery", err)
 	}
-	if _, err := sx.NNCtx(context.Background(), "01", 2, QueryBudget{}); !errors.Is(err, ErrInvalidQuery) {
-		t.Fatalf("sharded NNCtx with bad query: err = %v, want ErrInvalidQuery", err)
+	if _, err := sx.NNBatchTraced(context.Background(), []Object{"01"}, 2, QueryBudget{}, nil); !errors.Is(err, ErrInvalidQuery) {
+		t.Fatalf("sharded NNBatchTraced with bad query: err = %v, want ErrInvalidQuery", err)
 	}
 }

@@ -21,6 +21,9 @@ type WorkloadOptions = workload.Options
 // and scores the cost model's predictions per class and overall —
 // the capacity-planning loop the paper motivates.
 func (ix *Index) RunWorkload(w *Workload, pool []Object, opt WorkloadOptions) (*WorkloadReport, error) {
+	if err := ix.check(pool...); err != nil {
+		return nil, err
+	}
 	return workload.Run(ix.tree, ix.model, w, pool, opt)
 }
 
@@ -39,6 +42,9 @@ type LevelExplain struct {
 // and returns the matches with a per-level prediction-vs-measurement
 // breakdown.
 func (ix *Index) ExplainRange(q Object, radius float64) ([]Match, []LevelExplain, error) {
+	if err := ix.check(q); err != nil {
+		return nil, nil, err
+	}
 	matches, profile, err := ix.tree.RangeProfile(q, radius)
 	if err != nil {
 		return nil, nil, err
