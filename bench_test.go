@@ -497,29 +497,6 @@ func BenchmarkParallelEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkBench4Engines runs the PR-4 execution-engine comparison
-// (per-query loop, batched traversal, sharded, sharded-batch) and
-// reports the batch layer's node-read amortization factor — the ratio
-// the BENCH_4.json artifact pins in CI (>= 2x at batch 32).
-func BenchmarkBench4Engines(b *testing.B) {
-	cfg := benchCfg()
-	var rangeAmort, nnAmort float64
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunBench4(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reads := map[string]float64{}
-		for _, row := range r.Rows {
-			reads[row.Engine+"/"+row.Kind] = row.NodeReadsPerQuery
-		}
-		rangeAmort = reads["loop/range"] / reads["batch/range"]
-		nnAmort = reads["loop/nn"] / reads["batch/nn"]
-	}
-	b.ReportMetric(rangeAmort, "range-read-amort-x")
-	b.ReportMetric(nnAmort, "nn-read-amort-x")
-}
-
 // BenchmarkShardedThroughput measures query throughput through the
 // sharded facade: the per-query fan-out against the batched paths, for
 // range and k-NN. ns/op is per full 64-query workload; reads/query

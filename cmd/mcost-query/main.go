@@ -59,12 +59,12 @@ func main() {
 	fs := flag.CommandLine
 	var (
 		df  = cliutil.RegisterDataset(fs, "words", 10_000, 10)
-		tf  = cliutil.RegisterTree(fs, 1)
+		tf  = cliutil.RegisterTree(fs, 1, true)
 		shf = cliutil.RegisterShards(fs, 1, "pivot", 1)
 		stf = cliutil.RegisterStorage(fs)
 		bf  = cliutil.RegisterBudget(fs, true)
 		cf  = cliutil.RegisterCache(fs, 0)
-		rf  = cliutil.RegisterRecal(fs)
+		rf  = cliutil.RegisterRecal(fs, true)
 		ef  = cliutil.RegisterEngine(fs, "tree")
 
 		queryStr = flag.String("query", "", "query word (string datasets)")

@@ -50,11 +50,11 @@ func main() {
 	fs := flag.CommandLine
 	var (
 		df  = cliutil.RegisterDataset(fs, "uniform", 10_000, 10)
-		tf  = cliutil.RegisterTree(fs, 1)
+		tf  = cliutil.RegisterTree(fs, 1, true)
 		shf = cliutil.RegisterShards(fs, 1, "pivot", -1)
 		stf = cliutil.RegisterStorage(fs)
 		cf  = cliutil.RegisterCache(fs, 0)
-		rf  = cliutil.RegisterRecal(fs)
+		rf  = cliutil.RegisterRecal(fs, true)
 		ef  = cliutil.RegisterEngine(fs, "auto")
 
 		addr       = flag.String("addr", ":8080", "listen address")

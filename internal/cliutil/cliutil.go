@@ -74,13 +74,16 @@ type TreeFlags struct {
 }
 
 // RegisterTree registers the tree flags on fs; seed is the
-// command-specific default.
-func RegisterTree(fs *flag.FlagSet, seed int64) *TreeFlags {
+// command-specific default. -layout is registered only withLayout, for
+// commands that serve queries from the built tree.
+func RegisterTree(fs *flag.FlagSet, seed int64, withLayout bool) *TreeFlags {
 	f := &TreeFlags{}
 	fs.IntVar(&f.PageSize, "pagesize", 4096, "M-tree node size in bytes")
 	fs.Int64Var(&f.Seed, "seed", seed, "random seed")
 	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines for estimation and query batches (0 = all CPUs); results are identical at any count")
-	fs.StringVar(&f.Layout, "layout", "memory", "node layout for query serving: memory | arena | arena-mmap; arena freezes the tree into flat columnar slabs with batched distance kernels (bit-identical results), arena-mmap serves them from a memory-mapped slab file")
+	if withLayout {
+		fs.StringVar(&f.Layout, "layout", "memory", "node layout for query serving: memory | arena | arena-mmap; arena freezes the tree into flat columnar slabs with batched distance kernels (bit-identical results), arena-mmap serves them from a memory-mapped slab file")
+	}
 	return f
 }
 
@@ -223,10 +226,14 @@ type RecalFlags struct {
 	Band    float64
 }
 
-// RegisterRecal registers the recalibration flags on fs.
-func RegisterRecal(fs *flag.FlagSet) *RecalFlags {
+// RegisterRecal registers the recalibration flags on fs. The -recal
+// switch is registered only withSwitch, for commands whose index may
+// run without recalibration.
+func RegisterRecal(fs *flag.FlagSet, withSwitch bool) *RecalFlags {
 	f := &RecalFlags{}
-	fs.BoolVar(&f.Enabled, "recal", false, "keep the cost model live under inserts and deletes: maintain the distance histogram incrementally, learn per-level bias corrections from observed traversal costs, and raise a drift alarm when the windowed prediction error leaves the band")
+	if withSwitch {
+		fs.BoolVar(&f.Enabled, "recal", false, "keep the cost model live under inserts and deletes: maintain the distance histogram incrementally, learn per-level bias corrections from observed traversal costs, and raise a drift alarm when the windowed prediction error leaves the band")
+	}
 	fs.IntVar(&f.Window, "recal-window", 0, "sliding window of recent executions the bias correction and drift alarm are computed over (0 = default 64)")
 	fs.Float64Var(&f.Band, "recal-band", 0, "relative windowed prediction error that triggers a drift alarm (0 = default 0.5)")
 	return f

@@ -33,7 +33,7 @@ func TestDatasetFlagsLoad(t *testing.T) {
 
 func TestTreeAndStorageOptions(t *testing.T) {
 	fs := newFlagSet()
-	tf := RegisterTree(fs, 42)
+	tf := RegisterTree(fs, 42, true)
 	sf := RegisterStorage(fs)
 	if err := fs.Parse([]string{"-pagesize", "8192", "-workers", "2", "-fault-read-rate", "0.1"}); err != nil {
 		t.Fatal(err)
@@ -83,10 +83,35 @@ func TestBudgetFlagsTimeoutGate(t *testing.T) {
 	}
 }
 
+// TestLayoutAndRecalGates: a command that never serves from the tree
+// (mcost-exp) registers neither -layout nor the -recal switch, but keeps
+// the tree and recal tuning flags its experiments read.
+func TestLayoutAndRecalGates(t *testing.T) {
+	fs := newFlagSet()
+	RegisterTree(fs, 42, false)
+	RegisterRecal(fs, false)
+	for _, name := range []string{"layout", "recal"} {
+		if fs.Lookup(name) != nil {
+			t.Fatalf("-%s must be gated off", name)
+		}
+	}
+	for _, name := range []string{"pagesize", "seed", "workers", "recal-window", "recal-band"} {
+		if fs.Lookup(name) == nil {
+			t.Fatalf("-%s not registered", name)
+		}
+	}
+	fs2 := newFlagSet()
+	RegisterTree(fs2, 1, true)
+	RegisterRecal(fs2, true)
+	if fs2.Lookup("layout") == nil || fs2.Lookup("recal") == nil {
+		t.Fatal("-layout and -recal must register when asked for")
+	}
+}
+
 func TestBuildPicksEngine(t *testing.T) {
 	fs := newFlagSet()
 	df := RegisterDataset(fs, "uniform", 300, 3)
-	tf := RegisterTree(fs, 1)
+	tf := RegisterTree(fs, 1, true)
 	shf := RegisterShards(fs, 1, "pivot", 1)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestVPModelMatchesMeasuredVisits(t *testing.T) {
 		for _, rq := range []float64{0.05, 0.1, 0.2} {
 			var vs vptree.VisitStats
 			for _, q := range queries {
-				if _, err := tr.Range(q, rq, &vs); err != nil {
+				if _, err := tr.Range(q, rq, &vs, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -139,7 +139,7 @@ func TestVPNNCostTracksMeasured(t *testing.T) {
 	for _, k := range []int{1, 5, 20} {
 		tr.ResetCounters()
 		for _, q := range queries {
-			if _, err := tr.NN(q, k, nil); err != nil {
+			if _, err := tr.NN(q, k, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -15,6 +15,8 @@ type AblationResult struct {
 	T *Table
 }
 
+func (r *AblationResult) Table() *Table { return r.T }
+
 // RunAblationPruning quantifies the parent-distance optimization the
 // cost model deliberately ignores (footnote 2): with it on, measured
 // distance computations drop below the model's (correct-by-design)

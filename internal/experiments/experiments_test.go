@@ -3,7 +3,9 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -243,17 +245,41 @@ func TestRunAblations(t *testing.T) {
 	}
 }
 
+// TestRegistryAndNames pins the one registry: every experiment once, in
+// name order, with a JSON form for exactly the six that have a golden
+// file or a CI artifact.
 func TestRegistryAndNames(t *testing.T) {
-	reg := Registry()
-	names := Names()
-	if len(reg) != len(names) {
-		t.Fatalf("registry %d, names %d", len(reg), len(names))
+	var names, jsonNames []string
+	for _, e := range Experiments() {
+		names = append(names, e.Name)
+		if e.JSON {
+			jsonNames = append(jsonNames, e.Name)
+		}
+		if got, ok := Lookup(e.Name); !ok || got.Name != e.Name {
+			t.Errorf("Lookup(%q) = %q, %v", e.Name, got.Name, ok)
+		}
 	}
-	for _, want := range []string{"table1", "hv", "fig1", "fig2", "fig3", "fig4", "fig5", "vptree",
-		"nnk", "complex", "multiview", "fractal", "join", "ablation-bias", "hmcm", "statsfree", "hverr", "cache",
-		"ablation-pruning", "ablation-bins", "ablation-sampling", "ablation-build", "bench4", "bench6", "bench9"} {
-		if _, ok := reg[want]; !ok {
-			t.Errorf("missing experiment %q", want)
+	wantNames := []string{"ablation-bias", "ablation-bins", "ablation-build", "ablation-pruning",
+		"ablation-sampling", "cache", "complex", "concentration", "fig1", "fig2", "fig3", "fig4", "fig5",
+		"fractal", "hmcm", "hv", "hverr", "join", "multiview", "nnk", "recal", "residuals", "statsfree",
+		"table1", "vptree"}
+	if !reflect.DeepEqual(names, wantNames) {
+		t.Fatalf("experiments %q, want %q", names, wantNames)
+	}
+	wantJSON := []string{"concentration", "fig1", "fig3", "recal", "residuals", "table1"}
+	if !reflect.DeepEqual(jsonNames, wantJSON) {
+		t.Fatalf("JSON experiments %q, want %q", jsonNames, wantJSON)
+	}
+	if _, ok := Lookup("all"); ok {
+		t.Fatal(`"all" must not name an experiment`)
+	}
+
+	// A text-only or unknown name fails before running anything, and the
+	// error names the experiments that do have a JSON form.
+	for _, name := range []string{"fig2", "nosuch"} {
+		err := WriteJSON(name, quickCfg(), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprint(wantJSON)) {
+			t.Fatalf("WriteJSON(%q) = %v, want an error listing %v", name, err, wantJSON)
 		}
 	}
 }
@@ -515,30 +541,4 @@ func datasetFor(cfg Config) *dataset.Dataset {
 
 func queriesFor(cfg Config) []metric.Object {
 	return dataset.PaperClusteredQueries(cfg.Queries, 10, cfg.Seed).Queries
-}
-
-// TestRunBench6 drives the result-cache benchmark at the quick scale:
-// a cold pass that already harvests Zipf repeats, then a warm pass
-// where every request is an exact repeat of a cached answer.
-func TestRunBench6(t *testing.T) {
-	r, err := RunBench6(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 || r.Rows[0].Phase != "cold" || r.Rows[1].Phase != "warm" {
-		t.Fatalf("rows: %+v", r.Rows)
-	}
-	cold, warm := r.Rows[0], r.Rows[1]
-	if cold.CacheHits == 0 {
-		t.Fatal("zipf cold pass produced no repeat hits")
-	}
-	if warm.CacheHits != warm.Requests {
-		t.Fatalf("warm pass replays the cold plan; every request must hit: %+v", warm)
-	}
-	if warm.NodeReads != 0 {
-		t.Fatalf("a fully-cached pass must spend no engine node reads: %+v", warm)
-	}
-	if cold.SavedNodeReads <= 0 || cold.ProbeDists <= 0 {
-		t.Fatalf("cold-pass cache accounting empty: %+v", cold)
-	}
 }

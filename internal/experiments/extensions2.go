@@ -23,6 +23,8 @@ type MultiViewResult struct {
 	T         *Table
 }
 
+func (r *MultiViewResult) Table() *Table { return r.T }
+
 // RunMultiView builds a two-island dataset (25%/75% mass, far apart),
 // fits both models, and compares per-query selectivity predictions.
 func RunMultiView(cfg Config) (*MultiViewResult, error) {

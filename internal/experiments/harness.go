@@ -71,20 +71,6 @@ type Config struct {
 	// the L-MCM prediction times this factor; budget-stopped queries
 	// contribute their partial results.
 	BudgetSlack float64
-	// Shards is the shard count for the bench4 sharded engines
-	// (default 4).
-	Shards int
-	// ShardAssign selects the bench4 shard assignment, "round-robin" or
-	// "pivot" (default "pivot").
-	ShardAssign string
-	// Batch is the batch size for the bench4 batched engines
-	// (default 32).
-	Batch int
-	// CacheEntries sizes the bench6 result cache (default 256).
-	CacheEntries int
-	// CacheMaxRadius caps the radius of cacheable range results in
-	// bench6 (0 = uncapped).
-	CacheMaxRadius float64
 	// RecalWindow is the sliding-window size for the recal experiment's
 	// recalibrator (0 = the recal package default, 64).
 	RecalWindow int

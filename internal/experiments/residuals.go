@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"mcost/internal/dataset"
@@ -161,9 +160,4 @@ func (r *ResidualReport) Table() *Table {
 		"",
 	})
 	return t
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *ResidualReport) WriteJSON(w io.Writer) error {
-	return writeIndentedJSON(w, r)
 }

@@ -55,7 +55,7 @@ func RunVP(cfg Config) (*VPResult, error) {
 			var vs vptree.VisitStats
 			tr.ResetCounters()
 			for _, q := range queries {
-				if _, err := tr.Range(q, rq, &vs); err != nil {
+				if _, err := tr.Range(q, rq, &vs, nil); err != nil {
 					return nil, err
 				}
 			}

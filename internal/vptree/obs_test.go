@@ -20,11 +20,11 @@ func TestTraceMatchesCounters(t *testing.T) {
 
 	for name, run := range map[string]func(vs *VisitStats, tr *obs.Trace) error{
 		"range": func(vs *VisitStats, tr *obs.Trace) error {
-			_, err := tree.RangeTraced(q, 0.3, vs, tr)
+			_, err := tree.Range(q, 0.3, vs, tr)
 			return err
 		},
 		"nn": func(vs *VisitStats, tr *obs.Trace) error {
-			_, err := tree.NNTraced(q, 5, vs, tr)
+			_, err := tree.NN(q, 5, vs, tr)
 			return err
 		},
 	} {
@@ -47,7 +47,7 @@ func TestTraceMatchesCounters(t *testing.T) {
 
 	// Untraced calls must be unaffected and nil traces free.
 	tree.ResetCounters()
-	if _, err := tree.Range(q, 0.3, nil); err != nil {
+	if _, err := tree.Range(q, 0.3, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tree.DistanceCount() == 0 {

@@ -10,13 +10,11 @@ package vptree
 
 import (
 	"container/heap"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 
-	"mcost/internal/budget"
 	"mcost/internal/metric"
 	"mcost/internal/obs"
 )
@@ -254,30 +252,12 @@ type VisitStats struct {
 	LeafVisits int
 }
 
-// Range returns all objects within radius of q. stats may be nil.
-func (t *Tree) Range(q metric.Object, radius float64, stats *VisitStats) ([]Match, error) {
-	return t.RangeTraced(q, radius, stats, nil)
-}
-
-// RangeTraced is Range with an optional per-query obs.Trace: node visits
-// and distance computations are recorded per depth (root = 1), and child
-// rings excluded by the cutoff test (Eq. 19, the vp-tree's pruning
-// lemma) are attributed as RadiusPruned at the parent's level. A nil
-// trace costs nothing.
-func (t *Tree) RangeTraced(q metric.Object, radius float64, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
-	return t.rangeSearch(nil, q, radius, stats, tr)
-}
-
-// RangeCtx is Range honoring ctx and a work budget at each node visit
-// (the vp-tree is main-memory, so a "node read" is a node visit). A
-// canceled context or an exceeded budget stops the traversal and
-// returns the matches found so far alongside the typed error — the
-// same partial-result contract as mtree.Tree.RangeCtx.
-func (t *Tree) RangeCtx(ctx context.Context, q metric.Object, radius float64, b budget.Budget, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
-	return t.rangeSearch(budget.NewGuard(ctx, b), q, radius, stats, tr)
-}
-
-func (t *Tree) rangeSearch(g *budget.Guard, q metric.Object, radius float64, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
+// Range returns all objects within radius of q. stats and tr may be nil;
+// a non-nil obs.Trace records node visits and distance computations per
+// depth (root = 1), and child rings excluded by the cutoff test (Eq. 19,
+// the vp-tree's pruning lemma) as RadiusPruned at the parent's level. A
+// nil trace costs nothing.
+func (t *Tree) Range(q metric.Object, radius float64, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
 	if q == nil {
 		return nil, errors.New("vptree: nil query")
 	}
@@ -286,16 +266,13 @@ func (t *Tree) rangeSearch(g *budget.Guard, q metric.Object, radius float64, sta
 	}
 	tr.StartRange(radius)
 	var out []Match
-	err := t.rangeAt(t.root, q, radius, 1, stats, tr, g, &out)
-	return out, err
+	t.rangeAt(t.root, q, radius, 1, stats, tr, &out)
+	return out, nil
 }
 
-func (t *Tree) rangeAt(n *node, q metric.Object, radius float64, level int, stats *VisitStats, tr *obs.Trace, g *budget.Guard, out *[]Match) error {
+func (t *Tree) rangeAt(n *node, q metric.Object, radius float64, level int, stats *VisitStats, tr *obs.Trace, out *[]Match) {
 	if n == nil {
-		return nil
-	}
-	if err := g.BeforeFetch(); err != nil {
-		return err
+		return
 	}
 	if n.leaf {
 		if stats != nil {
@@ -305,14 +282,11 @@ func (t *Tree) rangeAt(n *node, q metric.Object, radius float64, level int, stat
 		for _, it := range n.bucket {
 			d := t.dist(q, it.obj)
 			tr.Dist(level)
-			if err := g.OnDist(); err != nil {
-				return err
-			}
 			if d <= radius {
 				*out = append(*out, Match{Object: it.obj, OID: it.oid, Distance: d})
 			}
 		}
-		return nil
+		return
 	}
 	if stats != nil {
 		stats.InternalVisits++
@@ -320,9 +294,6 @@ func (t *Tree) rangeAt(n *node, q metric.Object, radius float64, level int, stat
 	tr.Visit(level)
 	d := t.dist(q, n.vantage)
 	tr.Dist(level)
-	if err := g.OnDist(); err != nil {
-		return err
-	}
 	if d <= radius {
 		*out = append(*out, Match{Object: n.vantage, OID: n.vid, Distance: d})
 	}
@@ -335,15 +306,12 @@ func (t *Tree) rangeAt(n *node, q metric.Object, radius float64, level int, stat
 		// Child i holds objects with vantage distance in (lo, hi]; the
 		// paper's rule (Eq. 19): visit iff mu_{i-1} - rQ < d <= mu_i + rQ.
 		if d > lo-radius && d <= hi+radius {
-			if err := t.rangeAt(child, q, radius, level+1, stats, tr, g, out); err != nil {
-				return err
-			}
+			t.rangeAt(child, q, radius, level+1, stats, tr, out)
 		} else if child != nil {
 			tr.PruneRadius(level)
 		}
 		lo = hi
 	}
-	return nil
 }
 
 // nnItem is a pending subtree ordered by its distance lower bound.
@@ -380,25 +348,9 @@ func (h *resultHeap) Pop() interface{} {
 }
 
 // NN returns the k nearest neighbors of q by best-first search with ring
-// lower bounds. stats may be nil.
-func (t *Tree) NN(q metric.Object, k int, stats *VisitStats) ([]Match, error) {
-	return t.NNTraced(q, k, stats, nil)
-}
-
-// NNTraced is NN with an optional per-query obs.Trace (see RangeTraced
-// for the recording conventions). A nil trace costs nothing.
-func (t *Tree) NNTraced(q metric.Object, k int, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
-	return t.nnSearch(nil, q, k, stats, tr)
-}
-
-// NNCtx is NN honoring ctx and a work budget at each node visit (see
-// RangeCtx). On a stop the best matches so far are returned in
-// increasing-distance order alongside the typed error.
-func (t *Tree) NNCtx(ctx context.Context, q metric.Object, k int, b budget.Budget, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
-	return t.nnSearch(budget.NewGuard(ctx, b), q, k, stats, tr)
-}
-
-func (t *Tree) nnSearch(g *budget.Guard, q metric.Object, k int, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
+// lower bounds. stats and tr may be nil (see Range for what a trace
+// records).
+func (t *Tree) NN(q metric.Object, k int, stats *VisitStats, tr *obs.Trace) ([]Match, error) {
 	if q == nil {
 		return nil, errors.New("vptree: nil query")
 	}
@@ -426,20 +378,10 @@ func (t *Tree) nnSearch(g *budget.Guard, q metric.Object, k int, stats *VisitSta
 			heap.Pop(best)
 		}
 	}
-	drain := func() []Match {
-		out := make([]Match, best.Len())
-		for i := best.Len() - 1; i >= 0; i-- {
-			out[i] = heap.Pop(best).(Match)
-		}
-		return out
-	}
 	for pq.Len() > 0 {
 		item := heap.Pop(pq).(nnItem)
 		if item.dMin > rk() {
 			break
-		}
-		if err := g.BeforeFetch(); err != nil {
-			return drain(), err
 		}
 		n := item.n
 		if n.leaf {
@@ -450,9 +392,6 @@ func (t *Tree) nnSearch(g *budget.Guard, q metric.Object, k int, stats *VisitSta
 			for _, it := range n.bucket {
 				d := t.dist(q, it.obj)
 				tr.Dist(item.level)
-				if err := g.OnDist(); err != nil {
-					return drain(), err
-				}
 				add(Match{Object: it.obj, OID: it.oid, Distance: d})
 			}
 			continue
@@ -463,9 +402,6 @@ func (t *Tree) nnSearch(g *budget.Guard, q metric.Object, k int, stats *VisitSta
 		tr.Visit(item.level)
 		d := t.dist(q, n.vantage)
 		tr.Dist(item.level)
-		if err := g.OnDist(); err != nil {
-			return drain(), err
-		}
 		add(Match{Object: n.vantage, OID: n.vid, Distance: d})
 		lo := 0.0
 		for i, child := range n.children {
@@ -490,7 +426,11 @@ func (t *Tree) nnSearch(g *budget.Guard, q metric.Object, k int, stats *VisitSta
 			lo = hi
 		}
 	}
-	return drain(), nil
+	out := make([]Match, best.Len())
+	for i := best.Len() - 1; i >= 0; i-- {
+		out[i] = heap.Pop(best).(Match)
+	}
+	return out, nil
 }
 
 // CutoffsAtRoot exposes the root's cutoff values (nil for a leaf root):

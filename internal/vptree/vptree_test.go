@@ -70,11 +70,11 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.Range(metric.Vector{0, 0}, 1, nil)
+	got, err := tr.Range(metric.Vector{0, 0}, 1, nil, nil)
 	if err != nil || got != nil {
 		t.Fatalf("empty range: %v %v", got, err)
 	}
-	nn, err := tr.NN(metric.Vector{0, 0}, 3, nil)
+	nn, err := tr.NN(metric.Vector{0, 0}, 3, nil, nil)
 	if err != nil || nn != nil {
 		t.Fatalf("empty NN: %v %v", nn, err)
 	}
@@ -89,7 +89,7 @@ func TestRangeMatchesScanAcrossShapes(t *testing.T) {
 		queries := dataset.PaperClusteredQueries(12, 5, int64(31+cfg.m)).Queries
 		for _, q := range queries {
 			for _, r := range []float64{0.05, 0.15, 0.35} {
-				got, err := tr.Range(q, r, nil)
+				got, err := tr.Range(q, r, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -113,7 +113,7 @@ func TestAllObjectsIndexed(t *testing.T) {
 	// A full-bound range query returns every object exactly once.
 	d := dataset.Uniform(500, 3, 41)
 	tr := buildVP(t, d, Options{M: 3, BucketSize: 4, Seed: 1})
-	got, err := tr.Range(metric.Vector{0.5, 0.5, 0.5}, d.Space.Bound, nil)
+	got, err := tr.Range(metric.Vector{0.5, 0.5, 0.5}, d.Space.Bound, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestNNMatchesScan(t *testing.T) {
 	queries := dataset.WordQueries(10, 42).Queries
 	for _, q := range queries {
 		for _, k := range []int{1, 5, 20} {
-			got, err := tr.NN(q, k, nil)
+			got, err := tr.NN(q, k, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,16 +151,16 @@ func TestNNMatchesScan(t *testing.T) {
 func TestNNArgErrors(t *testing.T) {
 	d := dataset.Uniform(50, 2, 43)
 	tr := buildVP(t, d, Options{})
-	if _, err := tr.NN(nil, 1, nil); err == nil {
+	if _, err := tr.NN(nil, 1, nil, nil); err == nil {
 		t.Error("nil query accepted")
 	}
-	if _, err := tr.NN(d.Objects[0], 0, nil); err == nil {
+	if _, err := tr.NN(d.Objects[0], 0, nil, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := tr.Range(nil, 1, nil); err == nil {
+	if _, err := tr.Range(nil, 1, nil, nil); err == nil {
 		t.Error("nil range query accepted")
 	}
-	if _, err := tr.Range(d.Objects[0], -0.5, nil); err == nil {
+	if _, err := tr.Range(d.Objects[0], -0.5, nil, nil); err == nil {
 		t.Error("negative radius accepted")
 	}
 }
@@ -170,10 +170,10 @@ func TestVisitStatsAndPruning(t *testing.T) {
 	tr := buildVP(t, d, Options{M: 3, BucketSize: 1, Seed: 3})
 	q := dataset.UniformQueries(1, 6, 9).Queries[0]
 	var small, large VisitStats
-	if _, err := tr.Range(q, 0.05, &small); err != nil {
+	if _, err := tr.Range(q, 0.05, &small, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.Range(q, 0.6, &large); err != nil {
+	if _, err := tr.Range(q, 0.6, &large, nil); err != nil {
 		t.Fatal(err)
 	}
 	if small.InternalVisits >= large.InternalVisits {
@@ -192,7 +192,7 @@ func TestDistanceCounterTracksVisits(t *testing.T) {
 	tr := buildVP(t, d, Options{M: 2, BucketSize: 1, Seed: 4})
 	tr.ResetCounters()
 	var vs VisitStats
-	if _, err := tr.Range(d.Objects[0], 0.1, &vs); err != nil {
+	if _, err := tr.Range(d.Objects[0], 0.1, &vs, nil); err != nil {
 		t.Fatal(err)
 	}
 	// BucketSize=1: one distance per internal visit plus one per leaf

@@ -1,11 +1,9 @@
 package mcost
 
 import (
-	"context"
 	"time"
 
 	"mcost/internal/budget"
-	"mcost/internal/core"
 	"mcost/internal/mtree"
 	"mcost/internal/pager"
 )
@@ -75,14 +73,6 @@ type StorageOptions struct {
 
 func (s StorageOptions) enabled() bool { return s.Paged || s.Faults != nil }
 
-// DefaultBudgetSlack is the budget slack factor used when a VPTree
-// budget is derived with slack <= 0: the query may spend this multiple
-// of the model's predicted cost before being stopped. The predictions
-// are accurate on average (~10%) but are per-workload means; individual
-// queries vary, so the default leaves generous room and only catches
-// pathological degeneration.
-const DefaultBudgetSlack = 4.0
-
 // buildStorage assembles the page stack for Build when storage options
 // ask for one, returning the mounted tree options.
 func buildStorage(space *Space, sample Object, opt Options) (mtree.Options, *pager.Stack, error) {
@@ -141,40 +131,4 @@ func (ix *Index) FaultStats() FaultStats {
 		return FaultStats{}
 	}
 	return ix.stack.Faulty.FaultStats()
-}
-
-// VPBudget derives a distance-computation budget for vp-tree queries
-// from the Section 5 model: predicted visits and distances times slack.
-func vpBudget(est core.VPCost, slack float64) QueryBudget {
-	if slack <= 0 {
-		slack = DefaultBudgetSlack
-	}
-	return budget.FromPrediction(est.InternalVisits+est.LeafVisits, est.Dists, slack, 0)
-}
-
-// RangeBudget derives a QueryBudget for vp-tree range queries (slack
-// <= 0 picks DefaultBudgetSlack). Node reads count node visits: the
-// vp-tree is main-memory.
-func (vp *VPTree) RangeBudget(radius, slack float64) QueryBudget {
-	return vpBudget(vp.model.RangeCost(radius), slack)
-}
-
-// NNBudget derives a QueryBudget for vp-tree k-NN queries.
-func (vp *VPTree) NNBudget(k int, slack float64) QueryBudget {
-	return vpBudget(vp.model.NNCost(k), slack)
-}
-
-// RangeCtx is VPTree.Range honoring ctx and an optional budget: on a
-// budget, cancellation or deadline stop the matches found so far are
-// returned alongside the typed error; each is a true match within
-// radius, completeness is what was given up.
-func (vp *VPTree) RangeCtx(ctx context.Context, q Object, radius float64, b QueryBudget) ([]VPMatch, error) {
-	return vp.tree.RangeCtx(ctx, q, radius, b, nil, nil)
-}
-
-// NNCtx is VPTree.NN honoring ctx and an optional budget (see
-// RangeCtx): on a stop the best neighbors found so far are returned,
-// closest first.
-func (vp *VPTree) NNCtx(ctx context.Context, q Object, k int, b QueryBudget) ([]VPMatch, error) {
-	return vp.tree.NNCtx(ctx, q, k, b, nil, nil)
 }

@@ -78,12 +78,12 @@ func BuildVPTree(space *Space, objects []Object, opt VPOptions) (*VPTree, error)
 
 // Range returns all objects within radius of q.
 func (vp *VPTree) Range(q Object, radius float64) ([]VPMatch, error) {
-	return vp.tree.Range(q, radius, nil)
+	return vp.tree.Range(q, radius, nil, nil)
 }
 
 // NN returns the k nearest neighbors of q, closest first.
 func (vp *VPTree) NN(q Object, k int) ([]VPMatch, error) {
-	return vp.tree.NN(q, k, nil)
+	return vp.tree.NN(q, k, nil, nil)
 }
 
 // PredictRange predicts the CPU cost of range(Q, radius) with the
