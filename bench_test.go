@@ -209,7 +209,7 @@ func BenchmarkAblationBuild(b *testing.B) {
 // BenchmarkRunAllSmoke exercises the full experiment registry once per
 // iteration at a tiny scale — the end-to-end path of cmd/mcost-exp.
 func BenchmarkRunAllSmoke(b *testing.B) {
-	cfg := experiments.Config{N: 800, Queries: 10, PageSize: 1024, Seed: 7}
+	cfg := experiments.Config{N: 800, Queries: 10, PageSize: 2048, Seed: 7}
 	for i := 0; i < b.N; i++ {
 		if err := experiments.RunAll(cfg, io.Discard); err != nil {
 			b.Fatal(err)

@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -256,15 +255,9 @@ func (b *built) measureRange(queries []metric.Object, radius float64) (nodes, di
 	qb := b.budgetFor(b.model.RangeL(radius))
 	counts := make([]int, len(queries))
 	err = parallel.For(b.workers, len(queries), func(i int) error {
-		var ms []mtree.Match
-		var err error
-		if qb.Unlimited() {
-			ms, err = b.tr.Range(queries[i], radius, mtree.QueryOptions{})
-		} else {
-			ms, err = b.tr.RangeCtx(context.Background(), queries[i], radius, mtree.QueryOptions{Budget: qb})
-			if errors.Is(err, budget.ErrExceeded) {
-				err = nil // degraded: keep the partial result set
-			}
+		ms, err := b.tr.Range(queries[i], radius, mtree.QueryOptions{Budget: qb})
+		if errors.Is(err, budget.ErrExceeded) {
+			err = nil // degraded: keep the partial result set
 		}
 		if err != nil {
 			return err
@@ -321,15 +314,9 @@ func (b *built) measureNN(queries []metric.Object, k int) (nodes, dists, nnDist 
 	qb := b.budgetFor(b.model.NNL(k))
 	kth := make([]float64, len(queries))
 	err = parallel.For(b.workers, len(queries), func(i int) error {
-		var ms []mtree.Match
-		var err error
-		if qb.Unlimited() {
-			ms, err = b.tr.NN(queries[i], k, mtree.QueryOptions{})
-		} else {
-			ms, err = b.tr.NNCtx(context.Background(), queries[i], k, mtree.QueryOptions{Budget: qb})
-			if errors.Is(err, budget.ErrExceeded) {
-				err = nil // degraded: keep the best neighbors found
-			}
+		ms, err := b.tr.NN(queries[i], k, mtree.QueryOptions{Budget: qb})
+		if errors.Is(err, budget.ErrExceeded) {
+			err = nil // degraded: keep the best neighbors found
 		}
 		if err != nil {
 			return err

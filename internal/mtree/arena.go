@@ -190,7 +190,7 @@ func (a *Arena) load(ref int32) (nodeView, error) {
 // vector spaces). Results, order, traces, and counters are identical to
 // Tree.Range.
 func (a *Arena) RangeAppend(dst []Match, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	return a.rangeQuery(nil, dst, q, radius, opt)
+	return a.rangeQuery(dst, q, radius, opt)
 }
 
 // NNAppend runs a k-NN query over the arena, appending the neighbors
@@ -198,5 +198,5 @@ func (a *Arena) RangeAppend(dst []Match, q metric.Object, radius float64, opt Qu
 // dst and the pooled scratch are warm. Results are identical to
 // Tree.NN.
 func (a *Arena) NNAppend(dst []Match, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	return a.nnQuery(nil, dst, q, k, math.Inf(1), opt)
+	return a.nnQuery(dst, q, k, math.Inf(1), opt)
 }

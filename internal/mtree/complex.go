@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"mcost/internal/budget"
 	"mcost/internal/metric"
 	"mcost/internal/pager"
 )
@@ -41,24 +42,17 @@ func validatePreds(preds []Pred) error {
 // each predicate's query object are counted per evaluation, so the CPU
 // cost of a 2-predicate conjunction on an accessed node is up to
 // 2·e(N) — short-circuited when an earlier predicate already fails.
+// opt.Budget and opt.Ctx stop it like Range, with the partial matches.
 func (t *Tree) RangeAnd(preds []Pred, opt QueryOptions) ([]Match, error) {
-	if err := validatePreds(preds); err != nil {
-		return nil, err
-	}
-	if t.root == pager.InvalidPage {
-		return nil, nil
-	}
-	var out []Match
-	dq := make([]float64, len(preds))
-	for i := range dq {
-		dq[i] = math.NaN()
-	}
-	err := t.complexAt(t.root, preds, dq, true, opt, &out)
-	return out, err
+	return t.complexQuery(preds, true, opt)
 }
 
 // RangeOr returns the objects satisfying at least one predicate.
 func (t *Tree) RangeOr(preds []Pred, opt QueryOptions) ([]Match, error) {
+	return t.complexQuery(preds, false, opt)
+}
+
+func (t *Tree) complexQuery(preds []Pred, conj bool, opt QueryOptions) ([]Match, error) {
 	if err := validatePreds(preds); err != nil {
 		return nil, err
 	}
@@ -70,13 +64,16 @@ func (t *Tree) RangeOr(preds []Pred, opt QueryOptions) ([]Match, error) {
 	for i := range dq {
 		dq[i] = math.NaN()
 	}
-	err := t.complexAt(t.root, preds, dq, false, opt, &out)
+	err := t.complexAt(t.root, preds, dq, conj, opt, opt.guard(), &out)
 	return out, err
 }
 
 // complexAt is the shared traversal. distQP[i] is d(preds[i].Q, routing
 // object of this node), NaN at the root. conj selects AND (true) or OR.
-func (t *Tree) complexAt(id pager.PageID, preds []Pred, distQP []float64, conj bool, opt QueryOptions, out *[]Match) error {
+func (t *Tree) complexAt(id pager.PageID, preds []Pred, distQP []float64, conj bool, opt QueryOptions, g *budget.Guard, out *[]Match) error {
+	if err := g.BeforeFetch(); err != nil {
+		return err
+	}
 	n, err := t.fetch(id)
 	if err != nil {
 		return err
@@ -103,6 +100,9 @@ func (t *Tree) complexAt(id pager.PageID, preds []Pred, distQP []float64, conj b
 					}
 					continue
 				}
+			}
+			if err := g.OnDist(); err != nil {
+				return err
 			}
 			d := t.dist(p.Q, e.Object)
 			childDists[pi] = d
@@ -140,7 +140,7 @@ func (t *Tree) complexAt(id pager.PageID, preds []Pred, distQP []float64, conj b
 		// disabling their pruning below (conservative, never wrong).
 		next := make([]float64, len(preds))
 		copy(next, childDists)
-		if err := t.complexAt(e.Child, preds, next, conj, opt, out); err != nil {
+		if err := t.complexAt(e.Child, preds, next, conj, opt, g, out); err != nil {
 			return err
 		}
 	}

@@ -177,13 +177,18 @@ func checkArgs(qs []metric.Object, radius float64, k int) error {
 }
 
 // rangeQuery appends to dst all objects within radius of q, in DFS
-// order. A nil guard is unlimited; on a guard stop or a failed node
-// read the matches found so far are returned with the error.
-func (e *engine) rangeQuery(g *budget.Guard, dst []Match, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
+// order. On a guard stop (see QueryOptions.Ctx) or a failed node read
+// the matches found so far are returned with the error.
+func (e *engine) rangeQuery(dst []Match, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
 	if err := checkArgs([]metric.Object{q}, radius, 1); err != nil {
 		return dst, err
 	}
 	opt.Trace.StartRange(radius)
+	return e.rangeSearch(opt.guard(), dst, q, radius, opt)
+}
+
+// rangeSearch is the depth-first walk of rangeQuery, untraced at entry.
+func (e *engine) rangeSearch(g *budget.Guard, dst []Match, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
 	sc := e.getScratch(q)
 	first, n := e.src.roots()
 	var err error
@@ -382,12 +387,12 @@ func rk(best []Match, k int, bound, stopRadius float64) float64 {
 // never expanding a subtree whose distance lower bound exceeds
 // stopRadius (+Inf for plain NN). On a guard stop or a failed node read
 // the best matches so far are returned with the error.
-func (e *engine) nnQuery(g *budget.Guard, dst []Match, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
+func (e *engine) nnQuery(dst []Match, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
 	if err := checkArgs([]metric.Object{q}, stopRadius, k); err != nil {
 		return dst, err
 	}
 	opt.Trace.StartNN(k)
-	return e.nnSearch(g, dst, q, k, stopRadius, opt, nil)
+	return e.nnSearch(opt.guard(), dst, q, k, stopRadius, opt, nil)
 }
 
 // nnSearch is the best-first loop. A non-nil memo gives nnBatch's
@@ -476,7 +481,7 @@ search:
 // distance computations stay per query, and out[i] is exactly what
 // rangeQuery returns for qs[i], in the same order. The guard caps the
 // batch as a whole; on a stop every query keeps its matches so far.
-func (e *engine) rangeBatch(g *budget.Guard, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
+func (e *engine) rangeBatch(qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
 	if err := checkArgs(qs, radius, 1); err != nil {
 		return nil, err
 	}
@@ -485,6 +490,14 @@ func (e *engine) rangeBatch(g *budget.Guard, qs []metric.Object, radius float64,
 		return out, nil
 	}
 	opt.Trace.StartRangeBatch(radius, len(qs))
+	g := opt.guard()
+	if len(qs) == 1 {
+		// One query shares nothing: the sequential walk visits the same
+		// nodes in the same order, without per-descent active lists.
+		var err error
+		out[0], err = e.rangeSearch(g, nil, qs[0], radius, opt)
+		return out, err
+	}
 	scs := make([]*scratch, len(qs))
 	active := make([]int, len(qs))
 	dQP := make([]float64, len(qs))
@@ -575,7 +588,7 @@ func (e *engine) batchVisit(ref int32, level int, active []int, dQP []float64, r
 // their complete results, the in-flight query returns its best-so-far,
 // and queries not yet started return nil. Memory is O(distinct nodes
 // the batch visits).
-func (e *engine) nnBatch(g *budget.Guard, qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
+func (e *engine) nnBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
 	if err := checkArgs(qs, 0, k); err != nil {
 		return nil, err
 	}
@@ -584,7 +597,11 @@ func (e *engine) nnBatch(g *budget.Guard, qs []metric.Object, k int, opt QueryOp
 		return out, nil
 	}
 	opt.Trace.StartNNBatch(k, len(qs))
-	memo := make(map[int32]nodeView)
+	g := opt.guard()
+	var memo map[int32]nodeView
+	if len(qs) > 1 {
+		memo = make(map[int32]nodeView) // one search reads each node once anyway
+	}
 	for i, q := range qs {
 		var err error
 		if out[i], err = e.nnSearch(g, nil, q, k, math.Inf(1), opt, memo); err != nil {

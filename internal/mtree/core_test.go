@@ -1,7 +1,6 @@
 package mtree
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -100,12 +99,10 @@ func TestKernelDispatchByFunctionIdentity(t *testing.T) {
 
 // queryEngine is the surface Tree and Scan share.
 type queryEngine interface {
-	RangeCtx(ctx context.Context, q metric.Object, radius float64, opt QueryOptions) ([]Match, error)
-	NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptions) ([]Match, error)
+	Range(q metric.Object, radius float64, opt QueryOptions) ([]Match, error)
+	NN(q metric.Object, k int, opt QueryOptions) ([]Match, error)
 	RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error)
-	RangeBatchCtx(ctx context.Context, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error)
 	NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, error)
-	NNBatchCtx(ctx context.Context, qs []metric.Object, k int, opt QueryOptions) ([][]Match, error)
 	NodeReads() int64
 	DistanceCount() int64
 }
@@ -135,21 +132,20 @@ func TestStoppedQueryCountersMatchTrace(t *testing.T) {
 	sources, d := threeSources(t, 1200)
 	queries := dataset.PaperClusteredQueries(8, 6, 4242).Queries
 	const radius, k = 0.3, 5
-	ctx := context.Background()
 	shapes := map[string]func(e queryEngine, opt QueryOptions) ([][]Match, error){
 		"range": func(e queryEngine, opt QueryOptions) ([][]Match, error) {
-			ms, err := e.RangeCtx(ctx, queries[0], radius, opt)
+			ms, err := e.Range(queries[0], radius, opt)
 			return [][]Match{ms}, err
 		},
 		"nn": func(e queryEngine, opt QueryOptions) ([][]Match, error) {
-			ms, err := e.NNCtx(ctx, queries[0], k, opt)
+			ms, err := e.NN(queries[0], k, opt)
 			return [][]Match{ms}, err
 		},
 		"range-batch": func(e queryEngine, opt QueryOptions) ([][]Match, error) {
-			return e.RangeBatchCtx(ctx, queries, radius, opt)
+			return e.RangeBatch(queries, radius, opt)
 		},
 		"nn-batch": func(e queryEngine, opt QueryOptions) ([][]Match, error) {
-			return e.NNBatchCtx(ctx, queries, k, opt)
+			return e.NNBatch(queries, k, opt)
 		},
 	}
 	stops := map[string]budget.Budget{

@@ -119,7 +119,7 @@ func TestQueryCancellationMidTraversal(t *testing.T) {
 	// Arm the cancellation 4 reads into the next query.
 	wrap.reads = 0
 	wrap.n = 4
-	partial, err := tr.RangeCtx(ctx, q, 0.5, QueryOptions{})
+	partial, err := tr.Range(q, 0.5, QueryOptions{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -143,7 +143,7 @@ func TestQueryCancellationMidTraversal(t *testing.T) {
 
 	// The tree and pager stay fully usable afterwards.
 	wrap.n = 1 << 30
-	got, err := tr.RangeCtx(context.Background(), q, 0.5, QueryOptions{})
+	got, err := tr.Range(q, 0.5, QueryOptions{})
 	if err != nil {
 		t.Fatalf("query after cancellation: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestBudgetPartialResults(t *testing.T) {
 	}
 
 	qb := QueryBudget{MaxNodeReads: 5}
-	partial, err := tr.RangeCtx(context.Background(), q, 0.6, QueryOptions{Budget: qb})
+	partial, err := tr.Range(q, 0.6, QueryOptions{Budget: qb})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
@@ -181,7 +181,7 @@ func TestBudgetPartialResults(t *testing.T) {
 	}
 
 	// NN partials: true objects at true distances, sorted ascending.
-	nn, err := tr.NNCtx(context.Background(), q, 10, QueryOptions{Budget: QueryBudget{MaxDistCalcs: 40}})
+	nn, err := tr.NN(q, 10, QueryOptions{Budget: QueryBudget{MaxDistCalcs: 40}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("NN: got %v, want ErrBudgetExceeded", err)
 	}
@@ -314,7 +314,7 @@ func TestFaultMatrix(t *testing.T) {
 				qb = QueryBudget{MaxNodeReads: 6, MaxDistCalcs: 200}
 			}
 			for i, q := range queries {
-				got, err := tr.RangeCtx(context.Background(), q, radius, QueryOptions{Budget: qb})
+				got, err := tr.Range(q, radius, QueryOptions{Budget: qb})
 				switch {
 				case err == nil:
 					fullOK++
@@ -336,7 +336,7 @@ func TestFaultMatrix(t *testing.T) {
 					t.Fatalf("query %d: untyped error %v", i, err)
 				}
 
-				nn, err := tr.NNCtx(context.Background(), q, k, QueryOptions{Budget: qb})
+				nn, err := tr.NN(q, k, QueryOptions{Budget: qb})
 				switch {
 				case err == nil:
 					if !sameMatches(nn, refs[i].nnMs) {

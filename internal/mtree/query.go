@@ -11,7 +11,7 @@ import (
 )
 
 // QueryBudget caps one query's node reads and distance computations;
-// see RangeCtx. The zero value is unlimited.
+// see QueryOptions.Budget. The zero value is unlimited.
 type QueryBudget = budget.Budget
 
 // ErrBudgetExceeded is the sentinel for budget-stopped queries (match
@@ -36,13 +36,26 @@ type QueryOptions struct {
 	// Trace must not be shared by concurrent queries — give each query
 	// its own and obs.Trace.Merge them in query order.
 	Trace *obs.Trace
-	// Budget caps the query's node reads and distance computations.
-	// Only the context-aware entry points (RangeCtx, NNCtx) honor it;
-	// the plain methods ignore it and stay zero-overhead. Seed it from
-	// the cost model's prediction times a slack factor to make the
-	// model gate its own queries.
+	// Budget caps the node reads and distance computations of the
+	// query, or of a batch as a whole. Seed it from the cost model's
+	// prediction times a slack factor to make the model gate its own
+	// queries.
 	Budget QueryBudget
+	// Ctx cancels the query (nil = background). Ctx and the node cap
+	// are checked before each node fetch, the distance cap at each
+	// distance computation: a query that would exceed its budget stops
+	// with a typed error matching ErrBudgetExceeded, a canceled or
+	// expired context surfaces its context error, and in both cases the
+	// matches found before the stop come back alongside the error — a
+	// valid partial result (every match is a true object at its true
+	// distance; completeness is what was given up). Every entry point
+	// honors both; with neither set the guard is nil and costs nothing.
+	Ctx context.Context
 }
+
+// guard returns the budget and context guard of one query or batch —
+// nil, and free, when neither can trip.
+func (opt QueryOptions) guard() *budget.Guard { return budget.NewGuard(opt.Ctx, opt.Budget) }
 
 // Match is one query result.
 type Match struct {
@@ -86,18 +99,7 @@ func (t *Tree) load(ref int32) (nodeView, error) {
 
 // Range returns all objects within radius of q, in unspecified order.
 func (t *Tree) Range(q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	return t.engine().rangeQuery(nil, nil, q, radius, opt)
-}
-
-// RangeCtx is Range honoring ctx and opt.Budget at each node fetch: a
-// canceled or expired context surfaces its context error, and a query
-// that would exceed its budget stops with a typed error matching
-// ErrBudgetExceeded. In both cases the matches found before the stop
-// are returned alongside the error — a valid partial result set (every
-// returned match is within radius; completeness is what was given up).
-// With a background context and a zero budget it is exactly Range.
-func (t *Tree) RangeCtx(ctx context.Context, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	return t.engine().rangeQuery(budget.NewGuard(ctx, opt.Budget), nil, q, radius, opt)
+	return t.engine().rangeQuery(nil, q, radius, opt)
 }
 
 // NN returns the k nearest neighbors of q ordered by increasing
@@ -109,15 +111,6 @@ func (t *Tree) NN(q metric.Object, k int, opt QueryOptions) ([]Match, error) {
 	return t.NNWithStop(q, k, math.Inf(1), opt)
 }
 
-// NNCtx is NN honoring ctx and opt.Budget at each node fetch (see
-// RangeCtx for the stop semantics). On a stop the best matches found so
-// far are returned in increasing-distance order alongside the error: a
-// partial result — each returned object is a true object at its true
-// distance, but a closer neighbor may not have been reached yet.
-func (t *Tree) NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	return t.NNWithStopCtx(ctx, q, k, math.Inf(1), opt)
-}
-
 // NNWithStop is NN with an additional stop radius: subtrees whose
 // distance lower bound exceeds stopRadius are never expanded, even if
 // the current k-th candidate is farther. With stopRadius = d+ it is
@@ -126,12 +119,7 @@ func (t *Tree) NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptio
 // probably-approximately-correct NN: the true neighbors are missed only
 // in the low-probability tail where nn_k exceeds the chosen quantile.
 func (t *Tree) NNWithStop(q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	return t.engine().nnQuery(nil, nil, q, k, stopRadius, opt)
-}
-
-// NNWithStopCtx is NNWithStop honoring ctx and opt.Budget (see NNCtx).
-func (t *Tree) NNWithStopCtx(ctx context.Context, q metric.Object, k int, stopRadius float64, opt QueryOptions) ([]Match, error) {
-	return t.engine().nnQuery(budget.NewGuard(ctx, opt.Budget), nil, q, k, stopRadius, opt)
+	return t.engine().nnQuery(nil, q, k, stopRadius, opt)
 }
 
 // Batched query execution. RangeBatch and NNBatch run a slice of
@@ -150,24 +138,17 @@ func (t *Tree) NNWithStopCtx(ctx context.Context, q metric.Object, k int, stopRa
 // Budget belongs to one batch at a time. A traced batch records each
 // node visit once per batch (the amortized accounting) and each
 // distance computation per query; Trace.Batches counts executions. An
-// empty batch does no work and records no trace.
+// empty batch does no work and records no trace. A Budget caps the
+// batch as a whole; on a stop RangeBatch returns every query's partial
+// matches, and NNBatch keeps finished queries complete, the in-flight
+// query's best-so-far, and nil for queries not yet started.
 
 // RangeBatch returns, for each query in qs, all objects within radius
 // of it — out[i] is exactly what Range(qs[i], radius, opt) returns, in
 // the same order, but the batch traverses the tree once, fetching each
 // node a single time for all queries that need it.
 func (t *Tree) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	return t.engine().rangeBatch(nil, qs, radius, opt)
-}
-
-// RangeBatchCtx is RangeBatch honoring ctx and opt.Budget. The budget
-// caps the batch as a whole (node reads are shared property of the
-// batch; distance computations sum over queries). On a stop the
-// per-query partial result sets accumulated so far are returned
-// alongside the typed error — every returned match is a true match
-// within radius.
-func (t *Tree) RangeBatchCtx(ctx context.Context, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	return t.engine().rangeBatch(budget.NewGuard(ctx, opt.Budget), qs, radius, opt)
+	return t.engine().rangeBatch(qs, radius, opt)
 }
 
 // NNBatch returns, for each query in qs, its k nearest neighbors,
@@ -177,16 +158,7 @@ func (t *Tree) RangeBatchCtx(ctx context.Context, qs []metric.Object, radius flo
 // fetched for one query is served from memory to every later query in
 // the batch, so each node is read and decoded at most once per batch.
 func (t *Tree) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
-	return t.engine().nnBatch(nil, qs, k, opt)
-}
-
-// NNBatchCtx is NNBatch honoring ctx and opt.Budget; the budget caps
-// the batch as a whole (see RangeBatchCtx). On a stop, queries already
-// finished keep their complete results, the in-flight query returns its
-// best-so-far, and queries not yet started return nil — all returned
-// neighbors are true objects at true distances.
-func (t *Tree) NNBatchCtx(ctx context.Context, qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
-	return t.engine().nnBatch(budget.NewGuard(ctx, opt.Budget), qs, k, opt)
+	return t.engine().nnBatch(qs, k, opt)
 }
 
 // LinearScanRange is the baseline: scan all objects, computing every

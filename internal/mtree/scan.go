@@ -1,13 +1,11 @@
 package mtree
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
 
-	"mcost/internal/budget"
 	"mcost/internal/metric"
 )
 
@@ -22,11 +20,12 @@ import (
 // distance computation per object and one node read per leaf-equivalent
 // page of sequentially-scanned objects.
 //
-// Budgets and contexts are honored at page granularity, like the tree's
-// per-node-fetch checks: a stopped query returns the valid partial
-// result accumulated so far with the typed budget/context error. Batch
-// variants share the page reads across the batch, like the tree's: the
-// scan is a node source of the same traversal core (core.go).
+// QueryOptions.Budget and Ctx are honored at page granularity, like the
+// tree's per-node-fetch checks: a stopped query returns the valid
+// partial result accumulated so far with the typed budget/context
+// error. Batches share the page reads across the batch, like the
+// tree's: the scan is a node source of the same traversal core
+// (core.go).
 //
 // Like the tree, a Scan is safe for concurrent read-only queries;
 // Insert/Remove must not run concurrently with queries.
@@ -151,46 +150,23 @@ func (s *Scan) load(ref int32) (nodeView, error) {
 // canonical. A stopped query's partial is the canonical order of the
 // matches in the pages scanned so far.
 func (s *Scan) Range(q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	out, err := s.rangeQuery(nil, nil, q, radius, opt)
-	return canonical(out), err
-}
-
-// RangeCtx is Range honoring ctx and opt.Budget at each page boundary
-// (see Tree.RangeCtx for the partial-result semantics).
-func (s *Scan) RangeCtx(ctx context.Context, q metric.Object, radius float64, opt QueryOptions) ([]Match, error) {
-	out, err := s.rangeQuery(budget.NewGuard(ctx, opt.Budget), nil, q, radius, opt)
+	out, err := s.rangeQuery(nil, q, radius, opt)
 	return canonical(out), err
 }
 
 // NN returns the k nearest neighbors of q, closest first, with the
-// canonical (distance, OID) tie-break shared by every engine.
+// canonical (distance, OID) tie-break shared by every engine. A stopped
+// query's partial is the best neighbors of the pages scanned so far; a
+// closer neighbor may live in the unscanned suffix.
 func (s *Scan) NN(q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	return s.nnQuery(nil, nil, q, k, math.Inf(1), opt)
-}
-
-// NNCtx is NN honoring ctx and opt.Budget at each page boundary. On a
-// stop the best neighbors found so far are returned closest-first with
-// the typed error — valid objects at true distances; a closer neighbor
-// may live in the unscanned suffix.
-func (s *Scan) NNCtx(ctx context.Context, q metric.Object, k int, opt QueryOptions) ([]Match, error) {
-	return s.nnQuery(budget.NewGuard(ctx, opt.Budget), nil, q, k, math.Inf(1), opt)
+	return s.nnQuery(nil, q, k, math.Inf(1), opt)
 }
 
 // RangeBatch answers a batch of range queries in one shared pass: each
 // page is read (and charged) once for the whole batch, every query pays
 // its own distance computations. out[i] is exactly Range(qs[i], radius).
 func (s *Scan) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	return s.rangeBatchSorted(nil, qs, radius, opt)
-}
-
-// RangeBatchCtx is RangeBatch honoring ctx and a batch-wide budget; on
-// a stop every query keeps the partial matches found before it.
-func (s *Scan) RangeBatchCtx(ctx context.Context, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	return s.rangeBatchSorted(budget.NewGuard(ctx, opt.Budget), qs, radius, opt)
-}
-
-func (s *Scan) rangeBatchSorted(g *budget.Guard, qs []metric.Object, radius float64, opt QueryOptions) ([][]Match, error) {
-	out, err := s.rangeBatch(g, qs, radius, opt)
+	out, err := s.rangeBatch(qs, radius, opt)
 	for _, ms := range out {
 		canonical(ms)
 	}
@@ -200,12 +176,7 @@ func (s *Scan) rangeBatchSorted(g *budget.Guard, qs []metric.Object, radius floa
 // NNBatch answers a batch of k-NN queries over one page memo: page
 // reads amortize across the batch (see Tree.NNBatch).
 func (s *Scan) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
-	return s.nnBatch(nil, qs, k, opt)
-}
-
-// NNBatchCtx is NNBatch honoring ctx and a batch-wide budget.
-func (s *Scan) NNBatchCtx(ctx context.Context, qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
-	return s.nnBatch(budget.NewGuard(ctx, opt.Budget), qs, k, opt)
+	return s.nnBatch(qs, k, opt)
 }
 
 // CostEstimateScan reports what one full scan costs in the paper's

@@ -114,7 +114,7 @@ func TestScanBudgetPartial(t *testing.T) {
 	}
 	// Cap distance computations below n: the scan must stop with the
 	// typed error and a valid partial (every match within radius).
-	got, err := s.RangeCtx(context.Background(), q, 0.9,
+	got, err := s.Range(q, 0.9,
 		QueryOptions{Budget: budget.Budget{MaxDistCalcs: 100}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
@@ -129,7 +129,7 @@ func TestScanBudgetPartial(t *testing.T) {
 	}
 
 	// NN partial: best-so-far, closest first.
-	nn, err := s.NNCtx(context.Background(), q, 5,
+	nn, err := s.NN(q, 5,
 		QueryOptions{Budget: budget.Budget{MaxDistCalcs: 100}})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("nn: want ErrBudgetExceeded, got %v", err)
@@ -143,7 +143,7 @@ func TestScanBudgetPartial(t *testing.T) {
 	// Canceled context surfaces the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.RangeCtx(ctx, q, 0.9, QueryOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := s.Range(q, 0.9, QueryOptions{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"strconv"
 
 	"mcost/internal/advisor"
 )
@@ -90,32 +91,13 @@ func (s *Server) planQuery(nn bool, req QueryRequest) (advisor.Decision, *Reques
 	return d, nil
 }
 
+// planRejectedMsg renders the 422 body's message. Both costs are
+// finite and non-negative, so the integer parts print exactly.
 func planRejectedMsg(d advisor.Decision, ceiling float64) string {
 	best := d.Predicted()
 	return "cheapest plan (" + string(d.Engine) + ") prices at " +
-		ftoa(best.Nodes+best.Dists) + " node reads + distance computations, above the ceiling " +
-		ftoa(ceiling)
-}
-
-// ftoa renders a cost without pulling in strconv formatting decisions
-// at every call site.
-func ftoa(v float64) string {
-	const digits = "0123456789"
-	if v < 0 {
-		return "-" + ftoa(-v)
-	}
-	n := int64(v)
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = digits[n%10]
-		n /= 10
-	}
-	return string(buf[i:])
+		strconv.FormatInt(int64(best.Nodes+best.Dists), 10) + " node reads + distance computations, above the ceiling " +
+		strconv.FormatInt(int64(ceiling), 10)
 }
 
 // refreshAdvisorGauges copies the engine's hardness profile into the

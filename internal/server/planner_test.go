@@ -66,6 +66,9 @@ func TestPlanCeilingRejects(t *testing.T) {
 	if got := reg.Counter("server.plan_rejected").Value(); got != 1 {
 		t.Fatalf("plan_rejected counter = %d", got)
 	}
+	if want := "cheapest plan (scan) prices at 608 node reads + distance computations, above the ceiling 0"; er.Error != want {
+		t.Fatalf("message %q, want %q", er.Error, want)
+	}
 	// The rejected query never reached admission or the batcher.
 	if got := reg.Counter("server.admitted").Value(); got != 0 {
 		t.Fatalf("admitted counter = %d after a plan rejection", got)

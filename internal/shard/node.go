@@ -236,29 +236,20 @@ func (n *Node) PriceRange(radius float64) core.CostEstimate { return n.sh.PriceR
 // PriceNN prices one k-NN query against this shard alone.
 func (n *Node) PriceNN(k int) core.CostEstimate { return n.sh.PriceNN(k) }
 
-// queryOptions mirrors the Set's fan-out options so a node answers each
-// shard's share bit-identically to the in-process ShardedIndex.
-func queryOptions(b budget.Budget, tr *obs.Trace) mtree.QueryOptions {
-	return mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: tr}
-}
-
 // RangeBatchTraced executes a range batch on the shard tree, rewriting
-// results to global OIDs.
+// results to global OIDs — the shard's share of the in-process Set's
+// fan-out, bit-identically.
 func (n *Node) RangeBatchTraced(ctx context.Context, qs []metric.Object, radius float64, b budget.Budget, tr *obs.Trace) ([][]mtree.Match, error) {
-	res, err := n.sh.Tree.RangeBatchCtx(ctx, qs, radius, queryOptions(b, tr))
-	for i := range res {
-		res[i] = globalize(n.sh, res[i])
-	}
+	res, own, err := n.sh.run(qs, radius, 0, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx}, tr != nil)
+	tr.Merge(own)
 	return res, err
 }
 
 // NNBatchTraced executes a k-NN batch on the shard tree, rewriting
 // results to global OIDs.
 func (n *Node) NNBatchTraced(ctx context.Context, qs []metric.Object, k int, b budget.Budget, tr *obs.Trace) ([][]mtree.Match, error) {
-	res, err := n.sh.Tree.NNBatchCtx(ctx, qs, k, queryOptions(b, tr))
-	for i := range res {
-		res[i] = globalize(n.sh, res[i])
-	}
+	res, own, err := n.sh.run(qs, 0, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx}, tr != nil)
+	tr.Merge(own)
 	return res, err
 }
 

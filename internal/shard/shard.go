@@ -248,19 +248,8 @@ type QueryOptions struct {
 	Ctx context.Context
 }
 
-func (o QueryOptions) guarded() bool {
-	return !o.Budget.Unlimited() || (o.Ctx != nil && o.Ctx.Done() != nil)
-}
-
-func (o QueryOptions) ctx() context.Context {
-	if o.Ctx == nil {
-		return context.Background()
-	}
-	return o.Ctx
-}
-
 func (o QueryOptions) tree() mtree.QueryOptions {
-	return mtree.QueryOptions{UseParentDist: o.UseParentDist, Budget: o.Budget}
+	return mtree.QueryOptions{UseParentDist: o.UseParentDist, Budget: o.Budget, Ctx: o.Ctx}
 }
 
 // Build partitions the objects, bulk-loads one M-tree per shard, and
@@ -632,12 +621,55 @@ func (s *Set) lowerBounds(q metric.Object, balls []Ball) []float64 {
 	return LowerBounds(s.space, q, balls)
 }
 
-// globalize rewrites a shard-local result to global OIDs, in place.
-func globalize(sh *Shard, ms []mtree.Match) []mtree.Match {
-	for i := range ms {
-		ms[i].OID = sh.OIDs[ms[i].OID]
+// pick returns the sub-batch qs[subset], nil when subset is empty.
+func pick(qs []metric.Object, subset []int) []metric.Object {
+	if len(subset) == 0 {
+		return nil
 	}
-	return ms
+	sub := make([]metric.Object, len(subset))
+	for j, qi := range subset {
+		sub[j] = qs[qi]
+	}
+	return sub
+}
+
+// run answers the queries qs as one batch on the shard tree: k-NN when
+// k > 0, else range at radius. The tree records into a private trace,
+// returned for the caller to merge in shard order, when traced is set
+// or the shard recalibrates; a clean run feeds that trace to the
+// recalibrator. The result holds one slot per query, in global OIDs,
+// also when the run stops early, and is nil when qs is empty.
+func (sh *Shard) run(qs []metric.Object, radius float64, k int, opt mtree.QueryOptions, traced bool) ([][]mtree.Match, *obs.Trace, error) {
+	if len(qs) == 0 {
+		return nil, nil, nil
+	}
+	var tr *obs.Trace
+	if traced || sh.rc != nil {
+		tr = obs.NewTrace()
+		opt.Trace = tr
+	}
+	var res [][]mtree.Match
+	var err error
+	if k > 0 {
+		res, err = sh.Tree.NNBatch(qs, k, opt)
+		if err == nil && sh.rc != nil {
+			sh.observeNN(k, tr)
+		}
+	} else {
+		res, err = sh.Tree.RangeBatch(qs, radius, opt)
+		if err == nil && sh.rc != nil {
+			sh.observeRange(radius, tr)
+		}
+	}
+	if res == nil {
+		res = make([][]mtree.Match, len(qs))
+	}
+	for _, ms := range res {
+		for j := range ms {
+			ms[j].OID = sh.OIDs[ms[j].OID]
+		}
+	}
+	return res, tr, err
 }
 
 // firstError returns the lowest-shard-index error.
@@ -652,63 +684,17 @@ func firstError(errs []error) error {
 
 // Range returns all objects within radius of q across every shard,
 // concatenated in shard order (per-shard order is the tree's DFS
-// order). Shards whose lower bound exceeds radius are skipped — under
-// Pivot assignment that is a proof no member can qualify. On a
-// per-shard stop (budget, cancellation, storage fault) the merged
-// partial results are returned with the lowest-shard error; every
-// returned match is a true match.
+// order): RangeBatch of the one query. Shards whose lower bound exceeds
+// radius are skipped — under Pivot assignment that is a proof no member
+// can qualify. On a per-shard stop (budget, cancellation, storage
+// fault) the merged partial results are returned with the lowest-shard
+// error; every returned match is a true match.
 func (s *Set) Range(q metric.Object, radius float64, opt QueryOptions) ([]mtree.Match, error) {
-	if q == nil {
-		return nil, errors.New("shard: nil query object")
+	out, err := s.RangeBatch([]metric.Object{q}, radius, opt)
+	if out == nil {
+		return nil, err
 	}
-	if radius < 0 {
-		return nil, fmt.Errorf("shard: negative radius %g", radius)
-	}
-	S := len(s.shards)
-	results := make([][]mtree.Match, S)
-	errs := make([]error, S)
-	traces := make([]*obs.Trace, S)
-	visit := make([]bool, S)
-	for i, lb := range s.lowerBounds(q, s.balls()) {
-		if lb > radius {
-			s.skipped.Add(1)
-			continue
-		}
-		visit[i] = true
-	}
-	ferr := parallel.For(opt.Workers, S, func(i int) error {
-		if !visit[i] {
-			return nil
-		}
-		sh := s.shards[i]
-		topt := opt.tree()
-		if opt.Trace != nil || sh.rc != nil {
-			traces[i] = obs.NewTrace()
-			topt.Trace = traces[i]
-		}
-		var ms []mtree.Match
-		var err error
-		if opt.guarded() {
-			ms, err = sh.Tree.RangeCtx(opt.ctx(), q, radius, topt)
-		} else {
-			ms, err = sh.Tree.Range(q, radius, topt)
-		}
-		if err == nil && sh.rc != nil {
-			sh.observeRange(radius, traces[i])
-		}
-		results[i] = globalize(sh, ms)
-		errs[i] = err
-		return nil
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	var out []mtree.Match
-	for i := range results {
-		out = append(out, results[i]...)
-		opt.Trace.Merge(traces[i])
-	}
-	return out, firstError(errs)
+	return out[0], err
 }
 
 // less orders matches canonically by (distance, global OID) — the merge
@@ -794,27 +780,11 @@ func (s *Set) NN(q metric.Object, k int, opt QueryOptions) ([]mtree.Match, error
 			s.skipped.Add(1)
 			continue
 		}
-		sh := s.shards[c.i]
-		topt := opt.tree()
-		var tr *obs.Trace
-		if opt.Trace != nil || sh.rc != nil {
-			tr = obs.NewTrace()
-			topt.Trace = tr
-		}
-		var ms []mtree.Match
-		var err error
-		if opt.guarded() {
-			ms, err = sh.Tree.NNCtx(opt.ctx(), q, k, topt)
-		} else {
-			ms, err = sh.Tree.NN(q, k, topt)
-		}
-		if err == nil && sh.rc != nil {
-			sh.observeNN(k, tr)
-		}
+		res, tr, err := s.shards[c.i].run([]metric.Object{q}, 0, k, opt.tree(), opt.Trace != nil)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		best = mergeK(best, globalize(sh, ms), k)
+		best = mergeK(best, res[0], k)
 		opt.Trace.Merge(tr)
 	}
 	return best, firstErr
@@ -853,7 +823,7 @@ func (s *Set) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) (
 	errs := make([]error, S)
 	traces := make([]*obs.Trace, S)
 	ferr := parallel.For(opt.Workers, S, func(i int) error {
-		results[i], traces[i], errs[i] = s.runShardRangeBatch(i, qs, subsets[i], radius, opt)
+		results[i], traces[i], errs[i] = s.shards[i].run(pick(qs, subsets[i]), radius, 0, opt.tree(), opt.Trace != nil)
 		return nil
 	})
 	if ferr != nil {
@@ -866,40 +836,6 @@ func (s *Set) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) (
 		opt.Trace.Merge(traces[i])
 	}
 	return out, firstError(errs)
-}
-
-func (s *Set) runShardRangeBatch(i int, qs []metric.Object, subset []int, radius float64, opt QueryOptions) ([][]mtree.Match, *obs.Trace, error) {
-	if len(subset) == 0 {
-		return nil, nil, nil
-	}
-	sub := make([]metric.Object, len(subset))
-	for j, qi := range subset {
-		sub[j] = qs[qi]
-	}
-	topt := opt.tree()
-	sh := s.shards[i]
-	var tr *obs.Trace
-	if opt.Trace != nil || sh.rc != nil {
-		tr = obs.NewTrace()
-		topt.Trace = tr
-	}
-	var res [][]mtree.Match
-	var err error
-	if opt.guarded() {
-		res, err = sh.Tree.RangeBatchCtx(opt.ctx(), sub, radius, topt)
-	} else {
-		res, err = sh.Tree.RangeBatch(sub, radius, topt)
-	}
-	if err == nil && sh.rc != nil {
-		sh.observeRange(radius, tr)
-	}
-	if res == nil {
-		res = make([][]mtree.Match, len(subset))
-	}
-	for j := range res {
-		res[j] = globalize(sh, res[j])
-	}
-	return res, tr, err
 }
 
 // NNBatch answers a batch of k-NN queries in two pruning waves. Wave 1
@@ -994,47 +930,15 @@ func (s *Set) runNNWave(qs []metric.Object, k int, subsets [][]int, out [][]mtre
 	errs := make([]error, S)
 	traces := make([]*obs.Trace, S)
 	ferr := parallel.For(opt.Workers, S, func(i int) error {
-		if len(subsets[i]) == 0 {
-			return nil
-		}
-		sub := make([]metric.Object, len(subsets[i]))
-		for j, qi := range subsets[i] {
-			sub[j] = qs[qi]
-		}
-		topt := opt.tree()
-		sh := s.shards[i]
-		if opt.Trace != nil || sh.rc != nil {
-			traces[i] = obs.NewTrace()
-			topt.Trace = traces[i]
-		}
-		var res [][]mtree.Match
-		var err error
-		if opt.guarded() {
-			res, err = sh.Tree.NNBatchCtx(opt.ctx(), sub, k, topt)
-		} else {
-			res, err = sh.Tree.NNBatch(sub, k, topt)
-		}
-		if err == nil && sh.rc != nil {
-			sh.observeNN(k, traces[i])
-		}
-		if res == nil {
-			res = make([][]mtree.Match, len(sub))
-		}
-		for j := range res {
-			res[j] = globalize(sh, res[j])
-		}
-		results[i] = res
-		errs[i] = err
+		results[i], traces[i], errs[i] = s.shards[i].run(pick(qs, subsets[i]), 0, k, opt.tree(), opt.Trace != nil)
 		return nil
 	})
 	if ferr != nil {
 		return nil, ferr
 	}
 	for i := range results {
-		if results[i] != nil {
-			for j, qi := range subsets[i] {
-				out[qi] = mergeK(out[qi], results[i][j], k)
-			}
+		for j, qi := range subsets[i] {
+			out[qi] = mergeK(out[qi], results[i][j], k)
 		}
 		opt.Trace.Merge(traces[i])
 	}
@@ -1088,7 +992,7 @@ func (s *Set) Insert(obj metric.Object) (uint64, error) {
 	local := sh.Tree.NextOID()
 	if int(local) != len(sh.OIDs) {
 		// Tree-local OIDs are dense insertion indexes; OIDs must mirror
-		// them exactly or globalize() would mistranslate results.
+		// them exactly or run would mistranslate results.
 		return 0, fmt.Errorf("shard: local OID %d does not extend OID map of length %d", local, len(sh.OIDs))
 	}
 	if err := sh.Tree.Insert(obj); err != nil {

@@ -168,10 +168,10 @@ func (t indexTree) PriceNNPrefix(K int) []CostEstimate {
 func (t indexTree) RangeBatch(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
 	ix := t.ix
 	if ix.rc == nil {
-		return ix.tree.RangeBatchCtx(ctx, qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: tr})
+		return ix.tree.RangeBatch(qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: tr})
 	}
 	own := obs.NewTrace()
-	sets, err := ix.tree.RangeBatchCtx(ctx, qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: own})
+	sets, err := ix.tree.RangeBatch(qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: own})
 	tr.Merge(own)
 	if err == nil {
 		ix.rc.ObserveRange(ix.model.RangeLByLevel(radius), t.PriceRange(radius), own)
@@ -183,10 +183,10 @@ func (t indexTree) RangeBatch(ctx context.Context, qs []Object, radius float64, 
 func (t indexTree) NNBatch(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
 	ix := t.ix
 	if ix.rc == nil {
-		return ix.tree.NNBatchCtx(ctx, qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: tr})
+		return ix.tree.NNBatch(qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: tr})
 	}
 	own := obs.NewTrace()
-	sets, err := ix.tree.NNBatchCtx(ctx, qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Trace: own})
+	sets, err := ix.tree.NNBatch(qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: own})
 	tr.Merge(own)
 	if err == nil {
 		ix.rc.ObserveNN(ix.model.NNL(k), t.PriceNN(k), own)

@@ -260,7 +260,7 @@ func (s *surface) RangeBatchTraced(ctx context.Context, qs []Object, radius floa
 		return nil, err
 	}
 	if s.useScan(advisor.Query{Kind: advisor.KindRange, Radius: radius}) {
-		return s.scan.RangeBatchCtx(ctx, qs, radius, mtree.QueryOptions{Budget: b, Trace: tr})
+		return s.scan.RangeBatch(qs, radius, mtree.QueryOptions{Budget: b, Ctx: ctx, Trace: tr})
 	}
 	return s.side.RangeBatch(ctx, qs, radius, b, tr)
 }
@@ -272,7 +272,7 @@ func (s *surface) NNBatchTraced(ctx context.Context, qs []Object, k int, b Query
 		return nil, err
 	}
 	if s.useScan(advisor.Query{Kind: advisor.KindNN, K: k}) {
-		return s.scan.NNBatchCtx(ctx, qs, k, mtree.QueryOptions{Budget: b, Trace: tr})
+		return s.scan.NNBatch(qs, k, mtree.QueryOptions{Budget: b, Ctx: ctx, Trace: tr})
 	}
 	return s.side.NNBatch(ctx, qs, k, b, tr)
 }
