@@ -422,7 +422,7 @@ func TestPricersPrefixEqualsPriceNN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if raw, corrected := ix.model.NNL(5), ix.side.PriceNN(5); raw == corrected {
+	if raw, corrected := ix.sh.Model.NNL(5), ix.side.PriceNN(5); raw == corrected {
 		t.Fatalf("recalibration left NNL(5) = %+v uncorrected; the test exercises nothing", raw)
 	}
 	check("Index, recalibrated", ix.side, 60)

@@ -330,7 +330,7 @@ func BenchmarkComputeProfile(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.refreshProfile(ix.f)
+				ix.refreshProfile(ix.sh.F)
 			}
 			b.ReportMetric(float64(ix.profile.CrossoverK), "crossover-k")
 		})
@@ -349,7 +349,7 @@ func BenchmarkNNLPrefix(b *testing.B) {
 	for _, K := range []int{16, 512} {
 		b.Run(fmt.Sprintf("prefix-K%d", K), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := ix.model.NNLPrefix(K); len(got) != K {
+				if got := ix.sh.Model.NNLPrefix(K); len(got) != K {
 					b.Fatalf("%d prices", len(got))
 				}
 			}
@@ -357,7 +357,7 @@ func BenchmarkNNLPrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("single-k%d", K), func(b *testing.B) {
 			var sink CostEstimate
 			for i := 0; i < b.N; i++ {
-				sink = ix.model.NNL(K)
+				sink = ix.sh.Model.NNL(K)
 			}
 			_ = sink
 		})

@@ -26,7 +26,8 @@
 // /v1/model — the F̂/L-MCM summary the mcost-router scatter-gather tier
 // prices and prunes with. The listener comes up immediately answering
 // 503 "building" on every route, so a router's health loop can watch
-// the node warm up without routing work to it.
+// the node warm up without routing work to it. A node serves only its
+// tree, read-only: -engine scan, -plan-ceiling and -recal are refused.
 package main
 
 import (
@@ -110,6 +111,11 @@ func main() {
 		}
 		if rf.Enabled {
 			fail(fmt.Errorf("-recal is not supported in shard-node mode (nodes are read-only)"))
+		}
+		if mode, err := mcost.ParseEngineMode(ef.Mode); err != nil {
+			fail(err)
+		} else if mode == mcost.EngineScan {
+			fail(fmt.Errorf("-engine scan is not supported in shard-node mode (a node serves only its tree)"))
 		}
 		assign, err := mcost.ParseShardAssignment(shf.Assign)
 		if err != nil {

@@ -75,6 +75,29 @@ func TestPlanCeilingRejects(t *testing.T) {
 	}
 }
 
+// TestPlanCeilingNeedsPlanner: a shard node prices and runs only its
+// tree, so it cannot honor a plan ceiling; New must refuse one rather
+// than serve every query unchecked.
+func TestPlanCeilingNeedsPlanner(t *testing.T) {
+	objs := make([]mcost.Object, 300)
+	for i := range objs {
+		objs[i] = mcost.Vector{float64(i%17) / 17, float64(i%13) / 13, float64(i%11) / 11, float64(i%7) / 7}
+	}
+	node, err := mcost.BuildShardNode(mcost.VectorSpace("L2", 4), objs, mcost.Options{Seed: 3},
+		mcost.ShardOptions{Shards: 3, Assign: mcost.ShardPivot}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Engine: node, Decode: VectorDecoder(4), PlanCeiling: 10}); err == nil {
+		t.Fatal("New accepted a plan ceiling on a shard node, which never plans")
+	}
+	s, err := New(Config{Engine: node, Decode: VectorDecoder(4)})
+	if err != nil {
+		t.Fatalf("New without a ceiling: %v", err)
+	}
+	s.Close()
+}
+
 func TestPlanCountersAndGauges(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newTestServer(t, Config{Registry: reg})

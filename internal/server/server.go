@@ -66,8 +66,8 @@ type Config struct {
 	// PlanCeiling rejects queries whose cheapest plan — node reads plus
 	// distance computations of whichever engine the advisor would pick —
 	// prices above it, with a typed 422 plan_rejected. Zero disables the
-	// ceiling. Requires a planning engine (one satisfying Planner);
-	// otherwise it is ignored.
+	// ceiling. Requires a planning engine (one satisfying Planner); New
+	// rejects a ceiling on any other, such as a shard node.
 	PlanCeiling float64
 	// Registry receives the server metrics (nil allocates a fresh one).
 	Registry *obs.Registry
@@ -154,6 +154,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Decode == nil {
 		return nil, errors.New("server: nil object decoder")
+	}
+	if _, ok := cfg.Engine.(Planner); !ok && cfg.PlanCeiling > 0 {
+		return nil, errors.New("server: a plan ceiling needs a planning engine; this one runs only its tree")
 	}
 	reg := cfg.Registry
 	if reg == nil {

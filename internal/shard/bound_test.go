@@ -175,7 +175,7 @@ func TestHyperplaneBoundNeverSkipsAMatch(t *testing.T) {
 				}
 				skipped := checkBound(t, c, set)
 				for _, o := range c.fresh {
-					if _, err := set.Insert(o); err != nil {
+					if _, _, err := set.Insert(o); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -45,27 +45,8 @@ func BuildOne(space *metric.Space, objects []metric.Object, opt Options, index i
 	if err != nil {
 		return nil, err
 	}
-	sh, err := buildShard(space, objects, parts[index], index, opt)
-	if err != nil {
-		return nil, fmt.Errorf("shard %d: %w", index, err)
-	}
-	if pivots != nil {
-		sh.Pivot = objects[pivots[index]]
-		sh.Radius = radii[index]
-	} else {
-		sh.Radius = space.Bound
-	}
-	return sh, nil
+	return buildShard(space, objects, parts, pivots, radii, index, opt)
 }
-
-// PriceRange returns the shard's L-MCM range prediction — the same term
-// this shard contributes to Set.PredictRange.
-func (sh *Shard) PriceRange(radius float64) core.CostEstimate { return sh.priceRange(radius) }
-
-// PriceNN returns the shard's L-MCM k-NN prediction with k clamped to
-// the shard size — the same term this shard contributes to
-// Set.PredictNN.
-func (sh *Shard) PriceNN(k int) core.CostEstimate { return sh.priceNN(k) }
 
 // Summary is the wire-exportable view of one shard's cost model: what a
 // router needs to price this shard's share of a query (F̂ plus the
@@ -240,17 +221,13 @@ func (n *Node) PriceNN(k int) core.CostEstimate { return n.sh.PriceNN(k) }
 // results to global OIDs — the shard's share of the in-process Set's
 // fan-out, bit-identically.
 func (n *Node) RangeBatchTraced(ctx context.Context, qs []metric.Object, radius float64, b budget.Budget, tr *obs.Trace) ([][]mtree.Match, error) {
-	res, own, err := n.sh.run(qs, radius, 0, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx}, tr != nil)
-	tr.Merge(own)
-	return res, err
+	return n.sh.Run(qs, radius, 0, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: tr})
 }
 
 // NNBatchTraced executes a k-NN batch on the shard tree, rewriting
 // results to global OIDs.
 func (n *Node) NNBatchTraced(ctx context.Context, qs []metric.Object, k int, b budget.Budget, tr *obs.Trace) ([][]mtree.Match, error) {
-	res, own, err := n.sh.run(qs, 0, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx}, tr != nil)
-	tr.Merge(own)
-	return res, err
+	return n.sh.Run(qs, 0, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: tr})
 }
 
 // Size returns the shard's object count.

@@ -119,11 +119,16 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Shard is one partition: an M-tree over its objects plus the per-shard
-// distance distribution and cost model.
+// Shard is one cost-modeled M-tree: the tree over its objects, the
+// distance distribution F̂ and tree statistics the paper's L-MCM prices
+// it from, and the fitted model. It is a partition of a Set, a node of a
+// cluster, or — with OID i mapping to i — the whole of an mcost.Index:
+// building, running, writing to, refitting and recalibrating such a tree
+// is written here once.
 type Shard struct {
 	Tree  *mtree.Tree
 	F     *histogram.Histogram
+	Stats *mtree.Stats
 	Model *core.MTreeModel
 	// Objects are the shard's members in local-OID order; OIDs maps a
 	// local OID (dense insertion index) back to the global OID, i.e.
@@ -138,7 +143,7 @@ type Shard struct {
 	// Stages is where this shard's build time went.
 	Stages Stages
 	// rc, when non-nil, keeps this shard's model live under writes (see
-	// Set.EnableRecalibration).
+	// EnableRecalibration).
 	rc *recal.Recalibrator
 }
 
@@ -149,18 +154,63 @@ type Stages struct {
 	Bulkload, Freeze, Estimate, Model time.Duration
 }
 
-// priceRange returns the shard's range price, bias-corrected when
-// recalibration is enabled.
-func (sh *Shard) priceRange(radius float64) core.CostEstimate {
+// New builds one cost-modeled tree over objs, whose global OIDs are
+// oids: it bulk-loads the tree from mo (inserts one by one when
+// incremental), freezes it into the arena when arena is non-nil, samples
+// F̂ under est (whose seed and worker count the caller picks) and fits
+// L-MCM. The shard keeps objs and appends to it on Insert.
+func New(objs []metric.Object, oids []uint64, mo mtree.Options, incremental bool, arena *mtree.ArenaConfig, est distdist.Options) (*Shard, error) {
+	sh := &Shard{Objects: objs, OIDs: oids}
+	clock := obs.StartStopwatch()
+	var err error
+	if sh.Tree, err = mtree.New(mo); err != nil {
+		return nil, err
+	}
+	if incremental {
+		err = sh.Tree.InsertAll(objs)
+	} else {
+		err = sh.Tree.BulkLoad(objs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	sh.Stages.Bulkload = clock.Lap()
+	if arena != nil {
+		if err := sh.Tree.FreezeArena(*arena); err != nil {
+			return nil, fmt.Errorf("freezing arena: %w", err)
+		}
+		sh.Stages.Freeze = clock.Lap()
+	}
+	if sh.Stats, err = sh.Tree.CollectStats(); err != nil {
+		return nil, err
+	}
+	sh.Stages.Model = clock.Lap()
+	if sh.F, err = distdist.Estimate(&dataset.Dataset{Name: "shard", Space: mo.Space, Objects: objs}, est); err != nil {
+		return nil, err
+	}
+	sh.Stages.Estimate = clock.Lap()
+	if sh.Model, err = core.NewMTreeModel(sh.F, sh.Stats); err != nil {
+		return nil, err
+	}
+	sh.Stages.Model += clock.Lap()
+	return sh, nil
+}
+
+// PriceRange returns the shard's L-MCM range price, bias-corrected when
+// recalibration is enabled — the term this shard contributes to
+// Set.PredictRange.
+func (sh *Shard) PriceRange(radius float64) core.CostEstimate {
 	if sh.rc != nil {
 		return sh.rc.CorrectRange(sh.Model.RangeLByLevel(radius))
 	}
 	return sh.Model.RangeL(radius)
 }
 
-// priceNN returns the shard's k-NN price with k clamped to the shard
-// size, bias-corrected when recalibration is enabled.
-func (sh *Shard) priceNN(k int) core.CostEstimate {
+// PriceNN returns the shard's L-MCM k-NN price from the model's price
+// table, with k clamped to the shard size and bias-corrected when
+// recalibration is enabled — the term this shard contributes to
+// Set.PredictNN.
+func (sh *Shard) PriceNN(k int) core.CostEstimate {
 	if n := sh.Tree.Size(); k > n {
 		k = n
 	}
@@ -173,10 +223,10 @@ func (sh *Shard) priceNN(k int) core.CostEstimate {
 	return sh.Model.NNLCached(k)
 }
 
-// priceNNPrefix returns priceNN(k) for k = 1..K on a non-empty shard,
+// PriceNNPrefix returns PriceNN(k) for k = 1..K on a non-empty shard,
 // as far as the model prices them in one pass (core's NNLPrefix) and
-// priceNN does not clamp k.
-func (sh *Shard) priceNNPrefix(K int) []core.CostEstimate {
+// PriceNN does not clamp k.
+func (sh *Shard) PriceNNPrefix(K int) []core.CostEstimate {
 	est := sh.Model.NNLPrefix(min(K, sh.Tree.Size()))
 	if sh.rc != nil {
 		sh.rc.CorrectNNs(est)
@@ -184,24 +234,151 @@ func (sh *Shard) priceNNPrefix(K int) []core.CostEstimate {
 	return est
 }
 
-// observeRange feeds one clean range execution on sh back into its
-// recalibrator (caller checks sh.rc != nil).
-func (sh *Shard) observeRange(radius float64, tr *obs.Trace) {
-	raw := sh.Model.RangeLByLevel(radius)
-	sh.rc.ObserveRange(raw, sh.rc.CorrectRange(raw), tr)
+// Recal returns the shard's recalibrator, nil when recalibration is off.
+func (sh *Shard) Recal() *recal.Recalibrator { return sh.rc }
+
+// Costs returns the tree's node reads and distance computations since
+// the last ResetCosts.
+func (sh *Shard) Costs() (nodeReads, distances int64) {
+	return sh.Tree.NodeReads(), sh.Tree.DistanceCount()
 }
 
-// observeNN feeds one clean k-NN execution on sh back into its
-// recalibrator (caller checks sh.rc != nil).
-func (sh *Shard) observeNN(k int, tr *obs.Trace) {
-	if n := sh.Tree.Size(); k > n {
-		k = n
+// ResetCosts zeroes the tree's counters.
+func (sh *Shard) ResetCosts() { sh.Tree.ResetCounters() }
+
+// Run answers the queries qs as one batch on the shard tree: k-NN when
+// k > 0, else range at radius. It records into opt.Trace, which a
+// parallel caller gives each shard on its own and merges in shard
+// order. With recalibration on the tree records into a private trace,
+// merged into opt.Trace afterwards, and a clean run feeds it to the
+// recalibrator: a budget- or context-stopped run observed less work
+// than the full query costs. The result holds one slot per query, in
+// global OIDs, also when the run stops early.
+func (sh *Shard) Run(qs []metric.Object, radius float64, k int, opt mtree.QueryOptions) ([][]mtree.Match, error) {
+	tr := opt.Trace
+	if sh.rc != nil {
+		opt.Trace = obs.NewTrace()
 	}
-	if k < 1 {
+	var res [][]mtree.Match
+	var err error
+	if k > 0 {
+		res, err = sh.Tree.NNBatch(qs, k, opt)
+	} else {
+		res, err = sh.Tree.RangeBatch(qs, radius, opt)
+	}
+	if sh.rc != nil {
+		tr.Merge(opt.Trace)
+		if err == nil {
+			sh.observe(radius, k, opt.Trace)
+		}
+	}
+	if res == nil {
+		res = make([][]mtree.Match, len(qs))
+	}
+	for _, ms := range res {
+		for j := range ms {
+			ms[j].OID = sh.OIDs[ms[j].OID]
+		}
+	}
+	return res, err
+}
+
+// observe feeds one clean execution's trace back into the recalibrator:
+// the raw per-level (range) or aggregate (k-NN) prediction beside the
+// corrected one the shard priced it at.
+func (sh *Shard) observe(radius float64, k int, tr *obs.Trace) {
+	if k <= 0 {
+		raw := sh.Model.RangeLByLevel(radius)
+		sh.rc.ObserveRange(raw, sh.rc.CorrectRange(raw), tr)
 		return
 	}
-	raw := sh.Model.NNLCached(k)
-	sh.rc.ObserveNN(raw, sh.rc.CorrectNN(raw), tr)
+	if k = min(k, sh.Tree.Size()); k >= 1 {
+		raw := sh.Model.NNLCached(k)
+		sh.rc.ObserveNN(raw, sh.rc.CorrectNN(raw), tr)
+	}
+}
+
+// Insert stores obj under the global OID gid: the tree insert, the OID
+// map and member list, and with recalibration on the F̂ update and the
+// model refit when one is due. refit reports that a refit ran. A
+// non-nil error with refit false means nothing was stored; with refit
+// true obj is stored and the refit failed, leaving the old model. Not
+// safe concurrent with queries or other writes.
+func (sh *Shard) Insert(obj metric.Object, gid uint64) (refit bool, err error) {
+	if local := sh.Tree.NextOID(); int(local) != len(sh.OIDs) {
+		// Tree-local OIDs are dense insertion indexes; OIDs must mirror
+		// them exactly or Run would mistranslate results.
+		return false, fmt.Errorf("shard: local OID %d does not extend OID map of length %d", local, len(sh.OIDs))
+	}
+	if err := sh.Tree.Insert(obj); err != nil {
+		return false, err
+	}
+	sh.OIDs = append(sh.OIDs, gid)
+	sh.Objects = append(sh.Objects, obj)
+	if sh.rc == nil {
+		return false, nil
+	}
+	sh.rc.ObserveInsert(obj)
+	return sh.refitIfDue()
+}
+
+// Delete removes the object stored under the local OID (see
+// mtree.Tree.Delete for the identity check); refit and err are Insert's.
+// The OID map keeps the entry: local OIDs are never reused.
+func (sh *Shard) Delete(obj metric.Object, local uint64) (refit bool, err error) {
+	if err := sh.Tree.Delete(obj, local); err != nil {
+		return false, err
+	}
+	if sh.rc == nil {
+		return false, nil
+	}
+	sh.rc.ObserveDelete(obj)
+	return sh.refitIfDue()
+}
+
+// EnableRecalibration attaches a recalibrator to the shard: F̂ follows
+// every later write through reservoir-sampled distances seeded from
+// sample, clean runs feed the bias window, prices turn bias-corrected,
+// and the model is refit from the blended F̂ every cfg.RefreshEvery
+// writes.
+func (sh *Shard) EnableRecalibration(cfg recal.Config, sample []metric.Object) error {
+	rc, err := recal.New(cfg, sh.F, sh.Tree.Space(), sh.Tree.Size(), sample)
+	if err != nil {
+		return err
+	}
+	sh.rc = rc
+	return nil
+}
+
+// Refit re-collects the tree statistics and refits the model over f.
+func (sh *Shard) Refit(f *histogram.Histogram) error {
+	stats, err := sh.Tree.CollectStats()
+	if err != nil {
+		return err
+	}
+	model, err := core.NewMTreeModel(f, stats)
+	if err != nil {
+		return err
+	}
+	sh.F, sh.Stats, sh.Model = f, stats, model
+	return nil
+}
+
+// refitIfDue refits the model from the recalibrator's blended F̂ when
+// enough writes have accumulated, reporting whether it tried.
+func (sh *Shard) refitIfDue() (bool, error) {
+	if !sh.rc.NeedRefresh() {
+		return false, nil
+	}
+	f, err := sh.rc.Histogram()
+	if err == nil {
+		err = sh.Refit(f)
+	}
+	if err != nil {
+		return true, fmt.Errorf("shard: recalibration refresh: %w", err)
+	}
+	sh.rc.MarkRefreshed()
+	return true, nil
 }
 
 // Set is a sharded index: S independent M-trees behind one query
@@ -249,7 +426,7 @@ type QueryOptions struct {
 }
 
 func (o QueryOptions) tree() mtree.QueryOptions {
-	return mtree.QueryOptions{UseParentDist: o.UseParentDist, Budget: o.Budget, Ctx: o.Ctx}
+	return mtree.QueryOptions{UseParentDist: o.UseParentDist, Budget: o.Budget, Ctx: o.Ctx, Trace: o.Trace}
 }
 
 // Build partitions the objects, bulk-loads one M-tree per shard, and
@@ -272,19 +449,9 @@ func Build(space *metric.Space, objects []metric.Object, opt Options) (*Set, err
 		return nil, err
 	}
 	set := &Set{space: space, opt: opt, shards: make([]*Shard, opt.Shards)}
-	err = parallel.For(opt.Workers, opt.Shards, func(i int) error {
-		sh, err := buildShard(space, objects, parts[i], i, opt)
-		if err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-		if pivots != nil {
-			sh.Pivot = objects[pivots[i]]
-			sh.Radius = radii[i]
-		} else {
-			sh.Radius = space.Bound
-		}
-		set.shards[i] = sh
-		return nil
+	err = parallel.For(opt.Workers, opt.Shards, func(i int) (err error) {
+		set.shards[i], err = buildShard(space, objects, parts, pivots, radii, i, opt)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -368,72 +535,44 @@ func selectPivots(space *metric.Space, objects []metric.Object, s int, seed int6
 	return pivots
 }
 
-// buildShard indexes one partition and fits its cost model.
-func buildShard(space *metric.Space, objects []metric.Object, members []int, i int, opt Options) (*Shard, error) {
-	objs := make([]metric.Object, len(members))
-	oids := make([]uint64, len(members))
-	for j, gi := range members {
+// buildShard builds shard i of the assignment: its members' tree on
+// the seed streams SplitSeed(Seed, 2+i) (tree) and SplitSeed(Seed,
+// 1000+i) (F̂, one worker: shard builds already fan out), and its ball.
+func buildShard(space *metric.Space, objects []metric.Object, parts [][]int, pivots []int, radii []float64, i int, opt Options) (*Shard, error) {
+	objs := make([]metric.Object, len(parts[i]))
+	oids := make([]uint64, len(parts[i]))
+	for j, gi := range parts[i] {
 		objs[j] = objects[gi]
 		oids[j] = uint64(gi)
 	}
 	mo := mtree.Options{}
 	if opt.TreeOptions != nil {
 		var err error
-		mo, err = opt.TreeOptions(i)
-		if err != nil {
-			return nil, err
+		if mo, err = opt.TreeOptions(i); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	mo.Space = space
-	mo.PageSize = opt.PageSize
-	mo.Seed = parallel.SplitSeed(opt.Seed, 2+i)
-	var stages Stages
-	clock := obs.StartStopwatch()
-	tr, err := mtree.New(mo)
-	if err != nil {
-		return nil, err
+	mo.Space, mo.PageSize, mo.Seed = space, opt.PageSize, parallel.SplitSeed(opt.Seed, 2+i)
+	arena := opt.Arena
+	if arena != nil && arena.Mmap && arena.Path != "" {
+		cfg := *arena
+		cfg.Path = fmt.Sprintf("%s.%d", cfg.Path, i)
+		arena = &cfg
 	}
-	if opt.Incremental {
-		err = tr.InsertAll(objs)
-	} else {
-		err = tr.BulkLoad(objs)
-	}
-	if err != nil {
-		return nil, err
-	}
-	stages.Bulkload = clock.Lap()
-	if opt.Arena != nil {
-		cfg := *opt.Arena
-		if cfg.Mmap && cfg.Path != "" {
-			cfg.Path = fmt.Sprintf("%s.%d", cfg.Path, i)
-		}
-		if err := tr.FreezeArena(cfg); err != nil {
-			return nil, fmt.Errorf("shard %d: freezing arena: %w", i, err)
-		}
-		stages.Freeze = clock.Lap()
-	}
-	stats, err := tr.CollectStats()
-	if err != nil {
-		return nil, err
-	}
-	stages.Model = clock.Lap()
-	ds := &dataset.Dataset{Name: fmt.Sprintf("shard-%d", i), Space: space, Objects: objs}
-	f, err := distdist.Estimate(ds, distdist.Options{
+	sh, err := New(objs, oids, mo, opt.Incremental, arena, distdist.Options{
 		Bins:     opt.HistogramBins,
 		MaxPairs: opt.SamplePairs,
 		Seed:     parallel.SplitSeed(opt.Seed, 1000+i),
-		Workers:  1, // shard builds already fan out; keep estimation single-stream
+		Workers:  1,
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard %d: %w", i, err)
 	}
-	stages.Estimate = clock.Lap()
-	model, err := core.NewMTreeModel(f, stats)
-	if err != nil {
-		return nil, err
+	sh.Radius = space.Bound
+	if pivots != nil {
+		sh.Pivot, sh.Radius = objects[pivots[i]], radii[i]
 	}
-	stages.Model += clock.Lap()
-	return &Shard{Tree: tr, F: f, Model: model, Objects: objs, OIDs: oids, Stages: stages}, nil
+	return sh, nil
 }
 
 // NumShards returns S.
@@ -479,8 +618,8 @@ func (s *Set) PageSize() int { return s.opt.PageSize }
 // the query-to-pivot computations spent ordering and pruning shards.
 func (s *Set) Costs() (nodeReads, distCalcs int64) {
 	for _, sh := range s.shards {
-		nodeReads += sh.Tree.NodeReads()
-		distCalcs += sh.Tree.DistanceCount()
+		n, d := sh.Costs()
+		nodeReads, distCalcs = nodeReads+n, distCalcs+d
 	}
 	return nodeReads, distCalcs + s.pruneDists.Load()
 }
@@ -490,7 +629,7 @@ func (s *Set) Costs() (nodeReads, distCalcs int64) {
 // queries.
 func (s *Set) ResetCosts() {
 	for _, sh := range s.shards {
-		sh.Tree.ResetCounters()
+		sh.ResetCosts()
 	}
 	s.pruneDists.Store(0)
 	s.skipped.Store(0)
@@ -507,7 +646,7 @@ func (s *Set) ShardsSkipped() int64 { return s.skipped.Load() }
 func (s *Set) PredictRange(radius float64) core.CostEstimate {
 	var est core.CostEstimate
 	for _, sh := range s.shards {
-		e := sh.priceRange(radius)
+		e := sh.PriceRange(radius)
 		est.Nodes += e.Nodes
 		est.Dists += e.Dists
 	}
@@ -521,7 +660,7 @@ func (s *Set) PredictRange(radius float64) core.CostEstimate {
 func (s *Set) PredictNN(k int) core.CostEstimate {
 	var est core.CostEstimate
 	for _, sh := range s.shards {
-		e := sh.priceNN(k)
+		e := sh.PriceNN(k)
 		est.Nodes += e.Nodes
 		est.Dists += e.Dists
 	}
@@ -537,7 +676,7 @@ func (s *Set) PredictNNPrefix(K int) []core.CostEstimate {
 		if sh.Tree.Size() == 0 {
 			continue
 		}
-		est := sh.priceNNPrefix(K)
+		est := sh.PriceNNPrefix(K)
 		sum = sum[:min(len(sum), len(est))]
 		for k := range sum {
 			sum[k].Nodes += est[k].Nodes
@@ -621,11 +760,8 @@ func (s *Set) lowerBounds(q metric.Object, balls []Ball) []float64 {
 	return LowerBounds(s.space, q, balls)
 }
 
-// pick returns the sub-batch qs[subset], nil when subset is empty.
+// pick returns the sub-batch qs[subset].
 func pick(qs []metric.Object, subset []int) []metric.Object {
-	if len(subset) == 0 {
-		return nil
-	}
 	sub := make([]metric.Object, len(subset))
 	for j, qi := range subset {
 		sub[j] = qs[qi]
@@ -633,43 +769,33 @@ func pick(qs []metric.Object, subset []int) []metric.Object {
 	return sub
 }
 
-// run answers the queries qs as one batch on the shard tree: k-NN when
-// k > 0, else range at radius. The tree records into a private trace,
-// returned for the caller to merge in shard order, when traced is set
-// or the shard recalibrates; a clean run feeds that trace to the
-// recalibrator. The result holds one slot per query, in global OIDs,
-// also when the run stops early, and is nil when qs is empty.
-func (sh *Shard) run(qs []metric.Object, radius float64, k int, opt mtree.QueryOptions, traced bool) ([][]mtree.Match, *obs.Trace, error) {
-	if len(qs) == 0 {
-		return nil, nil, nil
-	}
-	var tr *obs.Trace
-	if traced || sh.rc != nil {
-		tr = obs.NewTrace()
-		opt.Trace = tr
-	}
-	var res [][]mtree.Match
-	var err error
-	if k > 0 {
-		res, err = sh.Tree.NNBatch(qs, k, opt)
-		if err == nil && sh.rc != nil {
-			sh.observeNN(k, tr)
+// fanOut runs each shard's non-empty sub-batch qs[subsets[i]] in
+// parallel, each into its own trace when the caller traces, and merges
+// the traces in shard order.
+func (s *Set) fanOut(qs []metric.Object, radius float64, k int, subsets [][]int, opt QueryOptions) ([][][]mtree.Match, []error, error) {
+	S := len(s.shards)
+	results := make([][][]mtree.Match, S)
+	errs := make([]error, S)
+	traces := make([]*obs.Trace, S)
+	ferr := parallel.For(opt.Workers, S, func(i int) error {
+		if len(subsets[i]) == 0 {
+			return nil
 		}
-	} else {
-		res, err = sh.Tree.RangeBatch(qs, radius, opt)
-		if err == nil && sh.rc != nil {
-			sh.observeRange(radius, tr)
+		to := opt.tree()
+		if opt.Trace != nil {
+			traces[i] = obs.NewTrace()
 		}
+		to.Trace = traces[i]
+		results[i], errs[i] = s.shards[i].Run(pick(qs, subsets[i]), radius, k, to)
+		return nil
+	})
+	if ferr != nil {
+		return nil, nil, ferr
 	}
-	if res == nil {
-		res = make([][]mtree.Match, len(qs))
+	for _, tr := range traces {
+		opt.Trace.Merge(tr)
 	}
-	for _, ms := range res {
-		for j := range ms {
-			ms[j].OID = sh.OIDs[ms[j].OID]
-		}
-	}
-	return res, tr, err
+	return results, errs, nil
 }
 
 // firstError returns the lowest-shard-index error.
@@ -780,12 +906,11 @@ func (s *Set) NN(q metric.Object, k int, opt QueryOptions) ([]mtree.Match, error
 			s.skipped.Add(1)
 			continue
 		}
-		res, tr, err := s.shards[c.i].run([]metric.Object{q}, 0, k, opt.tree(), opt.Trace != nil)
+		res, err := s.shards[c.i].Run([]metric.Object{q}, 0, k, opt.tree())
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		best = mergeK(best, res[0], k)
-		opt.Trace.Merge(tr)
 	}
 	return best, firstErr
 }
@@ -819,21 +944,14 @@ func (s *Set) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) (
 			subsets[i] = append(subsets[i], qi)
 		}
 	}
-	results := make([][][]mtree.Match, S)
-	errs := make([]error, S)
-	traces := make([]*obs.Trace, S)
-	ferr := parallel.For(opt.Workers, S, func(i int) error {
-		results[i], traces[i], errs[i] = s.shards[i].run(pick(qs, subsets[i]), radius, 0, opt.tree(), opt.Trace != nil)
-		return nil
-	})
-	if ferr != nil {
-		return nil, ferr
+	results, errs, err := s.fanOut(qs, radius, 0, subsets, opt)
+	if err != nil {
+		return nil, err
 	}
 	for i := range results {
 		for j, qi := range subsets[i] {
 			out[qi] = append(out[qi], results[i][j]...)
 		}
-		opt.Trace.Merge(traces[i])
 	}
 	return out, firstError(errs)
 }
@@ -925,22 +1043,14 @@ func (s *Set) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]mtree.Ma
 // runNNWave fans one wave of per-shard NN batches out in parallel and
 // merges each query's candidates in shard order.
 func (s *Set) runNNWave(qs []metric.Object, k int, subsets [][]int, out [][]mtree.Match, opt QueryOptions) ([]error, error) {
-	S := len(s.shards)
-	results := make([][][]mtree.Match, S)
-	errs := make([]error, S)
-	traces := make([]*obs.Trace, S)
-	ferr := parallel.For(opt.Workers, S, func(i int) error {
-		results[i], traces[i], errs[i] = s.shards[i].run(pick(qs, subsets[i]), 0, k, opt.tree(), opt.Trace != nil)
-		return nil
-	})
-	if ferr != nil {
-		return nil, ferr
+	results, errs, err := s.fanOut(qs, 0, k, subsets, opt)
+	if err != nil {
+		return nil, err
 	}
 	for i := range results {
 		for j, qi := range subsets[i] {
 			out[qi] = mergeK(out[qi], results[i][j], k)
 		}
-		opt.Trace.Merge(traces[i])
 	}
 	return errs, nil
 }
@@ -970,11 +1080,12 @@ func (s *Set) initWrites() {
 // rule assign built the shards by, and the invariant LowerBounds'
 // hyperplane term rests on — and the shard's covering radius grows if
 // obj lands outside it, which keeps the ball term valid. RoundRobin
-// sets rotate by global OID. Writes follow the tree contract: not safe
-// concurrent with queries or with each other.
-func (s *Set) Insert(obj metric.Object) (uint64, error) {
+// sets rotate by global OID. refit and err are Shard.Insert's: refit
+// reports that the shard's model was refit. Writes follow the tree
+// contract: not safe concurrent with queries or with each other.
+func (s *Set) Insert(obj metric.Object) (gid uint64, refit bool, err error) {
 	if obj == nil {
-		return 0, errors.New("shard: nil object")
+		return 0, false, errors.New("shard: nil object")
 	}
 	s.initWrites()
 	best := int(s.nextGlobal % uint64(len(s.shards)))
@@ -989,90 +1100,48 @@ func (s *Set) Insert(obj metric.Object) (uint64, error) {
 		}
 	}
 	sh := s.shards[best]
-	local := sh.Tree.NextOID()
-	if int(local) != len(sh.OIDs) {
-		// Tree-local OIDs are dense insertion indexes; OIDs must mirror
-		// them exactly or run would mistranslate results.
-		return 0, fmt.Errorf("shard: local OID %d does not extend OID map of length %d", local, len(sh.OIDs))
+	gid, local := s.nextGlobal, uint64(len(sh.OIDs))
+	if refit, err = sh.Insert(obj, gid); err != nil && !refit {
+		return 0, false, err
 	}
-	if err := sh.Tree.Insert(obj); err != nil {
-		return 0, err
-	}
-	gid := s.nextGlobal
 	s.nextGlobal++
-	sh.OIDs = append(sh.OIDs, gid)
-	sh.Objects = append(sh.Objects, obj)
 	s.oidIndex[gid] = oidLoc{shard: best, local: local}
 	if sh.Pivot != nil && bestD > sh.Radius {
 		sh.Radius = bestD
 	}
-	if sh.rc != nil {
-		sh.rc.ObserveInsert(obj)
-		if err := s.maybeRefreshShard(sh); err != nil {
-			return gid, err
-		}
-	}
-	return gid, nil
+	return gid, refit, err
 }
 
 // Delete removes the object stored under the global OID (see
-// mtree.Tree.Delete for the identity check). The shard's covering
-// radius is not tightened — it stays a valid, if looser, bound.
-func (s *Set) Delete(obj metric.Object, oid uint64) error {
+// mtree.Tree.Delete for the identity check); refit and err are
+// Shard.Delete's. The shard's covering radius is not tightened — it
+// stays a valid, if looser, bound.
+func (s *Set) Delete(obj metric.Object, oid uint64) (refit bool, err error) {
 	s.initWrites()
 	loc, ok := s.oidIndex[oid]
 	if !ok {
-		return mtree.ErrNotFound
+		return false, mtree.ErrNotFound
 	}
-	sh := s.shards[loc.shard]
-	if err := sh.Tree.Delete(obj, loc.local); err != nil {
-		return err
+	if refit, err = s.shards[loc.shard].Delete(obj, loc.local); err != nil && !refit {
+		return false, err
 	}
 	delete(s.oidIndex, oid)
-	if sh.rc != nil {
-		sh.rc.ObserveDelete(obj)
-		return s.maybeRefreshShard(sh)
-	}
-	return nil
+	return refit, err
 }
 
 // EnableRecalibration attaches one recalibrator per shard, seeded from
-// the shard's members; predictions, admission prices, and the k-NN
-// shard ordering switch to bias-corrected estimates, and every clean
-// query execution feeds its trace back into the owning shard's window.
+// the shard's members on its own stream; predictions, admission prices,
+// and the k-NN shard ordering switch to bias-corrected estimates, and
+// every clean query execution feeds its trace back into the owning
+// shard's window.
 func (s *Set) EnableRecalibration(cfg recal.Config) error {
 	for i, sh := range s.shards {
 		c := cfg
 		c.Seed = parallel.SplitSeed(cfg.Seed, 5000+i)
-		rc, err := recal.New(c, sh.F, s.space, sh.Tree.Size(), sh.Objects)
-		if err != nil {
+		if err := sh.EnableRecalibration(c, sh.Objects); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		sh.rc = rc
 	}
-	return nil
-}
-
-// maybeRefreshShard refits one shard's model from its recalibrated
-// histogram and live tree stats when the recalibrator asks for it.
-func (s *Set) maybeRefreshShard(sh *Shard) error {
-	if !sh.rc.NeedRefresh() {
-		return nil
-	}
-	stats, err := sh.Tree.CollectStats()
-	if err != nil {
-		return fmt.Errorf("shard: recalibration refresh: %w", err)
-	}
-	f, err := sh.rc.Histogram()
-	if err != nil {
-		return fmt.Errorf("shard: recalibration refresh: %w", err)
-	}
-	model, err := core.NewMTreeModel(f, stats)
-	if err != nil {
-		return fmt.Errorf("shard: recalibration refresh: %w", err)
-	}
-	sh.F, sh.Model = f, model
-	sh.rc.MarkRefreshed()
 	return nil
 }
 

@@ -24,22 +24,21 @@
 package mcost
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mcost/internal/advisor"
 	"mcost/internal/core"
 	"mcost/internal/dataset"
 	"mcost/internal/distdist"
-	"mcost/internal/histogram"
 	"mcost/internal/metric"
 	"mcost/internal/mtree"
-	"mcost/internal/obs"
 	"mcost/internal/pager"
 	"mcost/internal/recal"
+	"mcost/internal/shard"
 )
 
 // Object is any value a metric space can compare (metric.Vector values
@@ -126,76 +125,29 @@ type ArenaOptions struct {
 }
 
 // Index is a built M-tree together with its fitted cost model. Its
-// serving surface — planning, pricing, engine modes, traced batches —
-// is the one ShardedIndex shares (surface.go).
+// tree side is one shard (internal/shard) whose OID i is i; its serving
+// surface — planning, pricing, engine modes, traced batches — is the one
+// ShardedIndex shares (surface.go).
 type Index struct {
 	surface
-	tree  *mtree.Tree
+	sh    *shard.Shard
 	stack *pager.Stack // non-nil only with StorageOptions enabled
-	f     *histogram.Histogram
-	stats *mtree.Stats
-	model *core.MTreeModel
-	// rc, when non-nil, keeps the model live under writes: F̂ updates on
-	// every Insert/Delete, bias correction from recent traces, periodic
-	// refits. Enabled by EnableRecalibration.
-	rc     *recal.Recalibrator
-	stages BuildStages
 }
 
-// indexTree is Index's tree side: the M-tree priced by L-MCM,
-// bias-corrected and fed back to the recalibrator when one is enabled.
-type indexTree struct{ ix *Index }
+// indexTree is Index's tree side: its shard, except for the k-NN price.
+type indexTree struct{ *shard.Shard }
 
-func (t indexTree) PriceRange(radius float64) CostEstimate { return t.ix.PredictRangeLevel(radius) }
-func (t indexTree) PriceNN(k int) CostEstimate             { return t.ix.PredictNNLevel(k) }
-
-// PriceNNPrefix is PriceNN(k) for k = 1..K from one pass of the model
-// (see advisor.Predictor).
-func (t indexTree) PriceNNPrefix(K int) []CostEstimate {
-	est := t.ix.model.NNLPrefix(K)
-	if t.ix.rc != nil {
-		t.ix.rc.CorrectNNs(est)
+// PriceNN prices cold, NNL(k) bias-corrected under recalibration, where
+// the shard reads its model's price table. The values are equal; the
+// table would move the benchmark's tree-l2 range latency through its
+// closed-loop coupling (DESIGN.md, "What pricing costs"), so the switch
+// waits for the benchmark re-cut.
+func (t indexTree) PriceNN(k int) CostEstimate {
+	if rc := t.Recal(); rc != nil {
+		return rc.CorrectNN(t.Model.NNL(k))
 	}
-	return est
+	return t.Model.NNL(k)
 }
-
-// RangeBatch runs the batch on the tree. With recalibration enabled it
-// executes under a private trace, so the observation covers exactly this
-// dispatch whatever the caller's trace already holds, and feeds back
-// clean executions only: a budget- or context-truncated traversal
-// observed less work than the full query costs, which would teach the
-// window a downward bias that admission then amplifies.
-func (t indexTree) RangeBatch(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
-	ix := t.ix
-	if ix.rc == nil {
-		return ix.tree.RangeBatch(qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: tr})
-	}
-	own := obs.NewTrace()
-	sets, err := ix.tree.RangeBatch(qs, radius, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: own})
-	tr.Merge(own)
-	if err == nil {
-		ix.rc.ObserveRange(ix.model.RangeLByLevel(radius), t.PriceRange(radius), own)
-	}
-	return sets, err
-}
-
-// NNBatch is RangeBatch for k-NN.
-func (t indexTree) NNBatch(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
-	ix := t.ix
-	if ix.rc == nil {
-		return ix.tree.NNBatch(qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: tr})
-	}
-	own := obs.NewTrace()
-	sets, err := ix.tree.NNBatch(qs, k, mtree.QueryOptions{UseParentDist: true, Budget: b, Ctx: ctx, Trace: own})
-	tr.Merge(own)
-	if err == nil {
-		ix.rc.ObserveNN(ix.model.NNL(k), t.PriceNN(k), own)
-	}
-	return sets, err
-}
-
-func (t indexTree) Costs() (int64, int64) { return t.ix.tree.NodeReads(), t.ix.tree.DistanceCount() }
-func (t indexTree) ResetCosts()           { t.ix.tree.ResetCounters() }
 
 // BuildStages is where a build's time went, stage by stage — what
 // mcost-serve prints at start-up and what the benchmark's per-layer rows
@@ -218,7 +170,7 @@ func (s BuildStages) String() string {
 }
 
 // BuildStages returns where Build's time went.
-func (ix *Index) BuildStages() BuildStages { return ix.stages }
+func (ix *Index) BuildStages() BuildStages { return ix.buildStages(ix.sh) }
 
 // Build indexes the objects and fits the cost model: it constructs the
 // M-tree (bulk-loaded unless Incremental), estimates the distance
@@ -236,46 +188,11 @@ func Build(space *Space, objects []Object, opt Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := obs.StartStopwatch()
-	tree, err := mtree.New(mo)
-	if err != nil {
-		return nil, err
+	oids := make([]uint64, len(objects))
+	for i := range oids {
+		oids[i] = uint64(i)
 	}
-	if opt.Incremental {
-		err = tree.InsertAll(objects)
-	} else {
-		err = tree.BulkLoad(objects)
-	}
-	if err != nil {
-		return nil, err
-	}
-	bulkload := clock.Lap()
-	ix, err := finishIndex(space, tree, objects, opt)
-	if err != nil {
-		return nil, err
-	}
-	ix.stages.Bulkload = bulkload
-	ix.stack = stack
-	if opt.Arena.Enabled && opt.Storage.Faults == nil {
-		clock.Lap()
-		if err := tree.FreezeArena(mtree.ArenaConfig{Mmap: opt.Arena.Mmap, Path: opt.Arena.Path}); err != nil {
-			return nil, fmt.Errorf("mcost: freezing arena: %w", err)
-		}
-		ix.stages.Freeze = clock.Lap()
-	}
-	return ix, nil
-}
-
-func finishIndex(space *Space, tree *mtree.Tree, objects []Object, opt Options) (*Index, error) {
-	var stages BuildStages
-	clock := obs.StartStopwatch()
-	stats, err := tree.CollectStats()
-	if err != nil {
-		return nil, err
-	}
-	stages.Model = clock.Lap()
-	ds := &dataset.Dataset{Name: "indexed", Space: space, Objects: objects}
-	f, err := distdist.Estimate(ds, distdist.Options{
+	sh, err := shard.New(slices.Clip(objects), oids, mo, opt.Incremental, opt.arena(), distdist.Options{
 		Bins:     opt.HistogramBins,
 		MaxPairs: opt.SamplePairs,
 		Seed:     opt.Seed + 1,
@@ -284,32 +201,24 @@ func finishIndex(space *Space, tree *mtree.Tree, objects []Object, opt Options) 
 	if err != nil {
 		return nil, err
 	}
-	stages.Estimate = clock.Lap()
-	model, err := core.NewMTreeModel(f, stats)
-	if err != nil {
+	ix := &Index{sh: sh, stack: stack}
+	if ix.surface, err = newSurface(space, objects, sh.Tree.PageSize(), indexTree{sh}, advisor.EngineTree, sh.F); err != nil {
 		return nil, err
 	}
-	stages.Model += clock.Lap()
-	ix := &Index{tree: tree, f: f, stats: stats, model: model}
-	if ix.surface, err = newSurface(space, objects, tree.PageSize(), indexTree{ix}, advisor.EngineTree, f); err != nil {
-		return nil, err
-	}
-	stages.Profile = clock.Lap()
-	ix.stages = stages
 	return ix, nil
 }
 
 // Size returns the number of indexed objects.
-func (ix *Index) Size() int { return ix.tree.Size() }
+func (ix *Index) Size() int { return ix.sh.Tree.Size() }
 
 // Height returns the number of tree levels.
-func (ix *Index) Height() int { return ix.tree.Height() }
+func (ix *Index) Height() int { return ix.sh.Tree.Height() }
 
 // NumNodes returns the number of tree nodes (pages).
-func (ix *Index) NumNodes() int { return ix.tree.NumNodes() }
+func (ix *Index) NumNodes() int { return ix.sh.Tree.NumNodes() }
 
 // PageSize returns the M-tree node size in bytes.
-func (ix *Index) PageSize() int { return ix.tree.PageSize() }
+func (ix *Index) PageSize() int { return ix.sh.Tree.PageSize() }
 
 // Range returns all objects within radius of q. The parent-distance
 // optimization is enabled: real queries should be as fast as possible.
@@ -317,7 +226,7 @@ func (ix *Index) Range(q Object, radius float64) ([]Match, error) {
 	if err := ix.check(q); err != nil {
 		return nil, err
 	}
-	return ix.tree.Range(q, radius, mtree.QueryOptions{UseParentDist: true})
+	return ix.sh.Tree.Range(q, radius, mtree.QueryOptions{UseParentDist: true})
 }
 
 // NN returns the k nearest neighbors of q, closest first.
@@ -325,7 +234,7 @@ func (ix *Index) NN(q Object, k int) ([]Match, error) {
 	if err := ix.check(q); err != nil {
 		return nil, err
 	}
-	return ix.tree.NN(q, k, mtree.QueryOptions{UseParentDist: true})
+	return ix.sh.Tree.NN(q, k, mtree.QueryOptions{UseParentDist: true})
 }
 
 // PredictRange predicts range-query costs with the node-based model
@@ -333,10 +242,10 @@ func (ix *Index) NN(q Object, k int) ([]Match, error) {
 // the parent-distance optimization, so it upper-bounds what Range
 // performs; see PredictRangeLevel for the cheaper level-based variant.
 func (ix *Index) PredictRange(radius float64) CostEstimate {
-	if ix.rc != nil {
-		return ix.rc.CorrectTotal(ix.model.RangeN(radius))
+	if rc := ix.sh.Recal(); rc != nil {
+		return rc.CorrectTotal(ix.sh.Model.RangeN(radius))
 	}
-	return ix.model.RangeN(radius)
+	return ix.sh.Model.RangeN(radius)
 }
 
 // PredictRangeLevel predicts range-query costs with the level-based
@@ -344,17 +253,12 @@ func (ix *Index) PredictRange(radius float64) CostEstimate {
 // recalibration enabled the per-level prediction is scaled by the bias
 // factors learned from recent traces. It is the tree side's price: what
 // PriceRange charges and the advisor compares against the scan.
-func (ix *Index) PredictRangeLevel(radius float64) CostEstimate {
-	if ix.rc != nil {
-		return ix.rc.CorrectRange(ix.model.RangeLByLevel(radius))
-	}
-	return ix.model.RangeL(radius)
-}
+func (ix *Index) PredictRangeLevel(radius float64) CostEstimate { return ix.sh.PriceRange(radius) }
 
 // PredictSelectivity predicts the number of objects a range query
 // returns: n·F(radius) (Eq. 8).
 func (ix *Index) PredictSelectivity(radius float64) float64 {
-	return ix.model.RangeObjects(radius)
+	return ix.sh.Model.RangeObjects(radius)
 }
 
 // PredictNN predicts k-NN query costs with the node-based model by
@@ -362,35 +266,30 @@ func (ix *Index) PredictSelectivity(radius float64) float64 {
 // (Eq. 9-14 generalized to any k). With recalibration enabled the
 // aggregate bias learned from recent traces is applied.
 func (ix *Index) PredictNN(k int) CostEstimate {
-	if ix.rc != nil {
-		return ix.rc.CorrectNN(ix.model.NNN(k))
+	if rc := ix.sh.Recal(); rc != nil {
+		return rc.CorrectNN(ix.sh.Model.NNN(k))
 	}
-	return ix.model.NNN(k)
+	return ix.sh.Model.NNN(k)
 }
 
 // PredictNNLevel is the level-based variant (Eq. 17-18), the tree
 // side's k-NN price.
-func (ix *Index) PredictNNLevel(k int) CostEstimate {
-	if ix.rc != nil {
-		return ix.rc.CorrectNN(ix.model.NNL(k))
-	}
-	return ix.model.NNL(k)
-}
+func (ix *Index) PredictNNLevel(k int) CostEstimate { return ix.side.PriceNN(k) }
 
 // ExpectedNNDistance predicts the distance of the k-th nearest neighbor
 // of a random query (Eq. 11).
-func (ix *Index) ExpectedNNDistance(k int) float64 { return ix.model.ExpectedNNDist(k) }
+func (ix *Index) ExpectedNNDistance(k int) float64 { return ix.sh.Model.ExpectedNNDist(k) }
 
 // DistanceDistribution exposes the estimated F̂: F(x) is the fraction of
 // object pairs within distance x.
 func (ix *Index) DistanceDistribution() func(x float64) float64 {
-	return ix.f.CDF
+	return ix.sh.F.CDF
 }
 
 // PredictTotalMS combines a prediction into milliseconds under the disk
 // parameters, using this index's node size.
 func (ix *Index) PredictTotalMS(est CostEstimate, disk DiskParams) float64 {
-	return disk.TotalMS(est, ix.tree.PageSize())
+	return disk.TotalMS(est, ix.sh.Tree.PageSize())
 }
 
 // PaperDiskParams returns the disk parameters of the paper's Figure
@@ -403,15 +302,21 @@ func PaperDiskParams() DiskParams { return core.PaperDiskParams() }
 // deletion — so call RefreshModel before relying on predictions again,
 // or enable recalibration and let the index refresh itself.
 func (ix *Index) Delete(obj Object, oid uint64) error {
-	if err := ix.tree.Delete(obj, oid); err != nil {
+	refit, err := ix.sh.Delete(obj, oid)
+	if err != nil && !refit {
 		return err
 	}
 	ix.scan.Remove(oid)
-	if ix.rc != nil {
-		ix.rc.ObserveDelete(obj)
-		return ix.maybeRecalRefresh()
+	return ix.refitted(refit, err)
+}
+
+// refitted follows a write the shard took: after a clean refit the
+// profile is recomputed from the new model, over the updated scan.
+func (ix *Index) refitted(refit bool, err error) error {
+	if refit && err == nil {
+		ix.refreshProfile(ix.sh.F)
 	}
-	return nil
+	return err
 }
 
 // RefreshModel re-collects the tree statistics and refits the cost
@@ -419,17 +324,10 @@ func (ix *Index) Delete(obj Object, oid uint64) error {
 // distance distribution F̂ is kept: deletions and inserts drawn from the
 // same data distribution do not change it.
 func (ix *Index) RefreshModel() error {
-	stats, err := ix.tree.CollectStats()
-	if err != nil {
+	if err := ix.sh.Refit(ix.sh.F); err != nil {
 		return err
 	}
-	model, err := core.NewMTreeModel(ix.f, stats)
-	if err != nil {
-		return err
-	}
-	ix.stats = stats
-	ix.model = model
-	ix.refreshProfile(ix.f)
+	ix.refreshProfile(ix.sh.F)
 	return nil
 }
 
@@ -437,18 +335,13 @@ func (ix *Index) RefreshModel() error {
 // model after bulk churn, or enable recalibration and let the index
 // refresh itself.
 func (ix *Index) Insert(obj Object) (uint64, error) {
-	oid := ix.tree.NextOID()
-	if err := ix.tree.Insert(obj); err != nil {
+	oid := uint64(len(ix.sh.OIDs))
+	refit, err := ix.sh.Insert(obj, oid)
+	if err != nil && !refit {
 		return 0, err
 	}
 	ix.scan.Insert(obj, oid)
-	if ix.rc != nil {
-		ix.rc.ObserveInsert(obj)
-		if err := ix.maybeRecalRefresh(); err != nil {
-			return oid, err
-		}
-	}
-	return oid, nil
+	return oid, ix.refitted(refit, err)
 }
 
 // EnableRecalibration attaches a live recalibrator: every subsequent
@@ -463,47 +356,16 @@ func (ix *Index) Insert(obj Object) (uint64, error) {
 // layer serializes writes behind an RWMutex. The recalibrator itself is
 // concurrency-safe.
 func (ix *Index) EnableRecalibration(cfg recal.Config, sample []Object) error {
-	rc, err := recal.New(cfg, ix.f, ix.space, ix.tree.Size(), sample)
-	if err != nil {
-		return err
-	}
-	ix.rc = rc
-	return nil
+	return ix.sh.EnableRecalibration(cfg, sample)
 }
 
 // RecalStats snapshots the recalibrator's observable state; ok is false
 // when recalibration is not enabled.
 func (ix *Index) RecalStats() (recal.Stats, bool) {
-	if ix.rc == nil {
-		return recal.Stats{}, false
+	if rc := ix.sh.Recal(); rc != nil {
+		return rc.Stats(), true
 	}
-	return ix.rc.Stats(), true
-}
-
-// maybeRecalRefresh refits the model from the recalibrator's blended F̂
-// and fresh tree statistics when enough writes have accumulated.
-func (ix *Index) maybeRecalRefresh() error {
-	if !ix.rc.NeedRefresh() {
-		return nil
-	}
-	stats, err := ix.tree.CollectStats()
-	if err != nil {
-		return fmt.Errorf("mcost: recalibration refresh: %w", err)
-	}
-	f, err := ix.rc.Histogram()
-	if err != nil {
-		return fmt.Errorf("mcost: recalibration refresh: %w", err)
-	}
-	model, err := core.NewMTreeModel(f, stats)
-	if err != nil {
-		return fmt.Errorf("mcost: recalibration refresh: %w", err)
-	}
-	ix.f = f
-	ix.stats = stats
-	ix.model = model
-	ix.rc.MarkRefreshed()
-	ix.refreshProfile(ix.f)
-	return nil
+	return recal.Stats{}, false
 }
 
 // Model is a standalone fitted cost model: the JSON-serializable object
@@ -512,7 +374,7 @@ func (ix *Index) maybeRecalRefresh() error {
 type Model = core.MTreeModel
 
 // SaveModel writes the index's fitted cost model as JSON.
-func (ix *Index) SaveModel(w io.Writer) error { return ix.model.Save(w) }
+func (ix *Index) SaveModel(w io.Writer) error { return ix.sh.Model.Save(w) }
 
 // LoadModel reads a model written by SaveModel.
 func LoadModel(r io.Reader) (*Model, error) { return core.LoadModel(r) }
@@ -571,8 +433,8 @@ func (ix *Index) NNApprox(q Object, k int, confidence float64) ([]Match, error) 
 	if err := ix.check(q); err != nil {
 		return nil, err
 	}
-	stop := ix.model.NNDistQuantile(k, confidence)
-	return ix.tree.NNWithStop(q, k, stop, mtree.QueryOptions{UseParentDist: true})
+	stop := ix.sh.Model.NNDistQuantile(k, confidence)
+	return ix.sh.Tree.NNWithStop(q, k, stop, mtree.QueryOptions{UseParentDist: true})
 }
 
 // IndexStats summarizes the built tree for observability and reporting.
@@ -597,15 +459,15 @@ type IndexStats struct {
 // taken at Build or the last RefreshModel).
 func (ix *Index) Stats() IndexStats {
 	out := IndexStats{
-		Objects: ix.stats.Size,
-		Height:  ix.stats.Height,
+		Objects: ix.sh.Stats.Size,
+		Height:  ix.sh.Stats.Height,
 	}
-	for _, ls := range ix.stats.Levels {
+	for _, ls := range ix.sh.Stats.Levels {
 		out.LevelNodes = append(out.LevelNodes, ls.Nodes)
 		out.Nodes += ls.Nodes
 	}
 	var leafEntries int
-	for _, ns := range ix.stats.Nodes {
+	for _, ns := range ix.sh.Stats.Nodes {
 		if !ns.Leaf {
 			continue
 		}

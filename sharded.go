@@ -1,15 +1,12 @@
 package mcost
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"mcost/internal/advisor"
 	"mcost/internal/histogram"
 	"mcost/internal/mtree"
-	"mcost/internal/obs"
 	"mcost/internal/pager"
 	"mcost/internal/recal"
 	"mcost/internal/shard"
@@ -60,8 +57,6 @@ type ShardedIndex struct {
 	set     *shard.Set
 	stacks  []*pager.Stack // per shard; nil entries when storage is off
 	workers int
-	// profileTime is what the scan and profile took (see BuildStages).
-	profileTime time.Duration
 }
 
 // fanoutTree is ShardedIndex's tree side: the shard set, priced by the
@@ -72,21 +67,15 @@ func (t fanoutTree) PriceRange(radius float64) CostEstimate { return t.sx.set.Pr
 func (t fanoutTree) PriceNN(k int) CostEstimate             { return t.sx.set.PredictNN(k) }
 func (t fanoutTree) PriceNNPrefix(K int) []CostEstimate     { return t.sx.set.PredictNNPrefix(K) }
 
-// RangeBatch fans the batch out with a per-shard budget and a trace
-// merged in shard order.
-func (t fanoutTree) RangeBatch(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
-	return t.sx.set.RangeBatch(qs, radius, t.opt(ctx, b, tr))
-}
-
-// NNBatch is RangeBatch for k-NN.
-func (t fanoutTree) NNBatch(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error) {
-	return t.sx.set.NNBatch(qs, k, t.opt(ctx, b, tr))
-}
-
-func (t fanoutTree) opt(ctx context.Context, b QueryBudget, tr *QueryTrace) shard.QueryOptions {
-	opt := t.sx.qopt()
-	opt.Ctx, opt.Budget, opt.Trace = ctx, b, tr
-	return opt
+// Run fans the batch out with a per-shard budget and a trace merged in
+// shard order.
+func (t fanoutTree) Run(qs []Object, radius float64, k int, opt mtree.QueryOptions) ([][]Match, error) {
+	so := t.sx.qopt()
+	so.Ctx, so.Budget, so.Trace = opt.Ctx, opt.Budget, opt.Trace
+	if k > 0 {
+		return t.sx.set.NNBatch(qs, k, so)
+	}
+	return t.sx.set.RangeBatch(qs, radius, so)
 }
 
 func (t fanoutTree) Costs() (int64, int64) { return t.sx.set.Costs() }
@@ -106,10 +95,6 @@ func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) 
 		return nil, errors.New("mcost: no objects")
 	}
 	stacks := make([]*pager.Stack, so.Shards)
-	var arena *mtree.ArenaConfig
-	if opt.Arena.Enabled && opt.Storage.Faults == nil {
-		arena = &mtree.ArenaConfig{Mmap: opt.Arena.Mmap, Path: opt.Arena.Path}
-	}
 	set, err := shard.Build(space, objects, shard.Options{
 		Shards:        so.Shards,
 		Assign:        so.Assign,
@@ -119,7 +104,7 @@ func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) 
 		Seed:          opt.Seed,
 		Workers:       opt.Workers,
 		Incremental:   opt.Incremental,
-		Arena:         arena,
+		Arena:         opt.arena(),
 		TreeOptions: func(i int) (mtree.Options, error) {
 			mo, stack, err := buildStorage(space, objects[0], opt)
 			if err != nil {
@@ -133,36 +118,48 @@ func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) 
 		return nil, err
 	}
 	sx := &ShardedIndex{set: set, stacks: stacks, workers: opt.Workers}
-	clock := obs.StartStopwatch()
-	// The dataset-level F̂ is the mass-weighted merge of the per-shard
-	// histograms — no extra distance sampling.
-	fs := make([]*histogram.Histogram, 0, set.NumShards())
-	for _, sh := range set.Shards() {
+	f, err := sx.mergedF()
+	if err != nil {
+		return nil, err
+	}
+	if sx.surface, err = newSurface(space, objects, set.PageSize(), fanoutTree{sx}, advisor.EngineFanout, f); err != nil {
+		return nil, err
+	}
+	return sx, nil
+}
+
+// mergedF is the dataset-level F̂: the mass-weighted merge of the
+// per-shard histograms — no extra distance sampling.
+func (sx *ShardedIndex) mergedF() (*histogram.Histogram, error) {
+	fs := make([]*histogram.Histogram, 0, sx.set.NumShards())
+	for _, sh := range sx.set.Shards() {
 		fs = append(fs, sh.F)
 	}
 	f, err := histogram.Merge(fs...)
 	if err != nil {
 		return nil, fmt.Errorf("mcost: merging shard histograms: %w", err)
 	}
-	if sx.surface, err = newSurface(space, objects, set.PageSize(), fanoutTree{sx}, advisor.EngineFanout, f); err != nil {
-		return nil, err
+	return f, nil
+}
+
+// refitted follows a write a shard took: after a clean recalibration
+// refit the profile is recomputed from the re-merged shard F̂s, as Index
+// recomputes it after its own.
+func (sx *ShardedIndex) refitted(refit bool, err error) error {
+	if !refit || err != nil {
+		return err
 	}
-	sx.profileTime = clock.Lap()
-	return sx, nil
+	f, err := sx.mergedF()
+	if err != nil {
+		return err
+	}
+	sx.refreshProfile(f)
+	return nil
 }
 
 // BuildStages returns where BuildSharded's time went: the profile's, and
 // each other stage summed over the shards (see BuildStages).
-func (sx *ShardedIndex) BuildStages() BuildStages {
-	st := BuildStages{Profile: sx.profileTime}
-	for _, sh := range sx.set.Shards() {
-		st.Bulkload += sh.Stages.Bulkload
-		st.Estimate += sh.Stages.Estimate
-		st.Model += sh.Stages.Model
-		st.Freeze += sh.Stages.Freeze
-	}
-	return st
-}
+func (sx *ShardedIndex) BuildStages() BuildStages { return sx.buildStages(sx.set.Shards()...) }
 
 func (sx *ShardedIndex) qopt() shard.QueryOptions {
 	return shard.QueryOptions{UseParentDist: true, Workers: sx.workers}
@@ -272,22 +269,23 @@ func (sx *ShardedIndex) RunWorkload(w *Workload, queryPool []Object, opt Workloa
 // Writes follow the tree contract: not safe concurrent with queries or
 // with each other.
 func (sx *ShardedIndex) Insert(obj Object) (uint64, error) {
-	oid, err := sx.set.Insert(obj)
-	if err != nil {
+	oid, refit, err := sx.set.Insert(obj)
+	if err != nil && !refit {
 		return 0, err
 	}
 	sx.scan.Insert(obj, oid)
-	return oid, nil
+	return oid, sx.refitted(refit, err)
 }
 
 // Delete removes the object stored under the global OID (see
 // Index.Delete for the identity check).
 func (sx *ShardedIndex) Delete(obj Object, oid uint64) error {
-	if err := sx.set.Delete(obj, oid); err != nil {
+	refit, err := sx.set.Delete(obj, oid)
+	if err != nil && !refit {
 		return err
 	}
 	sx.scan.Remove(oid)
-	return nil
+	return sx.refitted(refit, err)
 }
 
 // EnableRecalibration attaches one online recalibrator per shard (see

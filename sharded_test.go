@@ -1,10 +1,13 @@
 package mcost
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
+	"mcost/internal/advisor"
 	"mcost/internal/core"
+	"mcost/internal/histogram"
 	"mcost/internal/recal"
 )
 
@@ -164,9 +167,9 @@ func TestShardedPredictNNFollowsModelSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := shards[0].Model.CachedKs(); got != 0 {
-		t.Errorf("the refitted model starts with %d table entries, want 0", got)
-	}
+	// The refit refreshes the hardness profile, which prices the new
+	// model at large k; k itself must still be missing from its table.
+	filled := shards[0].Model.CachedKs()
 	var want CostEstimate
 	for i, sh := range shards {
 		stats, err := sh.Tree.CollectStats()
@@ -182,11 +185,69 @@ func TestShardedPredictNNFollowsModelSwap(t *testing.T) {
 		want.Dists += e.Dists
 	}
 	got := sx.PredictNN(k)
+	if n := shards[0].Model.CachedKs(); n != filled+1 {
+		t.Errorf("pricing k = %d took the refitted model's table from %d to %d entries, want one more", k, filled, n)
+	}
 	if got != want {
 		t.Errorf("PredictNN(%d) after the refit = %+v, fresh models sum to %+v", k, got, want)
 	}
 	if got == before {
 		t.Errorf("PredictNN(%d) did not move with the refit: %+v", k, got)
+	}
+}
+
+// TestShardedHardnessFollowsRefit: Hardness is refreshed with the
+// model. Once writes past RefreshEvery have refit the shards' models, it
+// must be the profile ComputeProfile gives afresh from the re-merged
+// shard F̂s, the scan as it stands and the refitted prices.
+func TestShardedHardnessFollowsRefit(t *testing.T) {
+	sx, _ := shardedFixture(t, 300, 3, ShardPivot, Options{Seed: 19})
+	const every = 8
+	if err := sx.EnableRecalibration(recal.Config{RefreshEvery: every, Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	built := sx.Hardness()
+	// Write until a shard refits for the second time; the loop ends on
+	// that write, so the profile must be the one it refreshed.
+	shards := sx.set.Shards()
+	models := func() (ms []*core.MTreeModel) {
+		for _, sh := range shards {
+			ms = append(ms, sh.Model)
+		}
+		return ms
+	}
+	refits := 0
+	for i, o := range randomVectors(6*every, 5, 29) {
+		before := models()
+		if _, err := sx.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+		for j, m := range models() {
+			if m != before[j] {
+				refits++
+			}
+		}
+		if refits == 2 {
+			break
+		}
+		if i == 6*every-1 {
+			t.Fatalf("%d writes refit %d shard models", 6*every, refits)
+		}
+	}
+	var fs []*histogram.Histogram
+	for _, sh := range sx.set.Shards() {
+		fs = append(fs, sh.F)
+	}
+	f, err := histogram.Merge(fs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := advisor.ComputeProfile(f, sx.scan.Size(), sx.scan.Pages(), sx.space.Bound, sx.side)
+	if fmt.Sprintf("%+v", want) == fmt.Sprintf("%+v", built) {
+		t.Fatal("the writes left the profile where the build put it; nothing to check")
+	}
+	if got := sx.Hardness(); fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Errorf("Hardness after the refits = %+v\nfresh ComputeProfile  = %+v", got, want)
 	}
 }
 

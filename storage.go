@@ -73,6 +73,15 @@ type StorageOptions struct {
 
 func (s StorageOptions) enabled() bool { return s.Paged || s.Faults != nil }
 
+// arena returns the arena freeze a build asks for, nil for none: fault
+// injection targets the paged read path, which the arena would bypass.
+func (o Options) arena() *mtree.ArenaConfig {
+	if !o.Arena.Enabled || o.Storage.Faults != nil {
+		return nil
+	}
+	return &mtree.ArenaConfig{Mmap: o.Arena.Mmap, Path: o.Arena.Path}
+}
+
 // buildStorage assembles the page stack for Build when storage options
 // ask for one, returning the mounted tree options.
 func buildStorage(space *Space, sample Object, opt Options) (mtree.Options, *pager.Stack, error) {

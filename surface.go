@@ -3,11 +3,14 @@ package mcost
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"mcost/internal/advisor"
 	"mcost/internal/histogram"
 	"mcost/internal/metric"
 	"mcost/internal/mtree"
+	"mcost/internal/obs"
+	"mcost/internal/shard"
 )
 
 // The serving surface, written once for Index and ShardedIndex. Both
@@ -75,13 +78,13 @@ func ParseEngineMode(s string) (EngineMode, error) {
 
 // treeSide is the metric index behind a surface. Its prices are tree
 // prices whatever the engine mode — the advisor compares the real tree
-// cost against the scan — and its batches run under a context, a batch
-// budget and an optional trace, returning per-query partial results
-// with a typed budget or context error.
+// cost against the scan — and Run answers a batch (k-NN when k > 0,
+// else range at radius) under the options' context, batch budget and
+// optional trace, returning per-query partial results with a typed
+// budget or context error.
 type treeSide interface {
 	advisor.Predictor
-	RangeBatch(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error)
-	NNBatch(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error)
+	Run(qs []Object, radius float64, k int, opt mtree.QueryOptions) ([][]Match, error)
 	// Costs and ResetCosts are the tree side's share of the counters.
 	Costs() (nodeReads, distances int64)
 	ResetCosts()
@@ -105,18 +108,35 @@ type surface struct {
 	scan    *mtree.Scan
 	profile HardnessProfile
 	mode    EngineMode
+	// profileTime is what building the scan and the profile took.
+	profileTime time.Duration
 }
 
 // newSurface attaches the linear-scan engine over objects and the
 // hardness profile of f to a tree side.
 func newSurface(space *Space, objects []Object, pageSize int, side treeSide, treeEngine advisor.Engine, f *histogram.Histogram) (surface, error) {
+	clock := obs.StartStopwatch()
 	scan, err := mtree.NewScan(space, objects, pageSize)
 	if err != nil {
 		return surface{}, fmt.Errorf("mcost: building scan engine: %w", err)
 	}
 	s := surface{space: space, sample: objects[0], side: side, treeEngine: treeEngine, scan: scan, mode: EngineTree}
 	s.refreshProfile(f)
+	s.profileTime = clock.Lap()
 	return s, nil
+}
+
+// buildStages is the shards' build stages summed, beside the surface's
+// own Profile.
+func (s *surface) buildStages(shards ...*shard.Shard) BuildStages {
+	st := BuildStages{Profile: s.profileTime}
+	for _, sh := range shards {
+		st.Bulkload += sh.Stages.Bulkload
+		st.Estimate += sh.Stages.Estimate
+		st.Model += sh.Stages.Model
+		st.Freeze += sh.Stages.Freeze
+	}
+	return st
 }
 
 // refreshProfile recomputes the hardness profile from F̂ and the tree
@@ -259,10 +279,12 @@ func (s *surface) RangeBatchTraced(ctx context.Context, qs []Object, radius floa
 	if err := s.check(qs...); err != nil {
 		return nil, err
 	}
+	opt := mtree.QueryOptions{Budget: b, Ctx: ctx, Trace: tr}
 	if s.useScan(advisor.Query{Kind: advisor.KindRange, Radius: radius}) {
-		return s.scan.RangeBatch(qs, radius, mtree.QueryOptions{Budget: b, Ctx: ctx, Trace: tr})
+		return s.scan.RangeBatch(qs, radius, opt)
 	}
-	return s.side.RangeBatch(ctx, qs, radius, b, tr)
+	opt.UseParentDist = true
+	return s.side.Run(qs, radius, 0, opt)
 }
 
 // NNBatchTraced answers a batch of k-NN queries, closest first, under
@@ -271,10 +293,12 @@ func (s *surface) NNBatchTraced(ctx context.Context, qs []Object, k int, b Query
 	if err := s.check(qs...); err != nil {
 		return nil, err
 	}
+	opt := mtree.QueryOptions{Budget: b, Ctx: ctx, Trace: tr}
 	if s.useScan(advisor.Query{Kind: advisor.KindNN, K: k}) {
-		return s.scan.NNBatch(qs, k, mtree.QueryOptions{Budget: b, Ctx: ctx, Trace: tr})
+		return s.scan.NNBatch(qs, k, opt)
 	}
-	return s.side.NNBatch(ctx, qs, k, b, tr)
+	opt.UseParentDist = true
+	return s.side.Run(qs, 0, k, opt)
 }
 
 // Costs returns the node reads and distance computations accumulated

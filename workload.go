@@ -24,7 +24,7 @@ func (ix *Index) RunWorkload(w *Workload, pool []Object, opt WorkloadOptions) (*
 	if err := ix.check(pool...); err != nil {
 		return nil, err
 	}
-	return workload.Run(ix.tree, ix.model, w, pool, opt)
+	return workload.Run(ix.sh.Tree, ix.sh.Model, w, pool, opt)
 }
 
 // LevelExplain is one level of a query explain: the L-MCM prediction
@@ -45,11 +45,11 @@ func (ix *Index) ExplainRange(q Object, radius float64) ([]Match, []LevelExplain
 	if err := ix.check(q); err != nil {
 		return nil, nil, err
 	}
-	matches, profile, err := ix.tree.RangeProfile(q, radius)
+	matches, profile, err := ix.sh.Tree.RangeProfile(q, radius)
 	if err != nil {
 		return nil, nil, err
 	}
-	pred := ix.model.RangeLByLevel(radius)
+	pred := ix.sh.Model.RangeLByLevel(radius)
 	out := make([]LevelExplain, len(profile))
 	for i, p := range profile {
 		out[i] = LevelExplain{Level: p.Level, ActNodes: p.Nodes, ActDists: p.Dists}
