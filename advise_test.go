@@ -25,8 +25,7 @@ func canonOrder(ms []Match) []Match {
 	return out
 }
 
-// batchSurface is the mode-aware batch surface Index and ShardedIndex
-// share.
+// batchSurface is Index's mode-aware batch surface.
 type batchSurface interface {
 	RangeBatchTraced(ctx context.Context, qs []Object, radius float64, b QueryBudget, tr *QueryTrace) ([][]Match, error)
 	NNBatchTraced(ctx context.Context, qs []Object, k int, b QueryBudget, tr *QueryTrace) ([][]Match, error)
@@ -330,7 +329,7 @@ func TestInsertDeleteKeepScanInSync(t *testing.T) {
 // TestPlanQuotesTheLiveScanPrice: a plan's scan alternative is the scan
 // as it stands, not as it stood when the profile was computed. The
 // profile's scan price was refreshed only by a recalibration refit on
-// Index and never on ShardedIndex, so after writes PlanNN's
+// one tree and never on a sharded index, so after writes PlanNN's
 // PredictedScan fell behind what PriceNN charges in scan mode.
 func TestPlanQuotesTheLiveScanPrice(t *testing.T) {
 	space := VectorSpace("L2", 3)
@@ -352,7 +351,7 @@ func TestPlanQuotesTheLiveScanPrice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, p := range map[string]planner{"Index": ix, "ShardedIndex": sx} {
+	for name, p := range map[string]planner{"Index": ix, "sharded": sx} {
 		for _, o := range extra {
 			if _, err := p.Insert(o); err != nil {
 				t.Fatal(err)
@@ -380,8 +379,8 @@ func TestPlanQuotesTheLiveScanPrice(t *testing.T) {
 
 // TestPricersPrefixEqualsPriceNN: the prefix the profile walks is, price
 // for price, what the same pricer quotes one k at a time — through the
-// recalibrator's correction on Index, through the per-shard sum on
-// ShardedIndex.
+// recalibrator's correction on one tree, through the per-shard sum on
+// three.
 func TestPricersPrefixEqualsPriceNN(t *testing.T) {
 	space := VectorSpace("L2", 3)
 	objs := randomVectors(120, 3, 43)
@@ -405,13 +404,13 @@ func TestPricersPrefixEqualsPriceNN(t *testing.T) {
 			}
 		}
 	}
-	check("Index", ix.side, 60)
-	check("ShardedIndex", sx.side, 20) // three shards of 40
+	check("Index", ix.tree(), 60)
+	check("sharded", sx.tree(), 20) // three shards of 40
 
 	if err := ix.EnableRecalibration(recal.Config{}, objs); err != nil {
 		t.Fatal(err)
 	}
-	if err := sx.EnableRecalibration(recal.Config{}); err != nil {
+	if err := sx.EnableRecalibration(recal.Config{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
@@ -422,11 +421,11 @@ func TestPricersPrefixEqualsPriceNN(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if raw, corrected := ix.sh.Model.NNL(5), ix.side.PriceNN(5); raw == corrected {
+	if raw, corrected := ix.set.Shards()[0].Model.NNL(5), ix.tree().PriceNN(5); raw == corrected {
 		t.Fatalf("recalibration left NNL(5) = %+v uncorrected; the test exercises nothing", raw)
 	}
-	check("Index, recalibrated", ix.side, 60)
-	check("ShardedIndex, recalibrated", sx.side, 20)
+	check("Index, recalibrated", ix.tree(), 60)
+	check("sharded, recalibrated", sx.tree(), 20)
 }
 
 // TestBenchmarkDatasetProfilesPinned pins the hardness profile on the

@@ -330,7 +330,9 @@ func BenchmarkComputeProfile(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ix.refreshProfile(ix.sh.F)
+				if err := ix.refreshProfile(); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(ix.profile.CrossoverK), "crossover-k")
 		})
@@ -349,7 +351,7 @@ func BenchmarkNNLPrefix(b *testing.B) {
 	for _, K := range []int{16, 512} {
 		b.Run(fmt.Sprintf("prefix-K%d", K), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := ix.sh.Model.NNLPrefix(K); len(got) != K {
+				if got := ix.set.Shards()[0].Model.NNLPrefix(K); len(got) != K {
 					b.Fatalf("%d prices", len(got))
 				}
 			}
@@ -357,7 +359,7 @@ func BenchmarkNNLPrefix(b *testing.B) {
 		b.Run(fmt.Sprintf("single-k%d", K), func(b *testing.B) {
 			var sink CostEstimate
 			for i := 0; i < b.N; i++ {
-				sink = ix.sh.Model.NNL(K)
+				sink = ix.set.Shards()[0].Model.NNL(K)
 			}
 			_ = sink
 		})

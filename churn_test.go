@@ -18,8 +18,7 @@ import (
 // in-memory, paged, and faulty storage, single-tree and 3-shard
 // engines, vector (L∞) and string (edit distance) data.
 
-// churnEngine is the write-plus-query surface shared by *mcost.Index
-// and *mcost.ShardedIndex.
+// churnEngine is the write-plus-query surface of *mcost.Index.
 type churnEngine interface {
 	Insert(obj mcost.Object) (uint64, error)
 	Delete(obj mcost.Object, oid uint64) error

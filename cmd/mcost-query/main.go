@@ -10,10 +10,10 @@
 //	mcost-query -dataset clustered -dim 10 -qvec 0.5,0.5,... -range 0.2
 //	mcost-query -file vocab.ds -query castello -range 3
 //
-// Every query runs through the serving surface Index and ShardedIndex
-// share — priced, planned, budgeted and executed as mcost-serve would —
-// so -shards, -batch, -engine, -budget-slack, -trace and -explain all
-// compose on the one path.
+// Every query runs through the Index's serving surface — priced,
+// planned, budgeted and executed as mcost-serve would — so -shards,
+// -batch, -engine, -budget-slack, -trace and -explain all compose on the
+// one path.
 package main
 
 import (
@@ -37,23 +37,6 @@ import (
 	"mcost/internal/obs"
 	"mcost/internal/rescache"
 )
-
-// engine is the serving surface Index and ShardedIndex share.
-type engine interface {
-	Hardness() mcost.HardnessProfile
-	EngineMode() mcost.EngineMode
-	PlanRange(radius float64) (mcost.PlanDecision, error)
-	PlanNN(k int) (mcost.PlanDecision, error)
-	PriceRange(radius float64) mcost.CostEstimate
-	PriceNN(k int) mcost.CostEstimate
-	RangeBatchTraced(ctx context.Context, qs []mcost.Object, radius float64, b mcost.QueryBudget, tr *mcost.QueryTrace) ([][]mcost.Match, error)
-	NNBatchTraced(ctx context.Context, qs []mcost.Object, k int, b mcost.QueryBudget, tr *mcost.QueryTrace) ([][]mcost.Match, error)
-	Costs() (nodeReads, distances int64)
-	ResetCosts()
-	NumNodes() int
-	Height() int
-	SetFaultsEnabled(on bool) bool
-}
 
 func main() {
 	fs := flag.CommandLine
@@ -115,17 +98,13 @@ func main() {
 	}
 	fmt.Printf("building %s over %s (n=%d, node size %d B)...\n", what, d.Name, d.N(), tf.PageSize)
 	storage := stf.Options(reg)
-	ix, sx, err := cliutil.Build(d, tf.Options(storage), shf)
+	eng, err := cliutil.Build(d, tf.Options(storage), shf)
 	if err != nil {
 		fail(err)
 	}
-	var eng engine = ix
-	if sx != nil {
-		eng = sx
-	}
 	fmt.Printf("tree: %d nodes, height %d", eng.NumNodes(), eng.Height())
-	if sx != nil {
-		fmt.Printf(", shards of %v objects", sx.ShardSizes())
+	if shf.Shards > 1 {
+		fmt.Printf(", shards of %v objects", eng.ShardSizes())
 	}
 	if storage.Paged {
 		fmt.Printf(" (paged, checksummed%s)", map[bool]string{true: ", fault injection armed", false: ""}[storage.Faults != nil])
@@ -134,10 +113,10 @@ func main() {
 	if storage.Faults != nil {
 		eng.SetFaultsEnabled(true) // build is clean; faults target the query phase
 	}
-	if err := rf.Apply(ix, sx, d, tf.Seed); err != nil {
+	if err := rf.Apply(eng, d, tf.Seed); err != nil {
 		fail(err)
 	}
-	if err := ef.Apply(ix, sx); err != nil {
+	if err := ef.Apply(eng); err != nil {
 		fail(err)
 	}
 
@@ -209,12 +188,12 @@ func main() {
 	if nq := float64(len(queries)); nq > 1 {
 		fmt.Printf(" (%.1f / %.1f per query, amortized over the batch)", float64(nodes)/nq, float64(dists)/nq)
 	}
-	if sx != nil {
-		fmt.Printf(", %d shard visits pruned", sx.ShardsSkipped())
+	if shf.Shards > 1 {
+		fmt.Printf(", %d shard visits pruned", eng.ShardsSkipped())
 	}
 	fmt.Println()
-	if ix != nil && storage.Faults != nil {
-		fs := ix.FaultStats()
+	if storage.Faults != nil {
+		fs := eng.FaultStats()
 		fmt.Printf("faults injected: %d read errors, %d write errors, %d torn writes, %d corrupt reads\n",
 			fs.ReadErrors, fs.WriteErrors, fs.TornWrites, fs.CorruptReads)
 	}
@@ -228,7 +207,7 @@ func main() {
 	fmt.Println()
 
 	if *explain && isRange {
-		if err := printExplain(ix, q, *radius); err != nil {
+		if err := printExplain(eng, q, *radius); err != nil {
 			fail(err)
 		}
 	}

@@ -101,7 +101,7 @@ func main() {
 	go func() { done <- httpSrv.ListenAndServe() }()
 
 	fmt.Printf("listening on %s (booting); building engine over %s (n=%d, node size %d B, shards=%d)...\n",
-		*addr, d.Name, d.N(), tf.PageSize, max(1, shf.Shards))
+		*addr, d.Name, d.N(), tf.PageSize, shf.Shards)
 	storage := stf.Options(reg)
 
 	var eng server.Engine
@@ -117,12 +117,11 @@ func main() {
 		} else if mode == mcost.EngineScan {
 			fail(fmt.Errorf("-engine scan is not supported in shard-node mode (a node serves only its tree)"))
 		}
-		assign, err := mcost.ParseShardAssignment(shf.Assign)
+		so, err := shf.Options()
 		if err != nil {
 			fail(err)
 		}
-		node, err := mcost.BuildShardNode(d.Space, d.Objects, tf.Options(storage),
-			mcost.ShardOptions{Shards: shf.Shards, Assign: assign}, *shardIndex)
+		node, err := mcost.BuildShardNode(d.Space, d.Objects, tf.Options(storage), so, *shardIndex)
 		if err != nil {
 			fail(err)
 		}
@@ -130,39 +129,26 @@ func main() {
 		fmt.Printf("shard node %d/%d: %d objects, %d nodes, height %d (read-only; /v1/model exported)\n",
 			*shardIndex, shf.Shards, eng.Size(), eng.NumNodes(), eng.Height())
 	} else {
-		ix, sx, err := cliutil.Build(d, tf.Options(storage), shf)
+		ix, err := cliutil.Build(d, tf.Options(storage), shf)
 		if err != nil {
 			fail(err)
 		}
-		if sx != nil {
-			eng = sx
-			if storage.Faults != nil {
-				sx.SetFaultsEnabled(true)
-			}
-		} else {
-			eng = ix
-			if storage.Faults != nil {
-				ix.SetFaultsEnabled(true)
-			}
+		eng = ix
+		if storage.Faults != nil {
+			ix.SetFaultsEnabled(true)
 		}
-		if err := rf.Apply(ix, sx, d, tf.Seed); err != nil {
+		if err := rf.Apply(ix, d, tf.Seed); err != nil {
 			fail(err)
 		}
-		if err := ef.Apply(ix, sx); err != nil {
+		if err := ef.Apply(ix); err != nil {
 			fail(err)
 		}
 		fmt.Printf("engine: %d objects, %d nodes, height %d (mode %s)\n",
 			eng.Size(), eng.NumNodes(), eng.Height(), ef.Mode)
-		var hard mcost.HardnessProfile
-		var stages mcost.BuildStages
-		if sx != nil {
-			hard, stages = sx.Hardness(), sx.BuildStages()
-		} else {
-			hard, stages = ix.Hardness(), ix.BuildStages()
-		}
+		hard := ix.Hardness()
 		fmt.Printf("hardness: intrinsic dim %.2f, concentration %.4f, crossover radius %g, crossover k %d\n",
 			hard.Hardness(), hard.Concentration, hard.CrossoverRadius, hard.CrossoverK)
-		fmt.Printf("build: %s\n", stages)
+		fmt.Printf("build: %s\n", ix.BuildStages())
 		if rf.Enabled {
 			rc := rf.Config(tf.Seed).Effective()
 			fmt.Printf("recalibration: on (window %d, band %g); /v1/insert and /v1/delete keep the model live\n",

@@ -40,7 +40,7 @@ const (
 	// EngineScan runs the flat linear scan.
 	EngineScan Engine = "scan"
 	// EngineFanout is the sharded tree fan-out — the tree plan as
-	// executed by a ShardedIndex or the distributed router.
+	// executed by a sharded mcost.Index or the distributed router.
 	EngineFanout Engine = "sharded-fanout"
 )
 

@@ -131,6 +131,21 @@ func RegisterShards(fs *flag.FlagSet, shards int, assign string, batch int) *Sha
 	return f
 }
 
+// Options parses the flags into a build's shard options. It rejects
+// -shards < 1, and an unknown -shard-assign whatever -shards says; the
+// assignment applies only with -shards > 1, since one tree has no
+// partition to prune.
+func (f *ShardFlags) Options() (mcost.ShardOptions, error) {
+	if f.Shards < 1 {
+		return mcost.ShardOptions{}, fmt.Errorf("-shards %d: need at least one shard", f.Shards)
+	}
+	assign, err := mcost.ParseShardAssignment(f.Assign)
+	if err != nil || f.Shards == 1 {
+		return mcost.ShardOptions{Shards: f.Shards}, err
+	}
+	return mcost.ShardOptions{Shards: f.Shards, Assign: assign}, nil
+}
+
 // StorageFlags select the paged storage stack and its fault schedule
 // (-paged, -cache-pages, -retry, -fault-*).
 type StorageFlags struct {
@@ -245,17 +260,13 @@ func (f *RecalFlags) Config(seed int64) recal.Config {
 	return recal.Config{Window: f.Window, Band: f.Band, Seed: seed}
 }
 
-// Apply enables recalibration on whichever engine Build returned, when
-// the flags ask for it. d seeds the single-index reservoir.
-func (f *RecalFlags) Apply(ix *mcost.Index, sx *mcost.ShardedIndex, d *dataset.Dataset, seed int64) error {
+// Apply enables recalibration on the index Build returned, when the
+// flags ask for it. d primes a one-shard index's reservoir.
+func (f *RecalFlags) Apply(ix *mcost.Index, d *dataset.Dataset, seed int64) error {
 	if !f.Enabled {
 		return nil
 	}
-	cfg := f.Config(seed)
-	if sx != nil {
-		return sx.EnableRecalibration(cfg)
-	}
-	return ix.EnableRecalibration(cfg, d.Objects)
+	return ix.EnableRecalibration(f.Config(seed), d.Objects)
 }
 
 // EngineFlags select the serving engine and the planner ceiling
@@ -275,20 +286,13 @@ func RegisterEngine(fs *flag.FlagSet, mode string) *EngineFlags {
 	return f
 }
 
-// Apply parses -engine and sets the mode on whichever engine Build
-// returned.
-func (f *EngineFlags) Apply(ix *mcost.Index, sx *mcost.ShardedIndex) error {
+// Apply parses -engine and sets the mode on the index Build returned.
+func (f *EngineFlags) Apply(ix *mcost.Index) error {
 	mode, err := mcost.ParseEngineMode(f.Mode)
 	if err != nil {
 		return err
 	}
-	if sx != nil {
-		return sx.SetEngineMode(mode)
-	}
-	if ix != nil {
-		return ix.SetEngineMode(mode)
-	}
-	return nil
+	return ix.SetEngineMode(mode)
 }
 
 // BudgetFlags bound query execution by the cost model (-budget-slack,
@@ -309,24 +313,11 @@ func RegisterBudget(fs *flag.FlagSet, withTimeout bool) *BudgetFlags {
 	return f
 }
 
-// Build constructs the engine the flags describe: a ShardedIndex when
-// sf asks for more than one shard, a single Index otherwise. Exactly
-// one of the returned engines is non-nil on success.
-func Build(d *dataset.Dataset, opt mcost.Options, sf *ShardFlags) (*mcost.Index, *mcost.ShardedIndex, error) {
-	if sf != nil && sf.Shards > 1 {
-		assign, err := mcost.ParseShardAssignment(sf.Assign)
-		if err != nil {
-			return nil, nil, err
-		}
-		sx, err := mcost.BuildSharded(d.Space, d.Objects, opt, mcost.ShardOptions{Shards: sf.Shards, Assign: assign})
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, sx, nil
-	}
-	ix, err := mcost.Build(d.Space, d.Objects, opt)
+// Build constructs the index the flags describe, of sf's shard count.
+func Build(d *dataset.Dataset, opt mcost.Options, sf *ShardFlags) (*mcost.Index, error) {
+	so, err := sf.Options()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ix, nil, nil
+	return mcost.BuildSharded(d.Space, d.Objects, opt, so)
 }

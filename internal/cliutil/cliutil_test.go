@@ -120,25 +120,52 @@ func TestBuildPicksEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, sx, err := Build(d, tf.Options(mcost.StorageOptions{}), shf)
+	ix, err := Build(d, tf.Options(mcost.StorageOptions{}), shf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix == nil || sx != nil {
-		t.Fatalf("1 shard must build a single Index, got ix=%v sx=%v", ix != nil, sx != nil)
+	if ix.NumShards() != 1 {
+		t.Fatalf("1 shard must build a single tree, got %d shards", ix.NumShards())
 	}
 
 	shf.Shards = 3
-	_, sx, err = Build(d, tf.Options(mcost.StorageOptions{}), shf)
+	sx, err := Build(d, tf.Options(mcost.StorageOptions{}), shf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sx == nil || len(sx.ShardSizes()) != 3 {
-		t.Fatalf("3 shards must build a ShardedIndex with 3 shards")
+	if len(sx.ShardSizes()) != 3 {
+		t.Fatalf("3 shards must build an index with 3 shards")
 	}
 
 	shf.Assign = "bogus"
-	if _, _, err := Build(d, tf.Options(mcost.StorageOptions{}), shf); err == nil {
+	if _, err := Build(d, tf.Options(mcost.StorageOptions{}), shf); err == nil {
 		t.Fatal("bad shard assignment must fail")
+	}
+}
+
+// TestBuildRejectsBadShardFlags: -shards below one and an unknown
+// -shard-assign fail the build whatever the shard count, instead of
+// quietly building one tree.
+func TestBuildRejectsBadShardFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-shards", "-3"},
+		{"-shards", "0"},
+		{"-shard-assign", "bogus"},
+		{"-shards", "1", "-shard-assign", "bogus"},
+	} {
+		fs := newFlagSet()
+		df := RegisterDataset(fs, "uniform", 300, 3)
+		tf := RegisterTree(fs, 1, true)
+		shf := RegisterShards(fs, 1, "pivot", 1)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		d, err := df.Load(tf.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Build(d, tf.Options(mcost.StorageOptions{}), shf); err == nil {
+			t.Errorf("%v: build accepted", args)
+		}
 	}
 }

@@ -155,10 +155,14 @@ func sameShape(a, b *Histogram) error {
 // Merge combines finalized histograms of identical shape into one, as if
 // all their samples had been accumulated together. Each histogram's
 // integer bin counts are recovered from its cumulative fractions and
-// sample count, summed, and re-normalized.
+// sample count, summed, and re-normalized. One histogram merges to
+// itself.
 func Merge(hs ...*Histogram) (*Histogram, error) {
-	if len(hs) == 0 {
+	switch len(hs) {
+	case 0:
 		return nil, errors.New("histogram: nothing to merge")
+	case 1:
+		return hs[0], nil
 	}
 	first := hs[0]
 	counts := make([]int64, len(first.cum))

@@ -92,14 +92,12 @@ func (t *Tree) complexAt(id pager.PageID, preds []Pred, distQP []float64, conj b
 				bound += e.Radius
 			}
 			childDists[pi] = math.NaN()
-			if opt.UseParentDist && !math.IsNaN(distQP[pi]) && !math.IsNaN(e.ParentDist) {
-				if math.Abs(distQP[pi]-e.ParentDist) > bound {
-					allHold = false
-					if conj {
-						break // one failed predicate kills a conjunction
-					}
-					continue
+			if opt.UseParentDist && parentPrunes(distQP[pi], e.ParentDist, bound) {
+				allHold = false
+				if conj {
+					break // one failed predicate kills a conjunction
 				}
+				continue
 			}
 			if err := g.OnDist(); err != nil {
 				return err

@@ -1,7 +1,9 @@
 package mtree
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"mcost/internal/dataset"
@@ -158,6 +160,66 @@ func TestComplexDistancesFinite(t *testing.T) {
 	for _, m := range got {
 		if math.IsNaN(m.Distance) || math.IsInf(m.Distance, 0) {
 			t.Fatalf("OID %d has distance %v", m.OID, m.Distance)
+		}
+	}
+}
+
+// TestParentLemmaKeepsMatchesAtTheRadius: a member at exactly the query
+// radius is a match, and the parent-distance lemma must not prune it on
+// rounding. Under L∞, and under L2 on a grid of tenths (no coordinate is
+// a binary fraction, so 0.9−0.3 > 0.6), the unguarded lemma lost such
+// members in every traversal that uses it: range, its batch form, k-NN
+// and both complex queries.
+func TestParentLemmaKeepsMatchesAtTheRadius(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	grid := make([]metric.Object, 400)
+	for i := range grid {
+		grid[i] = metric.Vector{float64(rng.Intn(11)) / 10, float64(rng.Intn(11)) / 10}
+	}
+	clustered := dataset.PaperClustered(500, 3, 31)
+	for _, d := range []*dataset.Dataset{
+		{Name: "L2-grid", Space: metric.VectorSpace("L2", 2), Objects: grid},
+		{Name: "Linf", Space: metric.VectorSpace("Linf", 3), Objects: clustered.Objects},
+	} {
+		tr := buildTree(t, d, Options{PageSize: 512, Seed: 1})
+		opt := QueryOptions{UseParentDist: true}
+		for qi := 0; qi < 40; qi++ {
+			q := d.Objects[qi*7]
+			all := LinearScanNN(d.Objects, d.Space, q, len(d.Objects))
+			for _, rank := range []int{1, 4, 19, 60} {
+				r := all[rank].Distance
+				label := fmt.Sprintf("%s q%d r=%v", d.Name, qi, r)
+				want := scanOr(d, []Pred{{Q: q, Radius: r}})
+				got, err := tr.Range(q, r, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSet(t, got, want, label+" range")
+				batch, err := tr.RangeBatch([]metric.Object{q, d.Objects[qi]}, r, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameSet(t, batch[0], want, label+" batch")
+				for _, conj := range []bool{true, false} {
+					preds := []Pred{{Q: q, Radius: r}, {Q: d.Objects[qi], Radius: d.Space.Bound}}
+					got, err := tr.complexQuery(preds, conj, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if conj {
+						sameSet(t, got, want, label+" and")
+					} else {
+						sameSet(t, got, scanOr(d, preds), label+" or")
+					}
+				}
+				nn, err := tr.NN(q, rank+1, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameOIDs(nn, all[:rank+1]) {
+					t.Fatalf("%s: NN(%d) differs from the scan's", label, rank+1)
+				}
+			}
 		}
 	}
 }

@@ -18,6 +18,28 @@ import (
 // are nodeSources — so results, result order, traces and counter totals
 // are identical across them by construction.
 
+// BoundGuard is the share of its operands' size that a lower bound
+// built from a difference of computed distances gives up, so rounding
+// can never turn it into a wrong proof. Each computed distance is off by
+// at most about D/2 ulps for a D-term sum; 2⁻⁴⁰ is some four thousand.
+// Without it a member at exactly the query radius is lost to the last
+// bit — under L∞, or under L2 on a grid. Integer-valued metrics are
+// exact, and the guard moves no bound across an integer or half-integer
+// radius.
+const BoundGuard = 0x1p-40
+
+// parentPrunes is the parent-distance lemma: |d(Q,Op) − d(O,Op)| ≤
+// d(Q,O), so once the difference, less BoundGuard of the two distances'
+// sum, exceeds bound (the query radius, plus the covering radius for a
+// routing entry) the entry cannot qualify and its distance computation
+// is saved. The sum bounds the larger distance without a branch in the
+// traversal's innermost loop. A NaN distance proves nothing; callers
+// test dQP, NaN at the root, first, because a scan's leaf pages carry no
+// parent distances.
+func parentPrunes(dQP, dOP, bound float64) bool {
+	return math.Abs(dQP-dOP)-BoundGuard*(dQP+dOP) > bound
+}
+
 // nodeSource is what the core needs from an index layout. A source is
 // read node-at-a-time, so the indirect call is paid per node, never per
 // entry.
@@ -217,14 +239,9 @@ func (e *engine) rangeVisit(ref int32, radius, distQP float64, level int, opt Qu
 		if !nv.leaf {
 			bound += nv.radius[i]
 		}
-		// Parent-distance pruning: |d(q,parent) - d(object,parent)| is a
-		// lower bound on d(q,object); if it already exceeds the bound the
-		// entry cannot qualify and the distance computation is saved.
-		if opt.UseParentDist && !math.IsNaN(distQP) && !math.IsNaN(nv.parentDist[i]) {
-			if math.Abs(distQP-nv.parentDist[i]) > bound {
-				opt.Trace.PruneParent(level)
-				continue
-			}
+		if opt.UseParentDist && !math.IsNaN(distQP) && parentPrunes(distQP, nv.parentDist[i], bound) {
+			opt.Trace.PruneParent(level)
+			continue
 		}
 		d := e.dist(sc, nv.columns, i)
 		dists++
@@ -435,11 +452,9 @@ search:
 				if !nv.leaf {
 					bound += nv.radius[i]
 				}
-				if opt.UseParentDist && !math.IsNaN(item.distQ) && !math.IsNaN(nv.parentDist[i]) {
-					if math.Abs(item.distQ-nv.parentDist[i]) > bound {
-						opt.Trace.PruneParent(int(item.level))
-						continue
-					}
+				if opt.UseParentDist && !math.IsNaN(item.distQ) && parentPrunes(item.distQ, nv.parentDist[i], bound) {
+					opt.Trace.PruneParent(int(item.level))
+					continue
 				}
 				d := e.dist(sc, nv.columns, i)
 				dists++
@@ -542,11 +557,9 @@ func (e *engine) batchVisit(ref int32, level int, active []int, dQP []float64, r
 		var childActive []int
 		var childD []float64
 		for j, qi := range active {
-			if opt.UseParentDist && !math.IsNaN(dQP[j]) && !math.IsNaN(nv.parentDist[i]) {
-				if math.Abs(dQP[j]-nv.parentDist[i]) > bound {
-					opt.Trace.PruneParent(level)
-					continue
-				}
+			if opt.UseParentDist && !math.IsNaN(dQP[j]) && parentPrunes(dQP[j], nv.parentDist[i], bound) {
+				opt.Trace.PruneParent(level)
+				continue
 			}
 			d := e.dist(scs[qi], nv.columns, i)
 			dists++

@@ -17,8 +17,8 @@
 // nodes, and when a shard stays unreachable the router returns a typed
 // partial result ("degraded": true with shards_failed) built from the
 // shards that answered — merged in the same canonical order as the
-// in-process ShardedIndex, so a healthy tier is bit-identical to one
-// process holding all the data.
+// in-process sharded mcost.Index, so a healthy tier is bit-identical to
+// one process holding all the data.
 package router
 
 import (
@@ -525,7 +525,7 @@ type QueryResponse struct {
 	// Hedged counts shard calls that fired a hedge for this request.
 	Hedged int `json:"hedged,omitempty"`
 	// Predicted is the summed L-MCM prediction over all shards — the
-	// same figure the in-process ShardedIndex would quote.
+	// same figure the in-process sharded Index quotes as its tree price.
 	Predicted server.CostJSON `json:"predicted"`
 	// Plan is the router's per-shard plan from the round-tripped models
 	// (absent when any shard's summary predates the planner).

@@ -18,12 +18,12 @@ import (
 	"mcost/internal/server"
 )
 
-// cluster is an in-process 3-tier fixture: the reference ShardedIndex,
+// cluster is an in-process 3-tier fixture: the reference sharded Index,
 // one HTTP shard node per shard (real server.Server over a real
 // shard.Node engine), and the dataset they all share.
 type cluster struct {
 	d     *dataset.Dataset
-	sx    *mcost.ShardedIndex
+	sx    *mcost.Index
 	nodes []*httptest.Server
 	// handlers[i] is shard i's node handler, for wrapping (slow
 	// proxies, extra replicas) without another engine build.
@@ -148,7 +148,7 @@ type nnReq struct {
 	K     int           `json:"k"`
 }
 
-// The healthy path is bit-identical to the in-process ShardedIndex:
+// The healthy path is bit-identical to the in-process sharded Index:
 // same matches, same order, same objects, same predicted cost — for
 // range and k-NN, fronting one node and three.
 func TestRouterEquivalence(t *testing.T) {
@@ -176,7 +176,7 @@ func TestRouterEquivalence(t *testing.T) {
 					if qr.Degraded || qr.Partial {
 						t.Errorf("%s: healthy response flagged degraded=%v partial=%v", label, qr.Degraded, qr.Partial)
 					}
-					pred := c.sx.PredictRange(radius)
+					pred := c.sx.PredictRangeLevel(radius)
 					if qr.Predicted.NodeReads != pred.Nodes || qr.Predicted.DistCalcs != pred.Dists {
 						t.Errorf("%s: predicted (%v, %v), want in-process (%v, %v)",
 							label, qr.Predicted.NodeReads, qr.Predicted.DistCalcs, pred.Nodes, pred.Dists)
@@ -194,7 +194,7 @@ func TestRouterEquivalence(t *testing.T) {
 					qr := decodeQR(t, body)
 					label := fmt.Sprintf("nn q%d k=%d", qi, k)
 					assertWireEqual(t, label, qr.Matches, want, c.d)
-					pred := c.sx.PredictNN(k)
+					pred := c.sx.PredictNNLevel(k)
 					if qr.Predicted.NodeReads != pred.Nodes || qr.Predicted.DistCalcs != pred.Dists {
 						t.Errorf("%s: predicted (%v, %v), want in-process (%v, %v)",
 							label, qr.Predicted.NodeReads, qr.Predicted.DistCalcs, pred.Nodes, pred.Dists)

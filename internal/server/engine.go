@@ -28,7 +28,7 @@ import (
 
 // Engine is the query engine behind the server: a built index that can
 // price queries before running them and execute compatible batches in
-// one shared traversal. *mcost.Index and *mcost.ShardedIndex satisfy it.
+// one shared traversal. *mcost.Index satisfies it at any shard count.
 type Engine interface {
 	// PriceRange / PriceNN return the L-MCM predicted cost of one
 	// query — the admission currency.
@@ -49,8 +49,7 @@ type Engine interface {
 // Mutable is the optional write surface of an Engine. An engine that
 // implements it gets /v1/insert and /v1/delete mounted, with the server
 // serializing writes against in-flight queries (the trees are not safe
-// for mutation concurrent with reads). *mcost.Index and
-// *mcost.ShardedIndex satisfy it.
+// for mutation concurrent with reads). *mcost.Index satisfies it.
 type Mutable interface {
 	Insert(obj metric.Object) (uint64, error)
 	Delete(obj metric.Object, oid uint64) error

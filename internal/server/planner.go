@@ -10,8 +10,8 @@ import (
 // Planner is the optional breakdown-aware planning surface of an
 // Engine: one that can price a query on both the metric index and the
 // linear scan, pick the cheaper, and describe how close its dataset
-// sits to the metric-indexing breakdown point. *mcost.Index and
-// *mcost.ShardedIndex satisfy it. A planning engine gets:
+// sits to the metric-indexing breakdown point. *mcost.Index satisfies
+// it at any shard count. A planning engine gets:
 //
 //   - a plan attached to every query response (chosen engine, both
 //     prices, the reason);

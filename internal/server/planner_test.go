@@ -10,11 +10,8 @@ import (
 	"mcost/internal/obs"
 )
 
-// The facade engines are planning engines.
-var (
-	_ Planner = (*mcost.Index)(nil)
-	_ Planner = (*mcost.ShardedIndex)(nil)
-)
+// The facade's Index is a planning engine.
+var _ Planner = (*mcost.Index)(nil)
 
 func TestPlanAttachedToResponses(t *testing.T) {
 	s := newTestServer(t, Config{})

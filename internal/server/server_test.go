@@ -16,11 +16,8 @@ import (
 	"mcost/internal/obs"
 )
 
-// The facade types are the engines this layer serves.
-var (
-	_ Engine = (*mcost.Index)(nil)
-	_ Engine = (*mcost.ShardedIndex)(nil)
-)
+// The facade's Index is an engine this layer serves.
+var _ Engine = (*mcost.Index)(nil)
 
 var (
 	testIxOnce sync.Once

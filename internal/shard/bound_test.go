@@ -20,12 +20,6 @@ type boundCase struct {
 	fresh   []metric.Object
 	queries []metric.Object
 	radii   []float64
-	// noParentDist runs the shard trees without the parent-distance
-	// lemma. That lemma has no rounding guard: under L∞, and under L2 on
-	// the grid below, it drops a match at exactly the query radius from a
-	// single unsharded tree (ROADMAP, correctness item). This matrix is
-	// about the shard bound.
-	noParentDist bool
 }
 
 func boundCases() []boundCase {
@@ -49,14 +43,10 @@ func boundCases() []boundCase {
 	}
 	words := dataset.Words(860, 32) // a seed whose farthest-point pivots leave no shard of one word
 	hdc := dataset.HDC(460, 32, 29)
-	linf := split("Linf", vec.Space, vec.Objects, vq, 0, 0.05, 0.2)
-	linf.noParentDist = true
-	l2grid := split("L2-grid", metric.VectorSpace("L2", 2), grid, grid[100:108], 0, 0.1, 0.2, 0.3)
-	l2grid.noParentDist = true
 	return []boundCase{
 		split("L2", metric.VectorSpace("L2", 3), vec.Objects, vq, 0, 0.05, 0.2),
-		linf,
-		l2grid,
+		split("Linf", vec.Space, vec.Objects, vq, 0, 0.05, 0.2),
+		split("L2-grid", metric.VectorSpace("L2", 2), grid, grid[100:108], 0, 0.1, 0.2, 0.3),
 		split("edit", words.Space, words.Objects, dataset.WordQueries(12, 23).Queries, 0, 1, 2, 3),
 		split("hamming", hdc.Space, hdc.Objects, dataset.HDCQueries(12, 32, 29).Queries, 0, 4, 9, 12),
 	}
@@ -92,7 +82,7 @@ func within(ms []mtree.Match, r float64) []mtree.Match {
 // the query read no node of its tree.
 func checkBound(t *testing.T, c boundCase, set *Set) (skipped int64) {
 	t.Helper()
-	opt := QueryOptions{UseParentDist: !c.noParentDist}
+	opt := QueryOptions{UseParentDist: true}
 	const k = 7
 	for qi, q := range c.queries {
 		perShard, all := bruteForce(set, q)

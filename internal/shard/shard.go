@@ -92,7 +92,7 @@ type Options struct {
 	HistogramBins int
 	SamplePairs   int
 	// Seed drives pivot selection and per-shard estimation; shard i
-	// derives its own stream via parallel.SplitSeed.
+	// draws its own streams from it (see streams).
 	Seed int64
 	// Workers bounds the goroutines used for shard builds and query
 	// fan-out (0 = runtime.NumCPU()). Results are identical at any
@@ -119,12 +119,29 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// streams is shard i's seed schedule, the one Build, BuildOne and
+// Set.EnableRecalibration draw from: the tree's seed, F̂'s sampling seed
+// and the workers F̂ is estimated on, and the recalibration reservoir's
+// seed out of recalSeed.
+type streams struct {
+	tree, est, recal int64
+	workers          int
+}
+
+func (o Options) streams(i int, recalSeed int64) streams {
+	if o.Shards == 1 { // S = 1: a lone tree's seeds, as an unsharded index has always drawn them
+		return streams{o.Seed, o.Seed + 1, recalSeed, o.Workers}
+	}
+	// One F̂ worker per shard: shard builds already fan out.
+	return streams{parallel.SplitSeed(o.Seed, 2+i), parallel.SplitSeed(o.Seed, 1000+i), parallel.SplitSeed(recalSeed, 5000+i), 1}
+}
+
 // Shard is one cost-modeled M-tree: the tree over its objects, the
 // distance distribution F̂ and tree statistics the paper's L-MCM prices
-// it from, and the fitted model. It is a partition of a Set, a node of a
-// cluster, or — with OID i mapping to i — the whole of an mcost.Index:
-// building, running, writing to, refitting and recalibrating such a tree
-// is written here once.
+// it from, and the fitted model. It is a partition of a Set — the tree
+// side of an mcost.Index, whose one shard at S = 1 maps OID i to i — or
+// a node of a cluster: building, running, writing to, refitting and
+// recalibrating such a tree is written here once.
 type Shard struct {
 	Tree  *mtree.Tree
 	F     *histogram.Histogram
@@ -535,9 +552,8 @@ func selectPivots(space *metric.Space, objects []metric.Object, s int, seed int6
 	return pivots
 }
 
-// buildShard builds shard i of the assignment: its members' tree on
-// the seed streams SplitSeed(Seed, 2+i) (tree) and SplitSeed(Seed,
-// 1000+i) (F̂, one worker: shard builds already fan out), and its ball.
+// buildShard builds shard i of the assignment: its members' tree and F̂
+// on the shard's streams, and its ball.
 func buildShard(space *metric.Space, objects []metric.Object, parts [][]int, pivots []int, radii []float64, i int, opt Options) (*Shard, error) {
 	objs := make([]metric.Object, len(parts[i]))
 	oids := make([]uint64, len(parts[i]))
@@ -552,7 +568,8 @@ func buildShard(space *metric.Space, objects []metric.Object, parts [][]int, piv
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	mo.Space, mo.PageSize, mo.Seed = space, opt.PageSize, parallel.SplitSeed(opt.Seed, 2+i)
+	st := opt.streams(i, 0)
+	mo.Space, mo.PageSize, mo.Seed = space, opt.PageSize, st.tree
 	arena := opt.Arena
 	if arena != nil && arena.Mmap && arena.Path != "" {
 		cfg := *arena
@@ -562,8 +579,8 @@ func buildShard(space *metric.Space, objects []metric.Object, parts [][]int, piv
 	sh, err := New(objs, oids, mo, opt.Incremental, arena, distdist.Options{
 		Bins:     opt.HistogramBins,
 		MaxPairs: opt.SamplePairs,
-		Seed:     parallel.SplitSeed(opt.Seed, 1000+i),
-		Workers:  1,
+		Seed:     st.est,
+		Workers:  st.workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -644,13 +661,7 @@ func (s *Set) ShardsSkipped() int64 { return s.skipped.Load() }
 // per-shard costs add. With recalibration enabled each shard's term
 // carries that shard's learned bias correction.
 func (s *Set) PredictRange(radius float64) core.CostEstimate {
-	var est core.CostEstimate
-	for _, sh := range s.shards {
-		e := sh.PriceRange(radius)
-		est.Nodes += e.Nodes
-		est.Dists += e.Dists
-	}
-	return est
+	return s.Sum(func(sh *Shard) core.CostEstimate { return sh.PriceRange(radius) })
 }
 
 // PredictNN predicts a k-NN query's cost as the sum of the shards'
@@ -658,9 +669,15 @@ func (s *Set) PredictRange(radius float64) core.CostEstimate {
 // is enabled. Each shard answers k-NN over its own subset, so the sum
 // upper-bounds the pruned execution.
 func (s *Set) PredictNN(k int) core.CostEstimate {
+	return s.Sum(func(sh *Shard) core.CostEstimate { return sh.PriceNN(k) })
+}
+
+// Sum adds a per-shard estimate over the shards in shard order: how a
+// prediction for one tree becomes the set's.
+func (s *Set) Sum(f func(*Shard) core.CostEstimate) core.CostEstimate {
 	var est core.CostEstimate
 	for _, sh := range s.shards {
-		e := sh.PriceNN(k)
+		e := f(sh)
 		est.Nodes += e.Nodes
 		est.Dists += e.Dists
 	}
@@ -693,18 +710,6 @@ type Ball struct {
 	Radius float64
 }
 
-// boundGuard is the share of d(q,Pᵢ) every lower bound gives up so that
-// rounding can never turn it into a wrong proof. The bound combines
-// three computed distances (q to two pivots, and through the assignment
-// or the radius a member to its pivot), each off by at most about D/2
-// ulps for a D-term sum and all of them at most 1.5·d(q,Pᵢ) when the
-// bound is positive; 2⁻⁴⁰ is some four thousand ulps. Without it a
-// member at exactly the query radius on the segment between two pivots
-// is lost to the last bit. Integer-valued metrics are exact: their
-// bounds are multiples of ½ and the guard moves none across an integer
-// or half-integer radius.
-const boundGuard = 0x1p-40
-
 // LowerBounds returns, for each shard i, a lower bound on d(q, X) over
 // every member X of the shard, from the S query-to-pivot distances and
 // nothing else — the one pruning rule of the in-process Set and of the
@@ -726,6 +731,12 @@ const boundGuard = 0x1p-40
 // clustered D=16 data — the ball term proves almost nothing and this
 // one proves most shards empty. A set without pivots has no bound:
 // every lbᵢ is 0.
+//
+// Each bound gives up mtree.BoundGuard of d(q,Pᵢ): it combines three
+// computed distances (q to two pivots, and through the assignment or the
+// radius a member to its pivot), all at most 1.5·d(q,Pᵢ) when the bound
+// is positive, and without the guard a member at exactly the query
+// radius on the segment between two pivots is lost to the last bit.
 func LowerBounds(space *metric.Space, q metric.Object, balls []Ball) []float64 {
 	lb := make([]float64, len(balls))
 	if len(balls) == 0 || balls[0].Pivot == nil {
@@ -737,7 +748,7 @@ func LowerBounds(space *metric.Space, q metric.Object, balls []Ball) []float64 {
 		nearest = min(nearest, lb[i])
 	}
 	for i, d := range lb {
-		lb[i] = max(0, max(d-balls[i].Radius, (d-nearest)/2)-boundGuard*d)
+		lb[i] = max(0, max(d-balls[i].Radius, (d-nearest)/2)-mtree.BoundGuard*d)
 	}
 	return lb
 }
@@ -1129,16 +1140,21 @@ func (s *Set) Delete(obj metric.Object, oid uint64) (refit bool, err error) {
 	return refit, err
 }
 
-// EnableRecalibration attaches one recalibrator per shard, seeded from
-// the shard's members on its own stream; predictions, admission prices,
-// and the k-NN shard ordering switch to bias-corrected estimates, and
-// every clean query execution feeds its trace back into the owning
-// shard's window.
-func (s *Set) EnableRecalibration(cfg recal.Config) error {
+// EnableRecalibration attaches one recalibrator per shard, on the
+// shard's stream out of cfg.Seed. At S = 1 its reservoir is primed from
+// sample, the caller's objects; at S > 1 each shard primes from its own
+// members. Predictions, admission prices, and the k-NN shard ordering
+// switch to bias-corrected estimates, and every clean query execution
+// feeds its trace back into the owning shard's window.
+func (s *Set) EnableRecalibration(cfg recal.Config, sample []metric.Object) error {
 	for i, sh := range s.shards {
 		c := cfg
-		c.Seed = parallel.SplitSeed(cfg.Seed, 5000+i)
-		if err := sh.EnableRecalibration(c, sh.Objects); err != nil {
+		c.Seed = s.opt.streams(i, cfg.Seed).recal
+		prime := sh.Objects
+		if len(s.shards) == 1 { // S = 1: primed from the caller's sample
+			prime = sample
+		}
+		if err := sh.EnableRecalibration(c, prime); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

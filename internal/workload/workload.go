@@ -103,16 +103,16 @@ type Options struct {
 	Disk core.DiskParams
 	// Seed drives query sampling.
 	Seed int64
-	// UseParentDist runs the measured queries with the M-tree's
-	// triangle-inequality optimization (default false, matching what
-	// the model predicts; see the paper's footnote 2). It applies to
-	// the tree engine behind Run; engines given to RunEngine own their
-	// query options.
+	// UseParentDist asks for the measured queries to run with the
+	// M-tree's triangle-inequality optimization (default false, matching
+	// what the model predicts; see the paper's footnote 2). RunEngine
+	// does not read it: the engine owns its query options, and the
+	// caller builds it with this one (mcost.Index.RunWorkload does).
 	UseParentDist bool
 }
 
 // Engine executes batches of similarity queries and meters their cost.
-// *mtree.Tree (via Run) and mcost.ShardedIndex both satisfy it.
+// mcost.Index runs its workloads on its shard set through one.
 type Engine interface {
 	RangeBatch(qs []metric.Object, radius float64) ([][]mtree.Match, error)
 	NNBatch(qs []metric.Object, k int) ([][]mtree.Match, error)
@@ -175,38 +175,6 @@ func apportion(weights []float64, total int) ([]int, error) {
 		counts[i]++
 	}
 	return counts, nil
-}
-
-// treeEngine adapts a single M-tree to Engine.
-type treeEngine struct {
-	tr   *mtree.Tree
-	qopt mtree.QueryOptions
-}
-
-func (e treeEngine) RangeBatch(qs []metric.Object, radius float64) ([][]mtree.Match, error) {
-	return e.tr.RangeBatch(qs, radius, e.qopt)
-}
-
-func (e treeEngine) NNBatch(qs []metric.Object, k int) ([][]mtree.Match, error) {
-	return e.tr.NNBatch(qs, k, e.qopt)
-}
-
-func (e treeEngine) Costs() (int64, int64) { return e.tr.NodeReads(), e.tr.DistanceCount() }
-func (e treeEngine) ResetCosts()           { e.tr.ResetCounters() }
-func (e treeEngine) PageSize() int         { return e.tr.PageSize() }
-
-// modelPredictor adapts the N-MCM to Predictor.
-type modelPredictor struct{ m *core.MTreeModel }
-
-func (p modelPredictor) PredictRange(radius float64) core.CostEstimate { return p.m.RangeN(radius) }
-func (p modelPredictor) PredictNN(k int) core.CostEstimate             { return p.m.NNN(k) }
-
-// Run executes the workload against the tree using queries drawn from
-// queryPool (objects following the data distribution, per the biased
-// query model) and scores the model's predictions.
-func Run(tr *mtree.Tree, model *core.MTreeModel, w *Workload, queryPool []metric.Object, opt Options) (*Report, error) {
-	eng := treeEngine{tr: tr, qopt: mtree.QueryOptions{UseParentDist: opt.UseParentDist}}
-	return RunEngine(eng, modelPredictor{m: model}, w, queryPool, opt)
 }
 
 // RunEngine executes the workload against any Engine and scores the

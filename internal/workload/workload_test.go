@@ -7,6 +7,7 @@ import (
 	"mcost/internal/core"
 	"mcost/internal/dataset"
 	"mcost/internal/distdist"
+	"mcost/internal/metric"
 	"mcost/internal/mtree"
 )
 
@@ -241,4 +242,35 @@ func TestRunBatchedMatchesLoop(t *testing.T) {
 			t.Errorf("%s: batched nodes %.2f exceed loop nodes %.2f", l.Class.Name, b.Measured.Nodes, l.Measured.Nodes)
 		}
 	}
+}
+
+// treeEngine adapts a single M-tree to Engine.
+type treeEngine struct {
+	tr   *mtree.Tree
+	qopt mtree.QueryOptions
+}
+
+func (e treeEngine) RangeBatch(qs []metric.Object, radius float64) ([][]mtree.Match, error) {
+	return e.tr.RangeBatch(qs, radius, e.qopt)
+}
+
+func (e treeEngine) NNBatch(qs []metric.Object, k int) ([][]mtree.Match, error) {
+	return e.tr.NNBatch(qs, k, e.qopt)
+}
+
+func (e treeEngine) Costs() (int64, int64) { return e.tr.NodeReads(), e.tr.DistanceCount() }
+func (e treeEngine) ResetCosts()           { e.tr.ResetCounters() }
+func (e treeEngine) PageSize() int         { return e.tr.PageSize() }
+
+// modelPredictor adapts the N-MCM to Predictor.
+type modelPredictor struct{ m *core.MTreeModel }
+
+func (p modelPredictor) PredictRange(radius float64) core.CostEstimate { return p.m.RangeN(radius) }
+func (p modelPredictor) PredictNN(k int) core.CostEstimate             { return p.m.NNN(k) }
+
+// Run executes the workload against one tree, with opt.UseParentDist,
+// and scores the tree's N-MCM predictions: RunEngine's test fixture.
+func Run(tr *mtree.Tree, model *core.MTreeModel, w *Workload, queryPool []metric.Object, opt Options) (*Report, error) {
+	eng := treeEngine{tr: tr, qopt: mtree.QueryOptions{UseParentDist: opt.UseParentDist}}
+	return RunEngine(eng, modelPredictor{m: model}, w, queryPool, opt)
 }

@@ -27,15 +27,16 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"math"
 	"time"
 
-	"mcost/internal/advisor"
 	"mcost/internal/core"
 	"mcost/internal/dataset"
 	"mcost/internal/distdist"
+	"mcost/internal/histogram"
 	"mcost/internal/metric"
 	"mcost/internal/mtree"
+	"mcost/internal/obs"
 	"mcost/internal/pager"
 	"mcost/internal/recal"
 	"mcost/internal/shard"
@@ -124,37 +125,64 @@ type ArenaOptions struct {
 	Path string
 }
 
-// Index is a built M-tree together with its fitted cost model. Its
-// tree side is one shard (internal/shard) whose OID i is i; its serving
-// surface — planning, pricing, engine modes, traced batches — is the one
-// ShardedIndex shares (surface.go).
+// Index is a built metric index together with its fitted cost model:
+// S ≥ 1 M-trees (shards, internal/shard), each with its own distance
+// distribution F̂ and L-MCM model, behind one serving surface
+// (surface.go). Build makes one tree; BuildSharded partitions the
+// objects across S of them, whose queries fan out in parallel and merge
+// deterministically — k-NN visits shards best-first in cost-model order
+// and skips those whose lower bound cannot beat the running k-th
+// distance. OIDs are global either way: the object's index in the slice
+// given to the build. An Index supports concurrent read-only queries.
 type Index struct {
-	surface
-	sh    *shard.Shard
-	stack *pager.Stack // non-nil only with StorageOptions enabled
+	space *Space
+	// sample is one indexed object, kept as the reference shape for
+	// query validation (dimension, bit-string length, object type).
+	sample  Object
+	set     *shard.Set
+	stacks  []*pager.Stack // per shard; nil entries when storage is off
+	workers int
+	// f is the dataset-level F̂: the mass-weighted merge of the shard
+	// histograms, with no extra distance sampling.
+	f *histogram.Histogram
+	// scan is the linear-scan engine over the same objects, with the same
+	// OIDs (write-through on Insert/Delete); mode selects which engine
+	// the priced/batched surface uses.
+	scan    *mtree.Scan
+	profile HardnessProfile
+	mode    EngineMode
+	// profileTime is what building the scan and the profile took.
+	profileTime time.Duration
 }
 
-// indexTree is Index's tree side: its shard, except for the k-NN price.
-type indexTree struct{ *shard.Shard }
+// tree is the index's tree side as the advisor prices it — the shard
+// set's summed L-MCM prices, whatever the engine mode.
+type tree struct{ *shard.Set }
 
-// PriceNN prices cold, NNL(k) bias-corrected under recalibration, where
-// the shard reads its model's price table. The values are equal; the
-// table would move the benchmark's tree-l2 range latency through its
-// closed-loop coupling (DESIGN.md, "What pricing costs"), so the switch
+func (t tree) PriceRange(radius float64) CostEstimate { return t.PredictRange(radius) }
+func (t tree) PriceNNPrefix(K int) []CostEstimate     { return t.PredictNNPrefix(K) }
+
+// PriceNN reads the shards' price tables. One tree is priced cold,
+// NNL(k) bias-corrected under recalibration: the values are equal, but
+// the table would move the benchmark's tree-l2 range latency through its
+// closed-loop coupling (DESIGN.md, "What pricing costs"), so that switch
 // waits for the benchmark re-cut.
-func (t indexTree) PriceNN(k int) CostEstimate {
-	if rc := t.Recal(); rc != nil {
-		return rc.CorrectNN(t.Model.NNL(k))
+func (t tree) PriceNN(k int) CostEstimate {
+	if sh := t.Shards(); len(sh) == 1 { // S = 1: cold NNL(k) until the benchmark re-cut
+		if rc := sh[0].Recal(); rc != nil {
+			return rc.CorrectNN(sh[0].Model.NNL(k))
+		}
+		return sh[0].Model.NNL(k)
 	}
-	return t.Model.NNL(k)
+	return t.PredictNN(k)
 }
 
 // BuildStages is where a build's time went, stage by stage — what
 // mcost-serve prints at start-up and what the benchmark's per-layer rows
 // (mtree.bulkload_ms, distdist.estimate_ms, core.model_fit_ms,
-// advisor.profile_ms, mtree.freeze_ms) time from outside. On a
-// ShardedIndex every stage but Profile is summed over the shards, which
-// build in parallel: the sum can exceed the time that passed.
+// advisor.profile_ms, mtree.freeze_ms) time from outside. Every stage
+// but Profile is summed over the shards, which build in parallel: the
+// sum can exceed the time that passed.
 type BuildStages struct {
 	Bulkload time.Duration // tree construction: bulk load, or the inserts of an Incremental build
 	Estimate time.Duration // sampling the distance distribution F̂
@@ -169,174 +197,265 @@ func (s BuildStages) String() string {
 		ms(s.Bulkload), ms(s.Estimate), ms(s.Model), ms(s.Profile), ms(s.Freeze))
 }
 
-// BuildStages returns where Build's time went.
-func (ix *Index) BuildStages() BuildStages { return ix.buildStages(ix.sh) }
+// BuildStages returns where the build's time went.
+func (ix *Index) BuildStages() BuildStages {
+	st := BuildStages{Profile: ix.profileTime}
+	for _, sh := range ix.set.Shards() {
+		st.Bulkload += sh.Stages.Bulkload
+		st.Estimate += sh.Stages.Estimate
+		st.Model += sh.Stages.Model
+		st.Freeze += sh.Stages.Freeze
+	}
+	return st
+}
 
-// Build indexes the objects and fits the cost model: it constructs the
-// M-tree (bulk-loaded unless Incremental), estimates the distance
-// distribution F̂ from sampled pairs, and collects the tree statistics
-// the models need. The returned Index answers both real queries and
-// cost predictions.
+// ShardAssignment selects how BuildSharded distributes objects across
+// shards: round-robin (balanced, no pruning) or pivot-based (metric
+// balls, enables cost-based shard skipping).
+type ShardAssignment = shard.Assignment
+
+// Shard assignment strategies.
+const (
+	// ShardRoundRobin spreads objects uniformly: object i goes to shard
+	// i mod S. Every query visits every shard.
+	ShardRoundRobin = shard.RoundRobin
+	// ShardPivot clusters objects around S greedily-chosen pivots, so
+	// each shard is a metric ball and queries can skip shards whose
+	// lower bound d(q,pivot) − radius proves them irrelevant.
+	ShardPivot = shard.Pivot
+)
+
+// ParseShardAssignment maps a CLI spelling ("round-robin", "pivot") to
+// a ShardAssignment.
+func ParseShardAssignment(s string) (ShardAssignment, error) { return shard.ParseAssignment(s) }
+
+// ShardOptions configures BuildSharded on top of the base Options.
+type ShardOptions struct {
+	// Shards is the number of partitions (>= 1).
+	Shards int
+	// Assign is the partitioning strategy.
+	Assign ShardAssignment
+}
+
+// Build indexes the objects in one M-tree and fits the cost model: it
+// constructs the tree (bulk-loaded unless Incremental), estimates the
+// distance distribution F̂ from sampled pairs, and collects the tree
+// statistics the models need. The returned Index answers both real
+// queries and cost predictions. It is BuildSharded with one shard.
 func Build(space *Space, objects []Object, opt Options) (*Index, error) {
-	if space == nil {
-		return nil, errors.New("mcost: nil space")
-	}
-	if len(objects) < 2 {
-		return nil, fmt.Errorf("mcost: need at least 2 objects, got %d", len(objects))
-	}
-	mo, stack, err := buildStorage(space, objects[0], opt)
-	if err != nil {
-		return nil, err
-	}
-	oids := make([]uint64, len(objects))
-	for i := range oids {
-		oids[i] = uint64(i)
-	}
-	sh, err := shard.New(slices.Clip(objects), oids, mo, opt.Incremental, opt.arena(), distdist.Options{
-		Bins:     opt.HistogramBins,
-		MaxPairs: opt.SamplePairs,
-		Seed:     opt.Seed + 1,
-		Workers:  opt.Workers,
+	return BuildSharded(space, objects, opt, ShardOptions{Shards: 1})
+}
+
+// BuildSharded partitions the objects into so.Shards shards and builds
+// one cost-modeled M-tree per shard. Options applies per shard: each
+// shard gets its own histogram estimate, seed stream, and — when
+// opt.Storage asks for one — its own checksummed page stack (so storage
+// faults are contained to a shard). Requires at least two objects per
+// shard.
+func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) (*Index, error) {
+	stacks := make([]*pager.Stack, max(so.Shards, 0))
+	set, err := shard.Build(space, objects, shard.Options{
+		Shards:        so.Shards,
+		Assign:        so.Assign,
+		PageSize:      opt.PageSize,
+		HistogramBins: opt.HistogramBins,
+		SamplePairs:   opt.SamplePairs,
+		Seed:          opt.Seed,
+		Workers:       opt.Workers,
+		Incremental:   opt.Incremental,
+		Arena:         opt.arena(),
+		TreeOptions: func(i int) (mtree.Options, error) {
+			mo, stack, err := buildStorage(space, objects[0], opt)
+			stacks[i] = stack
+			return mo, err
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{sh: sh, stack: stack}
-	if ix.surface, err = newSurface(space, objects, sh.Tree.PageSize(), indexTree{sh}, advisor.EngineTree, sh.F); err != nil {
+	ix := &Index{space: space, sample: objects[0], set: set, stacks: stacks, workers: opt.Workers, mode: EngineTree}
+	clock := obs.StartStopwatch()
+	if ix.scan, err = mtree.NewScan(space, objects, set.PageSize()); err != nil {
+		return nil, fmt.Errorf("mcost: building scan engine: %w", err)
+	}
+	if err := ix.refreshProfile(); err != nil {
 		return nil, err
 	}
+	ix.profileTime = clock.Lap()
 	return ix, nil
 }
 
+func (ix *Index) qopt() shard.QueryOptions {
+	return shard.QueryOptions{UseParentDist: true, Workers: ix.workers}
+}
+
+// NumShards returns the shard count S.
+func (ix *Index) NumShards() int { return ix.set.NumShards() }
+
+// ShardSizes returns each shard's object count, in shard order.
+func (ix *Index) ShardSizes() []int {
+	sizes := make([]int, ix.set.NumShards())
+	for i, sh := range ix.set.Shards() {
+		sizes[i] = sh.Tree.Size()
+	}
+	return sizes
+}
+
+// ShardsSkipped returns the shard visits avoided by lower-bound pruning
+// since the last ResetCosts.
+func (ix *Index) ShardsSkipped() int64 { return ix.set.ShardsSkipped() }
+
 // Size returns the number of indexed objects.
-func (ix *Index) Size() int { return ix.sh.Tree.Size() }
+func (ix *Index) Size() int { return ix.set.Size() }
 
-// Height returns the number of tree levels.
-func (ix *Index) Height() int { return ix.sh.Tree.Height() }
+// Height returns the tallest shard tree's number of levels.
+func (ix *Index) Height() int { return ix.set.Height() }
 
-// NumNodes returns the number of tree nodes (pages).
-func (ix *Index) NumNodes() int { return ix.sh.Tree.NumNodes() }
+// NumNodes returns the number of tree nodes (pages), summed over shards.
+func (ix *Index) NumNodes() int { return ix.set.NumNodes() }
 
 // PageSize returns the M-tree node size in bytes.
-func (ix *Index) PageSize() int { return ix.sh.Tree.PageSize() }
+func (ix *Index) PageSize() int { return ix.set.PageSize() }
 
-// Range returns all objects within radius of q. The parent-distance
-// optimization is enabled: real queries should be as fast as possible.
+// Range returns all objects within radius of q, concatenated in shard
+// order. The parent-distance optimization is enabled: real queries
+// should be as fast as possible.
 func (ix *Index) Range(q Object, radius float64) ([]Match, error) {
 	if err := ix.check(q); err != nil {
 		return nil, err
 	}
-	return ix.sh.Tree.Range(q, radius, mtree.QueryOptions{UseParentDist: true})
+	return ix.set.Range(q, radius, ix.qopt())
 }
 
-// NN returns the k nearest neighbors of q, closest first.
+// NN returns the k nearest neighbors of q, closest first (ties broken
+// by OID).
 func (ix *Index) NN(q Object, k int) ([]Match, error) {
 	if err := ix.check(q); err != nil {
 		return nil, err
 	}
-	return ix.sh.Tree.NN(q, k, mtree.QueryOptions{UseParentDist: true})
+	return ix.set.NN(q, k, ix.qopt())
+}
+
+// RangeBatch answers a batch of range queries; out[i] holds query i's
+// matches. Within each shard the whole batch shares one traversal, so
+// node reads amortize across the batch.
+func (ix *Index) RangeBatch(qs []Object, radius float64) ([][]Match, error) {
+	if err := ix.check(qs...); err != nil {
+		return nil, err
+	}
+	return ix.set.RangeBatch(qs, radius, ix.qopt())
+}
+
+// NNBatch answers a batch of k-NN queries; out[i] holds query i's
+// neighbors, closest first.
+func (ix *Index) NNBatch(qs []Object, k int) ([][]Match, error) {
+	if err := ix.check(qs...); err != nil {
+		return nil, err
+	}
+	return ix.set.NNBatch(qs, k, ix.qopt())
+}
+
+// ErrSharded is returned by the operations that need one tree — a
+// whole model, a join or a complex query over one traversal — on an
+// index of more than one shard.
+var ErrSharded = errors.New("mcost: operation needs a one-shard index")
+
+// single returns the index's one tree, or ErrSharded.
+func (ix *Index) single() (*shard.Shard, error) {
+	if sh := ix.set.Shards(); len(sh) == 1 {
+		return sh[0], nil
+	}
+	return nil, ErrSharded
+}
+
+// sumFloat adds f over the shards, in shard order.
+func (ix *Index) sumFloat(f func(m *core.MTreeModel) float64) float64 {
+	var sum float64
+	for _, sh := range ix.set.Shards() {
+		sum += f(sh.Model)
+	}
+	return sum
 }
 
 // PredictRange predicts range-query costs with the node-based model
-// N-MCM (Eq. 6-7 of the paper). The prediction models a search without
-// the parent-distance optimization, so it upper-bounds what Range
-// performs; see PredictRangeLevel for the cheaper level-based variant.
+// N-MCM (Eq. 6-7 of the paper), summed over the shards. The prediction
+// models a search without the parent-distance optimization, so it
+// upper-bounds what Range performs; see PredictRangeLevel for the
+// cheaper level-based variant.
 func (ix *Index) PredictRange(radius float64) CostEstimate {
-	if rc := ix.sh.Recal(); rc != nil {
-		return rc.CorrectTotal(ix.sh.Model.RangeN(radius))
-	}
-	return ix.sh.Model.RangeN(radius)
+	return ix.set.Sum(func(sh *shard.Shard) CostEstimate {
+		if rc := sh.Recal(); rc != nil {
+			return rc.CorrectTotal(sh.Model.RangeN(radius))
+		}
+		return sh.Model.RangeN(radius)
+	})
 }
 
 // PredictRangeLevel predicts range-query costs with the level-based
-// model L-MCM (Eq. 15-16), which needs only per-level statistics. With
-// recalibration enabled the per-level prediction is scaled by the bias
-// factors learned from recent traces. It is the tree side's price: what
-// PriceRange charges and the advisor compares against the scan.
-func (ix *Index) PredictRangeLevel(radius float64) CostEstimate { return ix.sh.PriceRange(radius) }
+// model L-MCM (Eq. 15-16), which needs only per-level statistics, summed
+// over the shards. With recalibration enabled the per-level prediction
+// is scaled by the bias factors learned from recent traces. It is the
+// tree side's price: what PriceRange charges and the advisor compares
+// against the scan.
+func (ix *Index) PredictRangeLevel(radius float64) CostEstimate { return ix.set.PredictRange(radius) }
 
 // PredictSelectivity predicts the number of objects a range query
-// returns: n·F(radius) (Eq. 8).
+// returns: n·F(radius) (Eq. 8), summed over the shards.
 func (ix *Index) PredictSelectivity(radius float64) float64 {
-	return ix.sh.Model.RangeObjects(radius)
+	return ix.sumFloat(func(m *core.MTreeModel) float64 { return m.RangeObjects(radius) })
 }
 
 // PredictNN predicts k-NN query costs with the node-based model by
 // integrating range costs over the k-th-neighbor distance distribution
-// (Eq. 9-14 generalized to any k). With recalibration enabled the
-// aggregate bias learned from recent traces is applied.
+// (Eq. 9-14 generalized to any k), summed over the shards — an upper
+// bound there, since shard pruning only reduces the real cost. With
+// recalibration enabled the aggregate bias learned from recent traces
+// is applied.
 func (ix *Index) PredictNN(k int) CostEstimate {
-	if rc := ix.sh.Recal(); rc != nil {
-		return rc.CorrectNN(ix.sh.Model.NNN(k))
-	}
-	return ix.sh.Model.NNN(k)
+	return ix.set.Sum(func(sh *shard.Shard) CostEstimate {
+		if rc := sh.Recal(); rc != nil {
+			return rc.CorrectNN(sh.Model.NNN(k))
+		}
+		return sh.Model.NNN(k)
+	})
 }
 
 // PredictNNLevel is the level-based variant (Eq. 17-18), the tree
 // side's k-NN price.
-func (ix *Index) PredictNNLevel(k int) CostEstimate { return ix.side.PriceNN(k) }
+func (ix *Index) PredictNNLevel(k int) CostEstimate { return ix.tree().PriceNN(k) }
 
 // ExpectedNNDistance predicts the distance of the k-th nearest neighbor
-// of a random query (Eq. 11).
-func (ix *Index) ExpectedNNDistance(k int) float64 { return ix.sh.Model.ExpectedNNDist(k) }
-
-// DistanceDistribution exposes the estimated F̂: F(x) is the fraction of
-// object pairs within distance x.
-func (ix *Index) DistanceDistribution() func(x float64) float64 {
-	return ix.sh.F.CDF
+// of a random query (Eq. 11). It is NaN on a sharded index: the model
+// of one shard does not give the whole dataset's k-th neighbor.
+func (ix *Index) ExpectedNNDistance(k int) float64 {
+	sh, err := ix.single()
+	if err != nil {
+		return math.NaN()
+	}
+	return sh.Model.ExpectedNNDist(k)
 }
+
+// DistanceDistribution exposes the estimated F̂ (the merge of the
+// shards'): F(x) is the fraction of object pairs within distance x.
+func (ix *Index) DistanceDistribution() func(x float64) float64 { return ix.f.CDF }
 
 // PredictTotalMS combines a prediction into milliseconds under the disk
 // parameters, using this index's node size.
 func (ix *Index) PredictTotalMS(est CostEstimate, disk DiskParams) float64 {
-	return disk.TotalMS(est, ix.sh.Tree.PageSize())
+	return disk.TotalMS(est, ix.PageSize())
 }
 
 // PaperDiskParams returns the disk parameters of the paper's Figure
 // 5(b): 10 ms positioning, 1 ms/KB transfer, 5 ms per distance.
 func PaperDiskParams() DiskParams { return core.PaperDiskParams() }
 
-// Delete removes an object by OID. The caller supplies the object value
-// (the tree routes by distance, not by key). After heavy churn the cost
-// model's statistics grow stale — covering radii are not tightened on
-// deletion — so call RefreshModel before relying on predictions again,
-// or enable recalibration and let the index refresh itself.
-func (ix *Index) Delete(obj Object, oid uint64) error {
-	refit, err := ix.sh.Delete(obj, oid)
-	if err != nil && !refit {
-		return err
-	}
-	ix.scan.Remove(oid)
-	return ix.refitted(refit, err)
-}
-
-// refitted follows a write the shard took: after a clean refit the
-// profile is recomputed from the new model, over the updated scan.
-func (ix *Index) refitted(refit bool, err error) error {
-	if refit && err == nil {
-		ix.refreshProfile(ix.sh.F)
-	}
-	return err
-}
-
-// RefreshModel re-collects the tree statistics and refits the cost
-// model after structural churn (inserts/deletes since Build). The
-// distance distribution F̂ is kept: deletions and inserts drawn from the
-// same data distribution do not change it.
-func (ix *Index) RefreshModel() error {
-	if err := ix.sh.Refit(ix.sh.F); err != nil {
-		return err
-	}
-	ix.refreshProfile(ix.sh.F)
-	return nil
-}
-
-// Insert adds one object after Build and returns its OID. Refresh the
-// model after bulk churn, or enable recalibration and let the index
-// refresh itself.
+// Insert adds one object after Build and returns its OID. On a sharded
+// index it goes to the nearest pivot's shard under ShardPivot and by
+// rotation under ShardRoundRobin. Refresh the model after bulk churn, or
+// enable recalibration and let the index refresh itself. Writes are not
+// safe concurrent with queries or with each other.
 func (ix *Index) Insert(obj Object) (uint64, error) {
-	oid := uint64(len(ix.sh.OIDs))
-	refit, err := ix.sh.Insert(obj, oid)
+	oid, refit, err := ix.set.Insert(obj)
 	if err != nil && !refit {
 		return 0, err
 	}
@@ -344,37 +463,80 @@ func (ix *Index) Insert(obj Object) (uint64, error) {
 	return oid, ix.refitted(refit, err)
 }
 
-// EnableRecalibration attaches a live recalibrator: every subsequent
-// Insert/Delete updates F̂ via reservoir-sampled distances, traced batch
-// executions feed the per-level bias window, Price*/Predict* return
-// bias-corrected estimates, and the model is refit from the blended F̂
-// plus fresh tree statistics every cfg.RefreshEvery writes. sample
+// Delete removes an object by OID. The caller supplies the object value
+// (the tree routes by distance, not by key). After heavy churn the cost
+// model's statistics grow stale — covering radii are not tightened on
+// deletion — so call RefreshModel before relying on predictions again,
+// or enable recalibration and let the index refresh itself.
+func (ix *Index) Delete(obj Object, oid uint64) error {
+	refit, err := ix.set.Delete(obj, oid)
+	if err != nil && !refit {
+		return err
+	}
+	ix.scan.Remove(oid)
+	return ix.refitted(refit, err)
+}
+
+// refitted follows a write a shard took: after a clean recalibration
+// refit the profile is recomputed from the re-merged shard F̂s, over the
+// updated scan.
+func (ix *Index) refitted(refit bool, err error) error {
+	if !refit || err != nil {
+		return err
+	}
+	return ix.refreshProfile()
+}
+
+// RefreshModel re-collects every shard's tree statistics and refits its
+// cost model after structural churn (inserts/deletes since Build). The
+// distance distributions are kept: deletions and inserts drawn from the
+// same data distribution do not change them.
+func (ix *Index) RefreshModel() error {
+	for _, sh := range ix.set.Shards() {
+		if err := sh.Refit(sh.F); err != nil {
+			return err
+		}
+	}
+	return ix.refreshProfile()
+}
+
+// EnableRecalibration attaches a live recalibrator to every shard:
+// every subsequent Insert/Delete updates F̂ via reservoir-sampled
+// distances, traced batch executions feed the per-level bias window,
+// Price*/Predict* and the k-NN shard ordering return bias-corrected
+// estimates, and a shard's model is refit from its blended F̂ plus fresh
+// tree statistics every cfg.RefreshEvery writes. On one shard sample
 // primes the distance-sampling reservoir with live objects — pass the
-// build dataset (or any subset); an empty sample fills from inserts.
+// build dataset (or any subset); an empty sample fills from inserts. On
+// S > 1 shards each shard primes from its own members and sample is
+// unused.
 //
 // The index is not safe for writes concurrent with reads; the serving
 // layer serializes writes behind an RWMutex. The recalibrator itself is
 // concurrency-safe.
 func (ix *Index) EnableRecalibration(cfg recal.Config, sample []Object) error {
-	return ix.sh.EnableRecalibration(cfg, sample)
+	return ix.set.EnableRecalibration(cfg, sample)
 }
 
-// RecalStats snapshots the recalibrator's observable state; ok is false
-// when recalibration is not enabled.
-func (ix *Index) RecalStats() (recal.Stats, bool) {
-	if rc := ix.sh.Recal(); rc != nil {
-		return rc.Stats(), true
-	}
-	return recal.Stats{}, false
-}
+// RecalStats snapshots the recalibrators' state, aggregated over the
+// shards (see shard.Set.RecalStats); ok is false when recalibration is
+// not enabled.
+func (ix *Index) RecalStats() (recal.Stats, bool) { return ix.set.RecalStats() }
 
 // Model is a standalone fitted cost model: the JSON-serializable object
 // a query optimizer keeps in its catalog, predicting costs with no
 // access to the index or the data.
 type Model = core.MTreeModel
 
-// SaveModel writes the index's fitted cost model as JSON.
-func (ix *Index) SaveModel(w io.Writer) error { return ix.sh.Model.Save(w) }
+// SaveModel writes the index's fitted cost model as JSON; ErrSharded on
+// a sharded index, whose S models are not one.
+func (ix *Index) SaveModel(w io.Writer) error {
+	sh, err := ix.single()
+	if err != nil {
+		return err
+	}
+	return sh.Model.Save(w)
+}
 
 // LoadModel reads a model written by SaveModel.
 func LoadModel(r io.Reader) (*Model, error) { return core.LoadModel(r) }
@@ -428,20 +590,27 @@ func TuneNodeSize(space *Space, objects []Object, sizes []int, radius float64, d
 // k-th neighbor lies within the searched region. Lower confidence means
 // fewer node reads and distance computations; confidence >= 1 degrades
 // to the exact NN. This is the probably-approximately-correct use of the
-// model the paper's optimizer framing invites.
+// model the paper's optimizer framing invites. ErrSharded on a sharded
+// index, whose shard models do not give the dataset's quantile.
 func (ix *Index) NNApprox(q Object, k int, confidence float64) ([]Match, error) {
 	if err := ix.check(q); err != nil {
 		return nil, err
 	}
-	stop := ix.sh.Model.NNDistQuantile(k, confidence)
-	return ix.sh.Tree.NNWithStop(q, k, stop, mtree.QueryOptions{UseParentDist: true})
+	sh, err := ix.single()
+	if err != nil {
+		return nil, err
+	}
+	stop := sh.Model.NNDistQuantile(k, confidence)
+	return sh.Tree.NNWithStop(q, k, stop, mtree.QueryOptions{UseParentDist: true})
 }
 
-// IndexStats summarizes the built tree for observability and reporting.
+// IndexStats summarizes the built trees for observability and
+// reporting.
 type IndexStats struct {
 	// Objects is the number of indexed objects.
 	Objects int
-	// Nodes is the number of pages; Height the number of levels.
+	// Nodes is the number of pages; Height the number of levels of the
+	// tallest tree.
 	Nodes  int
 	Height int
 	// LeafNodes and AvgLeafEntries describe the leaf level.
@@ -451,31 +620,34 @@ type IndexStats struct {
 	// quantities the cost model derives access probabilities from.
 	AvgLeafRadius float64
 	MaxLeafRadius float64
-	// LevelNodes lists the node count per level, root first.
+	// LevelNodes lists the node count per level, root first, summed
+	// over the shards.
 	LevelNodes []int
 }
 
-// Stats reports the tree's structural statistics (from the snapshot
-// taken at Build or the last RefreshModel).
+// Stats reports the trees' structural statistics, over all shards (from
+// the snapshots taken at Build or the last refit).
 func (ix *Index) Stats() IndexStats {
-	out := IndexStats{
-		Objects: ix.sh.Stats.Size,
-		Height:  ix.sh.Stats.Height,
-	}
-	for _, ls := range ix.sh.Stats.Levels {
-		out.LevelNodes = append(out.LevelNodes, ls.Nodes)
-		out.Nodes += ls.Nodes
-	}
+	var out IndexStats
 	var leafEntries int
-	for _, ns := range ix.sh.Stats.Nodes {
-		if !ns.Leaf {
-			continue
+	for _, sh := range ix.set.Shards() {
+		out.Objects += sh.Stats.Size
+		out.Height = max(out.Height, sh.Stats.Height)
+		for l, ls := range sh.Stats.Levels {
+			if l == len(out.LevelNodes) {
+				out.LevelNodes = append(out.LevelNodes, 0)
+			}
+			out.LevelNodes[l] += ls.Nodes
+			out.Nodes += ls.Nodes
 		}
-		out.LeafNodes++
-		leafEntries += ns.Entries
-		out.AvgLeafRadius += ns.Radius
-		if ns.Radius > out.MaxLeafRadius {
-			out.MaxLeafRadius = ns.Radius
+		for _, ns := range sh.Stats.Nodes {
+			if !ns.Leaf {
+				continue
+			}
+			out.LeafNodes++
+			leafEntries += ns.Entries
+			out.AvgLeafRadius += ns.Radius
+			out.MaxLeafRadius = max(out.MaxLeafRadius, ns.Radius)
 		}
 	}
 	if out.LeafNodes > 0 {

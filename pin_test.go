@@ -146,3 +146,72 @@ func TestRecalibratedIndexPinned(t *testing.T) {
 		t.Errorf("recalibrated digest %s, pinned %s", got, recalPin)
 	}
 }
+
+// shardedPins are shardedDigest's hashes of 3-shard builds under each
+// assignment, recorded before ShardedIndex folded into Index.
+var shardedPins = map[string]string{
+	"pivot":       "e18c0ef81fda011ddc4eb351e591dec2f47a711c6827327176fa9341df1e3c63",
+	"round-robin": "8d58bd3d621713a8082d73346b37e01c5d96aef8acf68a938fdeecb20653c639",
+}
+
+// shardedDigest writes everything pinned about a sharded build into one
+// hash: each shard's model and tree statistics, the matches and counted
+// costs of a fixed query set, the trace totals, the prices and the
+// hardness profile.
+func shardedDigest(t *testing.T, sx *Index) string {
+	t.Helper()
+	var buf bytes.Buffer
+	for i, sh := range sx.set.Shards() {
+		if err := sh.Model.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "shard %d stats %+v\n", i, *sh.Stats)
+	}
+	sx.ResetCosts()
+	qs := pinQueries()
+	for _, q := range qs {
+		rs, err := sx.Range(q, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nn, err := sx.NN(q, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "range %v\nnn %v\n", matchKeys(rs), matchKeys(nn))
+	}
+	tr := NewQueryTrace()
+	rb, err := sx.RangeBatchTraced(context.Background(), qs, 0.25, QueryBudget{}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb, err := sx.NNBatchTraced(context.Background(), qs, 7, QueryBudget{}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		fmt.Fprintf(&buf, "rb %v\nnb %v\n", matchKeys(rb[i]), matchKeys(nb[i]))
+	}
+	nodes, dists := sx.Costs()
+	fmt.Fprintf(&buf, "costs %d %d trace %d %d skipped %d\n", nodes, dists, tr.TotalNodes(), tr.TotalDists(), sx.ShardsSkipped())
+	fmt.Fprintf(&buf, "price %v %v\nhardness %+v\n", sx.PriceRange(0.25), sx.PriceNN(7), sx.Hardness())
+	return digest(buf.Bytes())
+}
+
+// TestShardedBuildPinned holds 3-shard builds, their per-shard models
+// and their query results to digests recorded before ShardedIndex
+// folded into Index.
+func TestShardedBuildPinned(t *testing.T) {
+	space := VectorSpace("L2", 6)
+	for name, assign := range map[string]ShardAssignment{"pivot": ShardPivot, "round-robin": ShardRoundRobin} {
+		t.Run(name, func(t *testing.T) {
+			sx, err := BuildSharded(space, pinObjects(), Options{PageSize: 1024, Seed: 7, Workers: 2}, ShardOptions{Shards: 3, Assign: assign})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := shardedDigest(t, sx); got != shardedPins[name] {
+				t.Errorf("%s sharded digest %s, pinned %s", name, got, shardedPins[name])
+			}
+		})
+	}
+}

@@ -1,7 +1,10 @@
 package mcost
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"sort"
 	"testing"
 
@@ -11,7 +14,7 @@ import (
 	"mcost/internal/recal"
 )
 
-func shardedFixture(t *testing.T, n, shards int, assign ShardAssignment, opt Options) (*ShardedIndex, []Object) {
+func shardedFixture(t *testing.T, n, shards int, assign ShardAssignment, opt Options) (*Index, []Object) {
 	t.Helper()
 	objs := randomVectors(n, 5, 71)
 	space := VectorSpace("L2", 5)
@@ -124,7 +127,7 @@ func TestShardedPredictionsAndCosts(t *testing.T) {
 	reads, dists := sx.Costs()
 	mReads := float64(reads) / float64(len(queries))
 	mDists := float64(dists) / float64(len(queries))
-	pred := sx.PredictRange(radius)
+	pred := sx.PredictRangeLevel(radius)
 	if pred.Nodes <= 0 || pred.Dists <= 0 {
 		t.Fatalf("prediction %+v", pred)
 	}
@@ -134,7 +137,7 @@ func TestShardedPredictionsAndCosts(t *testing.T) {
 	if ratio := pred.Nodes / mReads; ratio < 0.4 || ratio > 2.5 {
 		t.Errorf("predicted nodes %.0f vs measured %.0f (ratio %.2f)", pred.Nodes, mReads, ratio)
 	}
-	if nn := sx.PredictNN(5); nn.Nodes <= 0 || nn.Dists <= 0 {
+	if nn := sx.PredictNNLevel(5); nn.Nodes <= 0 || nn.Dists <= 0 {
 		t.Errorf("NN prediction %+v", nn)
 	}
 }
@@ -146,11 +149,11 @@ func TestShardedPredictionsAndCosts(t *testing.T) {
 // statistics prices cold — not the entry the old model had filled.
 func TestShardedPredictNNFollowsModelSwap(t *testing.T) {
 	sx, _ := shardedFixture(t, 900, 3, ShardPivot, Options{Seed: 19})
-	if err := sx.EnableRecalibration(recal.Config{RefreshEvery: 16, Seed: 3}); err != nil {
+	if err := sx.EnableRecalibration(recal.Config{RefreshEvery: 16, Seed: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	const k = 10
-	before := sx.PredictNN(k)
+	before := sx.PredictNNLevel(k)
 	shards := sx.set.Shards()
 	old := shards[0].Model
 	// Objects next to shard 0's pivot all route to shard 0; the insert
@@ -184,7 +187,7 @@ func TestShardedPredictNNFollowsModelSwap(t *testing.T) {
 		want.Nodes += e.Nodes
 		want.Dists += e.Dists
 	}
-	got := sx.PredictNN(k)
+	got := sx.PredictNNLevel(k)
 	if n := shards[0].Model.CachedKs(); n != filled+1 {
 		t.Errorf("pricing k = %d took the refitted model's table from %d to %d entries, want one more", k, filled, n)
 	}
@@ -203,7 +206,7 @@ func TestShardedPredictNNFollowsModelSwap(t *testing.T) {
 func TestShardedHardnessFollowsRefit(t *testing.T) {
 	sx, _ := shardedFixture(t, 300, 3, ShardPivot, Options{Seed: 19})
 	const every = 8
-	if err := sx.EnableRecalibration(recal.Config{RefreshEvery: every, Seed: 3}); err != nil {
+	if err := sx.EnableRecalibration(recal.Config{RefreshEvery: every, Seed: 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	built := sx.Hardness()
@@ -242,7 +245,7 @@ func TestShardedHardnessFollowsRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := advisor.ComputeProfile(f, sx.scan.Size(), sx.scan.Pages(), sx.space.Bound, sx.side)
+	want := advisor.ComputeProfile(f, sx.scan.Size(), sx.scan.Pages(), sx.space.Bound, sx.tree())
 	if fmt.Sprintf("%+v", want) == fmt.Sprintf("%+v", built) {
 		t.Fatal("the writes left the profile where the build put it; nothing to check")
 	}
@@ -354,5 +357,68 @@ func TestBuildShardedValidation(t *testing.T) {
 	}
 	if _, err := ParseShardAssignment("nope"); err == nil {
 		t.Error("bogus assignment parsed")
+	}
+}
+
+// TestShardedFaultStats: FaultStats sums the injected faults over the
+// shards' page stacks, so a sharded faulty build reports them.
+func TestShardedFaultStats(t *testing.T) {
+	objs := randomVectors(1200, 5, 71)
+	sx, err := BuildSharded(VectorSpace("L2", 5), objs, Options{
+		Seed:    21,
+		Storage: StorageOptions{Paged: true, RetryAttempts: 5, Faults: &FaultConfig{Seed: 5, ReadErrorRate: 0.05}},
+	}, ShardOptions{Shards: 3, Assign: ShardPivot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := sx.FaultStats(); fs != (FaultStats{}) {
+		t.Fatalf("faults before any were enabled: %+v", fs)
+	}
+	sx.SetFaultsEnabled(true)
+	for _, q := range randomVectors(20, 5, 74) {
+		if _, err := sx.Range(q, 0.3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs := sx.FaultStats(); fs.ReadErrors == 0 {
+		t.Errorf("20 range queries at a 5%% read fault rate report %+v", fs)
+	}
+}
+
+// TestOneTreeOperations: the operations that need one tree — its whole
+// model, one traversal — answer on one shard and refuse on three, with
+// ErrSharded or NaN, never a number that looks right.
+func TestOneTreeOperations(t *testing.T) {
+	objs := randomVectors(600, 5, 71)
+	q := objs[3]
+	preds := []Pred{{Q: q, Radius: 0.3}, {Q: objs[4], Radius: 0.4}}
+	errs := map[string]func(ix *Index) error{
+		"SaveModel":      func(ix *Index) error { return ix.SaveModel(io.Discard) },
+		"NNApprox":       func(ix *Index) error { _, err := ix.NNApprox(q, 5, 0.9); return err },
+		"ExplainRange":   func(ix *Index) error { _, _, err := ix.ExplainRange(q, 0.3); return err },
+		"RangeAnd":       func(ix *Index) error { _, err := ix.RangeAnd(preds); return err },
+		"RangeOr":        func(ix *Index) error { _, err := ix.RangeOr(preds); return err },
+		"SimilarityJoin": func(ix *Index) error { _, err := ix.SimilarityJoin(0.05); return err },
+	}
+	nans := map[string]func(ix *Index) float64{
+		"ExpectedNNDistance": func(ix *Index) float64 { return ix.ExpectedNNDistance(5) },
+		"PredictJoin":        func(ix *Index) float64 { return ix.PredictJoin(0.05).Pairs },
+	}
+	for _, shards := range []int{1, 3} {
+		ix, _ := shardedFixture(t, 600, shards, ShardPivot, Options{Seed: 13})
+		for name, f := range errs {
+			err := f(ix)
+			if shards == 1 && err != nil {
+				t.Errorf("%s on one shard: %v", name, err)
+			}
+			if shards > 1 && !errors.Is(err, ErrSharded) {
+				t.Errorf("%s on %d shards = %v, want ErrSharded", name, shards, err)
+			}
+		}
+		for name, f := range nans {
+			if v := f(ix); math.IsNaN(v) != (shards > 1) {
+				t.Errorf("%s on %d shards = %v", name, shards, v)
+			}
+		}
 	}
 }

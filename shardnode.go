@@ -1,8 +1,6 @@
 package mcost
 
 import (
-	"errors"
-
 	"mcost/internal/mtree"
 	"mcost/internal/shard"
 )
@@ -20,14 +18,8 @@ type ShardNode = shard.Node
 // identical (space, objects, opt, so) and its own index, so the cluster
 // collectively holds exactly the partition BuildSharded would have
 // built in one process, and a router merging the nodes' answers is
-// bit-identical to the in-process ShardedIndex.
+// bit-identical to the in-process sharded Index.
 func BuildShardNode(space *Space, objects []Object, opt Options, so ShardOptions, index int) (*ShardNode, error) {
-	if space == nil {
-		return nil, errors.New("mcost: nil space")
-	}
-	if len(objects) == 0 {
-		return nil, errors.New("mcost: no objects")
-	}
 	sh, err := shard.BuildOne(space, objects, shard.Options{
 		Shards:        so.Shards,
 		Assign:        so.Assign,

@@ -123,21 +123,31 @@ func buildStorage(space *Space, sample Object, opt Options) (mtree.Options, *pag
 	return mo, stack, nil
 }
 
-// SetFaultsEnabled flips fault injection on a Build with
-// StorageOptions.Faults; it reports whether a fault layer exists.
+// SetFaultsEnabled flips fault injection on every shard built with
+// StorageOptions.Faults; it reports whether any fault layer exists.
 func (ix *Index) SetFaultsEnabled(on bool) bool {
-	if ix.stack == nil || ix.stack.Faulty == nil {
-		return false
+	any := false
+	for _, st := range ix.stacks {
+		if st != nil && st.Faulty != nil {
+			st.Faulty.SetEnabled(on)
+			any = true
+		}
 	}
-	ix.stack.Faulty.SetEnabled(on)
-	return true
+	return any
 }
 
-// FaultStats returns the injected-fault counts (zero without a fault
-// layer).
+// FaultStats returns the injected-fault counts, summed over the shards'
+// stacks (zero without a fault layer).
 func (ix *Index) FaultStats() FaultStats {
-	if ix.stack == nil || ix.stack.Faulty == nil {
-		return FaultStats{}
+	var out FaultStats
+	for _, st := range ix.stacks {
+		if st != nil && st.Faulty != nil {
+			fs := st.Faulty.FaultStats()
+			out.ReadErrors += fs.ReadErrors
+			out.WriteErrors += fs.WriteErrors
+			out.TornWrites += fs.TornWrites
+			out.CorruptReads += fs.CorruptReads
+		}
 	}
-	return ix.stack.Faulty.FaultStats()
+	return out
 }

@@ -11,8 +11,8 @@ import (
 	"mcost/internal/metric"
 )
 
-// Facade boundary validation: every query entry point of Index and
-// ShardedIndex rejects objects the space cannot compare with a typed
+// Facade boundary validation: every query entry point of Index, on one
+// shard and on two, rejects objects the space cannot compare with a typed
 // ErrInvalidQuery before any distance call. PR 9 fixed a wrong-length
 // Hamming query panicking inside the distance function; the entry points
 // that kept their own copy of the check drifted until ExplainRange,
