@@ -3,17 +3,15 @@ package mcost
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"mcost/internal/dataset"
 )
 
-// The engine equivalence matrix (PR 9): memory, paged, arena, and
-// arena-mmap layouts must answer identically — same OIDs, same
-// distances, same traces — across vector and string spaces, single and
-// sharded indexes, and every batch size. The arena is an optimization,
-// never a semantic.
+// The engine equivalence matrix: memory, paged, and arena layouts must
+// answer identically — same OIDs, same distances, same traces — across
+// vector and string spaces, single and sharded indexes, and every batch
+// size. The arena is an optimization, never a semantic.
 
 func sameSets(t *testing.T, label string, got, want []Match) {
 	t.Helper()
@@ -30,22 +28,18 @@ func sameSets(t *testing.T, label string, got, want []Match) {
 
 type matrixLayout struct {
 	name string
-	opt  func(base Options, tmp string) Options
+	opt  func(base Options) Options
 }
 
 func matrixLayouts() []matrixLayout {
 	return []matrixLayout{
-		{"memory", func(b Options, _ string) Options { return b }},
-		{"paged", func(b Options, _ string) Options {
+		{"memory", func(b Options) Options { return b }},
+		{"paged", func(b Options) Options {
 			b.Storage = StorageOptions{Paged: true, CachePages: 32}
 			return b
 		}},
-		{"arena", func(b Options, _ string) Options {
+		{"arena", func(b Options) Options {
 			b.Arena = ArenaOptions{Enabled: true}
-			return b
-		}},
-		{"arena-mmap", func(b Options, tmp string) Options {
-			b.Arena = ArenaOptions{Enabled: true, Mmap: true, Path: filepath.Join(tmp, "slab")}
 			return b
 		}},
 	}
@@ -71,7 +65,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 				// Reference: the memory layout at this shard count.
 				var refRange, refNN [][]Match
 				for _, lay := range matrixLayouts() {
-					opt := lay.opt(base, t.TempDir())
+					opt := lay.opt(base)
 					var (
 						rangeOne func(q Object) ([]Match, error)
 						nnOne    func(q Object) ([]Match, error)
@@ -159,7 +153,7 @@ func TestArenaTraceEquivalence(t *testing.T) {
 
 	var refs []string
 	for _, lay := range matrixLayouts() {
-		ix, err := Build(d.Space, d.Objects, lay.opt(base, t.TempDir()))
+		ix, err := Build(d.Space, d.Objects, lay.opt(base))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,10 +62,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := tf.ValidateLayout(); err != nil {
+	reg := mcost.NewMetricsRegistry()
+	opt, err := tf.Options(stf.Options(reg))
+	if err != nil {
 		fail(err)
 	}
-	reg := mcost.NewMetricsRegistry()
 	if *dbgAddr != "" {
 		reg.PublishExpvar("mcost")
 		go func() {
@@ -97,8 +98,7 @@ func main() {
 		what = fmt.Sprintf("%d-shard M-tree (%s assignment)", shf.Shards, shf.Assign)
 	}
 	fmt.Printf("building %s over %s (n=%d, node size %d B)...\n", what, d.Name, d.N(), tf.PageSize)
-	storage := stf.Options(reg)
-	eng, err := cliutil.Build(d, tf.Options(storage), shf)
+	eng, err := cliutil.Build(d, opt, shf)
 	if err != nil {
 		fail(err)
 	}
@@ -106,11 +106,11 @@ func main() {
 	if shf.Shards > 1 {
 		fmt.Printf(", shards of %v objects", eng.ShardSizes())
 	}
-	if storage.Paged {
-		fmt.Printf(" (paged, checksummed%s)", map[bool]string{true: ", fault injection armed", false: ""}[storage.Faults != nil])
+	if opt.Storage.Paged {
+		fmt.Printf(" (paged, checksummed%s)", map[bool]string{true: ", fault injection armed", false: ""}[opt.Storage.Faults != nil])
 	}
 	fmt.Printf("\n\n")
-	if storage.Faults != nil {
+	if opt.Storage.Faults != nil {
 		eng.SetFaultsEnabled(true) // build is clean; faults target the query phase
 	}
 	if err := rf.Apply(eng, d, tf.Seed); err != nil {
@@ -192,7 +192,7 @@ func main() {
 		fmt.Printf(", %d shard visits pruned", eng.ShardsSkipped())
 	}
 	fmt.Println()
-	if storage.Faults != nil {
+	if opt.Storage.Faults != nil {
 		fs := eng.FaultStats()
 		fmt.Printf("faults injected: %d read errors, %d write errors, %d torn writes, %d corrupt reads\n",
 			fs.ReadErrors, fs.WriteErrors, fs.TornWrites, fs.CorruptReads)

@@ -75,11 +75,12 @@ func main() {
 		debug       = flag.Bool("debug", false, "mount net/http/pprof and expvar (including the metrics registry at /debug/vars) under /debug/")
 	)
 	flag.Parse()
-	if err := tf.ValidateLayout(); err != nil {
-		fail(err)
-	}
 
 	reg := mcost.NewMetricsRegistry()
+	opt, err := tf.Options(stf.Options(reg))
+	if err != nil {
+		fail(err)
+	}
 	if *debug {
 		reg.PublishExpvar("mcost")
 	}
@@ -102,7 +103,6 @@ func main() {
 
 	fmt.Printf("listening on %s (booting); building engine over %s (n=%d, node size %d B, shards=%d)...\n",
 		*addr, d.Name, d.N(), tf.PageSize, shf.Shards)
-	storage := stf.Options(reg)
 
 	var eng server.Engine
 	if *shardIndex >= 0 {
@@ -121,7 +121,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		node, err := mcost.BuildShardNode(d.Space, d.Objects, tf.Options(storage), so, *shardIndex)
+		node, err := mcost.BuildShardNode(d.Space, d.Objects, opt, so, *shardIndex)
 		if err != nil {
 			fail(err)
 		}
@@ -129,12 +129,12 @@ func main() {
 		fmt.Printf("shard node %d/%d: %d objects, %d nodes, height %d (read-only; /v1/model exported)\n",
 			*shardIndex, shf.Shards, eng.Size(), eng.NumNodes(), eng.Height())
 	} else {
-		ix, err := cliutil.Build(d, tf.Options(storage), shf)
+		ix, err := cliutil.Build(d, opt, shf)
 		if err != nil {
 			fail(err)
 		}
 		eng = ix
-		if storage.Faults != nil {
+		if opt.Storage.Faults != nil {
 			ix.SetFaultsEnabled(true)
 		}
 		if err := rf.Apply(ix, d, tf.Seed); err != nil {

@@ -82,31 +82,24 @@ func RegisterTree(fs *flag.FlagSet, seed int64, withLayout bool) *TreeFlags {
 	fs.Int64Var(&f.Seed, "seed", seed, "random seed")
 	fs.IntVar(&f.Workers, "workers", 0, "worker goroutines for estimation and query batches (0 = all CPUs); results are identical at any count")
 	if withLayout {
-		fs.StringVar(&f.Layout, "layout", "memory", "node layout for query serving: memory | arena | arena-mmap; arena freezes the tree into flat columnar slabs with batched distance kernels (bit-identical results), arena-mmap serves them from a memory-mapped slab file")
+		fs.StringVar(&f.Layout, "layout", "memory", "node layout for query serving: memory | arena; arena freezes the tree into flat columnar slabs with batched distance kernels (bit-identical results)")
 	}
 	return f
 }
 
-// Options assembles the build options over the given storage stack.
-func (f *TreeFlags) Options(storage mcost.StorageOptions) mcost.Options {
+// Options assembles the build options over the given storage stack. It
+// rejects an unknown -layout, so no build silently runs without the
+// arena it asked for.
+func (f *TreeFlags) Options(storage mcost.StorageOptions) (mcost.Options, error) {
 	opt := mcost.Options{PageSize: f.PageSize, Seed: f.Seed, Workers: f.Workers, Storage: storage}
 	switch f.Layout {
+	case "", "memory":
 	case "arena":
 		opt.Arena = mcost.ArenaOptions{Enabled: true}
-	case "arena-mmap":
-		opt.Arena = mcost.ArenaOptions{Enabled: true, Mmap: true}
+	default:
+		return mcost.Options{}, fmt.Errorf("unknown -layout %q (memory | arena)", f.Layout)
 	}
-	return opt
-}
-
-// ValidateLayout rejects unknown -layout spellings early, before a
-// build silently runs without the arena.
-func (f *TreeFlags) ValidateLayout() error {
-	switch f.Layout {
-	case "", "memory", "arena", "arena-mmap":
-		return nil
-	}
-	return fmt.Errorf("unknown -layout %q (memory | arena | arena-mmap)", f.Layout)
+	return opt, nil
 }
 
 // ShardFlags select the sharded engine (-shards, -shard-assign,

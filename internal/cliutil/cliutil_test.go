@@ -48,7 +48,10 @@ func TestTreeAndStorageOptions(t *testing.T) {
 	if storage.Faults == nil || storage.Faults.ReadErrorRate != 0.1 {
 		t.Fatalf("fault schedule not assembled: %+v", storage.Faults)
 	}
-	opt := tf.Options(storage)
+	opt, err := tf.Options(storage)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if opt.PageSize != 8192 || opt.Workers != 2 || !opt.Storage.Paged {
 		t.Fatalf("options not assembled: %+v", opt)
 	}
@@ -61,6 +64,41 @@ func TestTreeAndStorageOptions(t *testing.T) {
 	}
 	if s := sf2.Options(nil); s.Paged || s.Faults != nil {
 		t.Fatalf("default storage must be unpaged and fault-free: %+v", s)
+	}
+}
+
+// treeOptions is tf.Options over plain in-memory storage.
+func treeOptions(t *testing.T, tf *TreeFlags) mcost.Options {
+	t.Helper()
+	opt, err := tf.Options(mcost.StorageOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt
+}
+
+// TestTreeOptionsLayout: -layout takes memory or arena; any other
+// spelling fails Options, so no CLI can build without the check.
+func TestTreeOptionsLayout(t *testing.T) {
+	for layout, arena := range map[string]bool{"memory": false, "arena": true} {
+		fs := newFlagSet()
+		tf := RegisterTree(fs, 1, true)
+		if err := fs.Parse([]string{"-layout", layout}); err != nil {
+			t.Fatal(err)
+		}
+		if opt := treeOptions(t, tf); opt.Arena.Enabled != arena {
+			t.Errorf("-layout %s: arena enabled = %v, want %v", layout, opt.Arena.Enabled, arena)
+		}
+	}
+	for _, layout := range []string{"arena-mmap", "bogus"} {
+		fs := newFlagSet()
+		tf := RegisterTree(fs, 1, true)
+		if err := fs.Parse([]string{"-layout", layout}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tf.Options(mcost.StorageOptions{}); err == nil {
+			t.Errorf("-layout %s accepted", layout)
+		}
 	}
 }
 
@@ -120,7 +158,7 @@ func TestBuildPicksEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(d, tf.Options(mcost.StorageOptions{}), shf)
+	ix, err := Build(d, treeOptions(t, tf), shf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +167,7 @@ func TestBuildPicksEngine(t *testing.T) {
 	}
 
 	shf.Shards = 3
-	sx, err := Build(d, tf.Options(mcost.StorageOptions{}), shf)
+	sx, err := Build(d, treeOptions(t, tf), shf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +176,7 @@ func TestBuildPicksEngine(t *testing.T) {
 	}
 
 	shf.Assign = "bogus"
-	if _, err := Build(d, tf.Options(mcost.StorageOptions{}), shf); err == nil {
+	if _, err := Build(d, treeOptions(t, tf), shf); err == nil {
 		t.Fatal("bad shard assignment must fail")
 	}
 }
@@ -164,7 +202,7 @@ func TestBuildRejectsBadShardFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Build(d, tf.Options(mcost.StorageOptions{}), shf); err == nil {
+		if _, err := Build(d, treeOptions(t, tf), shf); err == nil {
 			t.Errorf("%v: build accepted", args)
 		}
 	}

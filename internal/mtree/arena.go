@@ -36,31 +36,15 @@ type Arena struct {
 	// child node index (-1 for leaf entries), objs the result objects
 	// (routing objects too), vecs the coordinates of vector kinds.
 	columns
-
-	// mapping is the live memory map behind the slabs when the arena was
-	// loaded via ArenaConfig.Mmap. It is intentionally NOT unmapped on
-	// thaw: vector result objects are views into it, so unmapping while
-	// any result may still be referenced would be a use-after-free. Close
-	// releases it explicitly once the caller knows no results survive.
-	mapping *pager.Mapping
 }
 
-// ArenaConfig configures FreezeArena.
-type ArenaConfig struct {
-	// Mmap serializes the frozen slabs into a file and memory-maps it
-	// read-only, so concurrent shard goroutines (and separate processes
-	// mapping the same file) share one physical copy of the pages with
-	// no cache mutex. Only vector, edit, and hamming spaces have a slab
-	// file format; other domains must freeze in-memory.
-	Mmap bool
-	// Path is the slab file for Mmap. Empty means a private temp file,
-	// removed from the filesystem once mapped.
-	Path string
-}
+// ArenaConfig has no fields; it stays because bench/ passes it to FreezeArena.
+type ArenaConfig struct{}
 
-// FreezeArena builds the arena snapshot of the current tree and routes
-// all subsequent queries through it. The tree must be non-empty.
-func (t *Tree) FreezeArena(cfg ArenaConfig) error {
+// FreezeArena builds the arena snapshot of the current tree in the Go
+// heap and routes all subsequent queries through it. The tree must be
+// non-empty. Its signature is kept because bench/ calls it.
+func (t *Tree) FreezeArena(ArenaConfig) error {
 	if t.root == pager.InvalidPage {
 		return errors.New("mtree: cannot freeze an empty tree")
 	}
@@ -68,17 +52,11 @@ func (t *Tree) FreezeArena(cfg ArenaConfig) error {
 	if err != nil {
 		return err
 	}
-	if cfg.Mmap {
-		if err := a.remap(cfg.Path); err != nil {
-			return err
-		}
-	}
 	t.arena = a
 	return nil
 }
 
 // ThawArena detaches the arena; queries go back through the node store.
-// A memory-mapped arena's mapping stays alive (see Arena.mapping).
 func (t *Tree) ThawArena() { t.arena = nil }
 
 // Arena returns the attached arena, or nil when queries run through the
@@ -87,22 +65,6 @@ func (t *Tree) Arena() *Arena { return t.arena }
 
 // NumNodes returns the number of tree nodes captured in the arena.
 func (a *Arena) NumNodes() int { return len(a.leaf) }
-
-// Mapped reports whether the arena's slabs are backed by a memory map.
-func (a *Arena) Mapped() bool { return a.mapping != nil }
-
-// Close releases the memory map behind an mmap-backed arena. Callers
-// must guarantee no Match.Object returned by this arena is referenced
-// afterwards: vector results are views into the map. In-memory arenas
-// Close to a no-op.
-func (a *Arena) Close() error {
-	m := a.mapping
-	if m == nil {
-		return nil
-	}
-	a.mapping = nil
-	return m.Close()
-}
 
 // buildArena walks the tree in DFS preorder through the store's
 // uncounted peek and lays every node out flat. In memory mode the

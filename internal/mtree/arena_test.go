@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"mcost/internal/dataset"
@@ -51,7 +50,6 @@ type arenaCase struct {
 	d       *dataset.Dataset
 	queries []metric.Object
 	radius  float64
-	mmapOK  bool
 }
 
 func arenaCases(t *testing.T) []arenaCase {
@@ -63,16 +61,16 @@ func arenaCases(t *testing.T) []arenaCase {
 	bits := hammingDataset(500, 32, 6)
 	bq := hammingDataset(24, 32, 7).Objects
 	return []arenaCase{
-		{"vectors-L2", vec, vq, 0.35, true},
-		{"words-edit", words, wq, 3, true},
-		{"bits-hamming", bits, bq, 8, true},
+		{"vectors-L2", vec, vq, 0.35},
+		{"words-edit", words, wq, 3},
+		{"bits-hamming", bits, bq, 8},
 	}
 }
 
-func freezeClone(t *testing.T, d *dataset.Dataset, mmap bool, path string) *Tree {
+func freezeClone(t *testing.T, d *dataset.Dataset) *Tree {
 	t.Helper()
 	tr := buildTree(t, d, Options{PageSize: 1024})
-	if err := tr.FreezeArena(ArenaConfig{Mmap: mmap, Path: path}); err != nil {
+	if err := tr.FreezeArena(ArenaConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -82,101 +80,89 @@ func TestArenaEquivalence(t *testing.T) {
 	for _, tc := range arenaCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := buildTree(t, tc.d, Options{PageSize: 1024})
-			modes := []struct {
-				name string
-				mmap bool
-			}{{"memory", false}, {"mmap", true}}
-			for _, mode := range modes {
-				if mode.mmap && !tc.mmapOK {
-					continue
-				}
-				arn := freezeClone(t, tc.d, mode.mmap, "")
-				if arn.Arena() == nil || arn.Arena().Mapped() != mode.mmap {
-					t.Fatalf("%s: arena not attached as expected", mode.name)
-				}
-				for _, usePD := range []bool{false, true} {
-					opt := QueryOptions{UseParentDist: usePD}
-					for qi, q := range tc.queries {
-						refTr, arnTr := obs.NewTrace(), obs.NewTrace()
-						ropt, aopt := opt, opt
-						ropt.Trace, aopt.Trace = refTr, arnTr
+			arn := freezeClone(t, tc.d)
+			if arn.Arena() == nil {
+				t.Fatal("arena not attached")
+			}
+			for _, usePD := range []bool{false, true} {
+				opt := QueryOptions{UseParentDist: usePD}
+				for qi, q := range tc.queries {
+					refTr, arnTr := obs.NewTrace(), obs.NewTrace()
+					ropt, aopt := opt, opt
+					ropt.Trace, aopt.Trace = refTr, arnTr
 
-						ref.ResetCounters()
-						arn.ResetCounters()
-						want, err := ref.Range(q, tc.radius, ropt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err := arn.Range(q, tc.radius, aopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameMatches(t, mode.name+" range", got, want)
-						if got := arnTr.String(); got != refTr.String() {
-							t.Fatalf("%s range trace diverged:\narena: %s\nstore: %s", mode.name, got, refTr)
-						}
-						if arn.DistanceCount() != ref.DistanceCount() || arn.NodeReads() != ref.NodeReads() {
-							t.Fatalf("%s range counters: arena (%d, %d) vs store (%d, %d)", mode.name,
-								arn.DistanceCount(), arn.NodeReads(), ref.DistanceCount(), ref.NodeReads())
-						}
-
-						refTr.Reset()
-						arnTr.Reset()
-						want, err = ref.NN(q, 7, ropt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, err = arn.NN(q, 7, aopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameMatches(t, mode.name+" nn", got, want)
-						if got := arnTr.String(); got != refTr.String() {
-							t.Fatalf("%s nn trace diverged (query %d):\narena: %s\nstore: %s", mode.name, qi, got, refTr)
-						}
+					ref.ResetCounters()
+					arn.ResetCounters()
+					want, err := ref.Range(q, tc.radius, ropt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := arn.Range(q, tc.radius, aopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameMatches(t, "range", got, want)
+					if got := arnTr.String(); got != refTr.String() {
+						t.Fatalf("range trace diverged:\narena: %s\nstore: %s", got, refTr)
+					}
+					if arn.DistanceCount() != ref.DistanceCount() || arn.NodeReads() != ref.NodeReads() {
+						t.Fatalf("range counters: arena (%d, %d) vs store (%d, %d)",
+							arn.DistanceCount(), arn.NodeReads(), ref.DistanceCount(), ref.NodeReads())
 					}
 
-					// Batch engines, at sizes hitting the 1/partial/full regimes.
-					for _, bs := range []int{1, 5, len(tc.queries)} {
-						qs := tc.queries[:bs]
-						refTr, arnTr := obs.NewTrace(), obs.NewTrace()
-						ropt, aopt := opt, opt
-						ropt.Trace, aopt.Trace = refTr, arnTr
-						wantB, err := ref.RangeBatch(qs, tc.radius, ropt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotB, err := arn.RangeBatch(qs, tc.radius, aopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := range wantB {
-							sameMatches(t, mode.name+" rangebatch", gotB[i], wantB[i])
-						}
-						if got := arnTr.String(); got != refTr.String() {
-							t.Fatalf("%s rangebatch trace diverged:\narena: %s\nstore: %s", mode.name, got, refTr)
-						}
-
-						refTr.Reset()
-						arnTr.Reset()
-						wantB, err = ref.NNBatch(qs, 5, ropt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotB, err = arn.NNBatch(qs, 5, aopt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := range wantB {
-							sameMatches(t, mode.name+" nnbatch", gotB[i], wantB[i])
-						}
-						if got := arnTr.String(); got != refTr.String() {
-							t.Fatalf("%s nnbatch trace diverged:\narena: %s\nstore: %s", mode.name, got, refTr)
-						}
+					refTr.Reset()
+					arnTr.Reset()
+					want, err = ref.NN(q, 7, ropt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err = arn.NN(q, 7, aopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameMatches(t, "nn", got, want)
+					if got := arnTr.String(); got != refTr.String() {
+						t.Fatalf("nn trace diverged (query %d):\narena: %s\nstore: %s", qi, got, refTr)
 					}
 				}
-				if err := arn.Arena().Close(); err != nil {
-					t.Fatal(err)
+
+				// Batch engines, at sizes hitting the 1/partial/full regimes.
+				for _, bs := range []int{1, 5, len(tc.queries)} {
+					qs := tc.queries[:bs]
+					refTr, arnTr := obs.NewTrace(), obs.NewTrace()
+					ropt, aopt := opt, opt
+					ropt.Trace, aopt.Trace = refTr, arnTr
+					wantB, err := ref.RangeBatch(qs, tc.radius, ropt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotB, err := arn.RangeBatch(qs, tc.radius, aopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range wantB {
+						sameMatches(t, "rangebatch", gotB[i], wantB[i])
+					}
+					if got := arnTr.String(); got != refTr.String() {
+						t.Fatalf("rangebatch trace diverged:\narena: %s\nstore: %s", got, refTr)
+					}
+
+					refTr.Reset()
+					arnTr.Reset()
+					wantB, err = ref.NNBatch(qs, 5, ropt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotB, err = arn.NNBatch(qs, 5, aopt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range wantB {
+						sameMatches(t, "nnbatch", gotB[i], wantB[i])
+					}
+					if got := arnTr.String(); got != refTr.String() {
+						t.Fatalf("nnbatch trace diverged:\narena: %s\nstore: %s", got, refTr)
+					}
 				}
 			}
 		})
@@ -187,7 +173,7 @@ func TestArenaAppendEntryPoints(t *testing.T) {
 	d := dataset.PaperClustered(400, 4, 9)
 	qs := dataset.PaperClusteredQueries(8, 4, 9).Queries
 	ref := buildTree(t, d, Options{PageSize: 1024})
-	arn := freezeClone(t, d, false, "")
+	arn := freezeClone(t, d)
 	a := arn.Arena()
 	opt := QueryOptions{UseParentDist: true}
 	for _, q := range qs {
@@ -225,7 +211,7 @@ func TestArenaAppendEntryPoints(t *testing.T) {
 func TestArenaBudgetExhaustion(t *testing.T) {
 	d := dataset.PaperClustered(500, 5, 2)
 	q := dataset.PaperClusteredQueries(1, 5, 2).Queries[0]
-	arn := freezeClone(t, d, false, "")
+	arn := freezeClone(t, d)
 	opt := QueryOptions{UseParentDist: true, Budget: QueryBudget{MaxNodeReads: 3}}
 	ms, err := arn.Range(q, 0.4, opt)
 	if !errors.Is(err, ErrBudgetExceeded) {
@@ -250,7 +236,7 @@ func TestArenaBudgetExhaustion(t *testing.T) {
 
 func TestArenaThawOnMutation(t *testing.T) {
 	d := dataset.PaperClustered(200, 4, 5)
-	arn := freezeClone(t, d, false, "")
+	arn := freezeClone(t, d)
 	if arn.Arena() == nil {
 		t.Fatal("arena not frozen")
 	}
@@ -299,7 +285,7 @@ func TestArenaFreezeEdgeCases(t *testing.T) {
 	if err := tr.FreezeArena(ArenaConfig{}); err == nil {
 		t.Fatal("froze an empty tree")
 	}
-	// Generic domains (jaccard sets) freeze in memory but refuse mmap.
+	// Generic domains (jaccard sets) freeze too, without a kernel.
 	objs := []metric.Object{
 		metric.StringSet{"a", "b"}, metric.StringSet{"b", "c"},
 		metric.StringSet{"c"}, metric.StringSet{"a", "c", "d"},
@@ -310,9 +296,6 @@ func TestArenaFreezeEdgeCases(t *testing.T) {
 	}
 	if err := st.InsertAll(objs); err != nil {
 		t.Fatal(err)
-	}
-	if err := st.FreezeArena(ArenaConfig{Mmap: true}); err == nil {
-		t.Fatal("mmap accepted for a generic domain")
 	}
 	if err := st.FreezeArena(ArenaConfig{}); err != nil {
 		t.Fatal(err)
@@ -326,41 +309,10 @@ func TestArenaFreezeEdgeCases(t *testing.T) {
 	}
 }
 
-func TestArenaMmapFileRoundTrip(t *testing.T) {
-	d := dataset.Words(300, 8)
-	path := filepath.Join(t.TempDir(), "words.slab")
-	arn := freezeClone(t, d, true, path)
-	ref := buildTree(t, d, Options{PageSize: 1024})
-	q := d.Objects[17]
-	want, err := ref.NN(q, 5, QueryOptions{UseParentDist: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := arn.NN(q, 5, QueryOptions{UseParentDist: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameMatches(t, "mmap file", got, want)
-	// String results must be plain Go strings independent of the map:
-	// closing the mapping while holding results must not corrupt them.
-	snapshot := make([]string, len(got))
-	for i, m := range got {
-		snapshot[i] = m.Object.(string)
-	}
-	if err := arn.Arena().Close(); err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range got {
-		if m.Object.(string) != snapshot[i] {
-			t.Fatal("string result corrupted after unmap")
-		}
-	}
-}
-
 func TestArenaConcurrentQueries(t *testing.T) {
 	d := dataset.PaperClustered(800, 5, 11)
 	qs := dataset.PaperClusteredQueries(32, 5, 11).Queries
-	arn := freezeClone(t, d, true, "")
+	arn := freezeClone(t, d)
 	ref := buildTree(t, d, Options{PageSize: 1024})
 	want := make([][]Match, len(qs))
 	for i, q := range qs {
@@ -392,8 +344,5 @@ func TestArenaConcurrentQueries(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := arn.Arena().Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -42,7 +42,7 @@ func TestKernelDispatchByFunctionIdentity(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			d := &dataset.Dataset{Name: c.name, Space: c.space, Objects: c.objs}
 			store := buildTree(t, d, Options{PageSize: 1024})
-			frozen := freezeClone(t, d, false, "")
+			frozen := freezeClone(t, d)
 			scan, err := NewScan(c.space, c.objs, 1024)
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +118,7 @@ func threeSources(t *testing.T, n int) (map[string]queryEngine, *dataset.Dataset
 	}
 	return map[string]queryEngine{
 		"store": buildTree(t, d, Options{PageSize: 1024}),
-		"arena": freezeClone(t, d, false, ""),
+		"arena": freezeClone(t, d),
 		"scan":  scan,
 	}, d
 }

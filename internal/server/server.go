@@ -61,7 +61,8 @@ type Config struct {
 	BudgetSlack float64
 	// MaxBodyBytes caps request bodies (0 picks DefaultMaxBodyBytes).
 	MaxBodyBytes int64
-	// MaxK caps k-NN requests (0 picks the indexed object count).
+	// MaxK caps k-NN requests (0 picks the indexed object count, read
+	// per request so inserts and deletes move the cap).
 	MaxK int
 	// PlanCeiling rejects queries whose cheapest plan — node reads plus
 	// distance computations of whichever engine the advisor would pick —
@@ -170,10 +171,6 @@ func New(cfg Config) (*Server, error) {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
-	maxK := cfg.MaxK
-	if maxK <= 0 {
-		maxK = cfg.Engine.Size()
-	}
 	wedge := cfg.WedgeThreshold
 	if wedge == 0 {
 		wedge = DefaultWedgeThreshold
@@ -194,7 +191,7 @@ func New(cfg Config) (*Server, error) {
 		reg:         reg,
 		slack:       slack,
 		maxBody:     maxBody,
-		maxK:        maxK,
+		maxK:        cfg.MaxK,
 		debug:       cfg.Debug,
 		clock:       clock,
 		wedgeThresh: wedge,
@@ -428,7 +425,11 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-		req, aerr := DecodeQueryRequest(r.Body, nn, s.dec, s.maxK)
+		maxK := s.maxK
+		if nn && maxK <= 0 {
+			maxK = s.eng.Size()
+		}
+		req, aerr := DecodeQueryRequest(r.Body, nn, s.dec, maxK)
 		if aerr != nil {
 			s.reject(w, aerr)
 			return

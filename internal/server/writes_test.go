@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -150,6 +151,35 @@ func TestWriteTypedRejections(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/insert: status %d, want 405", rec.Code)
+	}
+}
+
+// TestDefaultMaxKFollowsWrites: with Config.MaxK unset the k-NN cap is
+// the live object count, so k up to the size after inserts is served
+// and k above it is a typed 400.
+func TestDefaultMaxKFollowsWrites(t *testing.T) {
+	s, ix := newWritableServer(t, Config{})
+	h := s.Handler()
+	for i := 0; i < 5; i++ {
+		body := fmt.Sprintf(`{"object":[0.1,0.2,0.3,%g]}`, 0.1*float64(i))
+		if rec := post(t, h, "/v1/insert", body); rec.Code != http.StatusOK {
+			t.Fatalf("insert %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	size := ix.Size()
+	rec := post(t, h, "/v1/nn", fmt.Sprintf(`{"query":[0.5,0.5,0.5,0.5],"k":%d}`, size))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("k = %d with %d objects: status %d: %s", size, size, rec.Code, rec.Body.String())
+	}
+	if qr := decodeResp[QueryResponse](t, rec); len(qr.Matches) != size {
+		t.Fatalf("k = %d: %d matches", size, len(qr.Matches))
+	}
+	rec = post(t, h, "/v1/nn", fmt.Sprintf(`{"query":[0.5,0.5,0.5,0.5],"k":%d}`, size+1))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("k = %d with %d objects: status %d, want 400", size+1, size, rec.Code)
+	}
+	if er := decodeResp[ErrorResponse](t, rec); er.Code != "bad_k" {
+		t.Errorf("code %q, want bad_k", er.Code)
 	}
 }
 

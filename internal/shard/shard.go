@@ -106,9 +106,8 @@ type Options struct {
 	// are overwritten by Build to keep shards consistent.
 	TreeOptions func(i int) (mtree.Options, error)
 	// Arena, when non-nil, freezes each shard tree into the flat
-	// columnar arena after its build (see mtree.Tree.FreezeArena).
-	// With Mmap and a non-empty Path, shard i writes its slab to
-	// "<Path>.<i>" so shards never share a file.
+	// columnar arena after its build (see mtree.Tree.FreezeArena). A
+	// pointer to an empty config rather than a bool because bench/ sets it.
 	Arena *mtree.ArenaConfig
 }
 
@@ -570,13 +569,7 @@ func buildShard(space *metric.Space, objects []metric.Object, parts [][]int, piv
 	}
 	st := opt.streams(i, 0)
 	mo.Space, mo.PageSize, mo.Seed = space, opt.PageSize, st.tree
-	arena := opt.Arena
-	if arena != nil && arena.Mmap && arena.Path != "" {
-		cfg := *arena
-		cfg.Path = fmt.Sprintf("%s.%d", cfg.Path, i)
-		arena = &cfg
-	}
-	sh, err := New(objs, oids, mo, opt.Incremental, arena, distdist.Options{
+	sh, err := New(objs, oids, mo, opt.Incremental, opt.Arena, distdist.Options{
 		Bins:     opt.HistogramBins,
 		MaxPairs: opt.SamplePairs,
 		Seed:     st.est,

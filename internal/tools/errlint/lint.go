@@ -145,7 +145,7 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 			continue
 		}
 		// Honor build constraints: per-platform variants of the same
-		// type (e.g. pager's Mapping) must not be type-checked together.
+		// declaration must not be type-checked together.
 		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}

@@ -110,19 +110,12 @@ type Options struct {
 // allocations. Results, traces, and cost counters are bit-identical to
 // the store-backed traversal. Insert and Delete thaw the arena — the
 // index transparently falls back to the store path until it is frozen
-// again.
+// again. It stays a struct, not a bool on Options, because bench/ sets it.
 type ArenaOptions struct {
 	// Enabled freezes the tree at Build. Ignored when fault injection
 	// is configured (faults target the paged read path, which the
 	// arena would bypass).
 	Enabled bool
-	// Mmap serves the frozen slabs from a memory-mapped file, so
-	// concurrent shard goroutines share read-only pages without the
-	// page-cache mutex. Vector, edit, and hamming spaces only.
-	Mmap bool
-	// Path is the slab file for Mmap (empty = a private unlinked temp
-	// file). Sharded builds derive one file per shard from it.
-	Path string
 }
 
 // Index is a built metric index together with its fitted cost model:

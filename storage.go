@@ -39,8 +39,6 @@ var (
 	// ErrRetryExhausted reports a transient storage fault that survived
 	// every retry attempt.
 	ErrRetryExhausted = pager.ErrExhausted
-	// ErrBadSnapshot reports a truncated or corrupted snapshot blob.
-	ErrBadSnapshot = mtree.ErrBadSnapshot
 )
 
 // StorageOptions selects and tunes the storage stack under Build.
@@ -79,7 +77,7 @@ func (o Options) arena() *mtree.ArenaConfig {
 	if !o.Arena.Enabled || o.Storage.Faults != nil {
 		return nil
 	}
-	return &mtree.ArenaConfig{Mmap: o.Arena.Mmap, Path: o.Arena.Path}
+	return &mtree.ArenaConfig{}
 }
 
 // buildStorage assembles the page stack for Build when storage options
