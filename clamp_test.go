@@ -33,8 +33,8 @@ func TestPricingClampsK(t *testing.T) {
 					t.Fatalf("%s: %s(%d) = %+v, want finite and non-negative", stage, name, k, e)
 				}
 			}
-			if d := ix.ExpectedNNDistance(k); math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
-				t.Fatalf("%s: ExpectedNNDistance(%d) = %v, want finite and non-negative", stage, k, d)
+			if d := ix.Models()[0].ExpectedNNDist(k); math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+				t.Fatalf("%s: ExpectedNNDist(%d) = %v, want finite and non-negative", stage, k, d)
 			}
 		}
 		if low, one := ix.PriceNN(0), ix.PriceNN(1); low != one {

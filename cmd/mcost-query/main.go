@@ -89,9 +89,6 @@ func main() {
 	if !isRange && *k <= 0 {
 		fail(fmt.Errorf("specify -range R or -nn K"))
 	}
-	if *explain && shf.Shards > 1 {
-		fail(fmt.Errorf("-explain breaks down a query on a single M-tree (drop -shards)"))
-	}
 
 	what := "M-tree"
 	if shf.Shards > 1 {
@@ -259,9 +256,9 @@ func cacheDemo(cf *cliutil.CacheFlags, space *mcost.Space, q mcost.Object, radiu
 		pr.Dists, pred.Nodes, pred.Dists)
 }
 
-// printExplain re-runs the range query on the tree without the
+// printExplain re-runs the range query on every shard tree without the
 // parent-distance optimization, so the measurement is exactly what
-// L-MCM predicts, and prints the per-level comparison.
+// L-MCM predicts, and prints the per-level comparison, shards summed.
 func printExplain(ix *mcost.Index, q mcost.Object, radius float64) error {
 	matches, levels, err := ix.ExplainRange(q, radius)
 	if err != nil {

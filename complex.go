@@ -1,8 +1,6 @@
 package mcost
 
 import (
-	"math"
-
 	"mcost/internal/core"
 	"mcost/internal/mtree"
 	"mcost/internal/shard"
@@ -13,28 +11,21 @@ import (
 type Pred = mtree.Pred
 
 // RangeAnd returns the objects satisfying every predicate (conjunctive
-// complex query); ErrSharded on a sharded index.
+// complex query), concatenated in shard order.
 func (ix *Index) RangeAnd(preds []Pred) ([]Match, error) {
-	sh, err := ix.checkPreds(preds)
-	if err != nil {
-		return nil, err
-	}
-	return sh.Tree.RangeAnd(preds, mtree.QueryOptions{UseParentDist: true})
+	return ix.complexQuery(preds, (*mtree.Tree).RangeAnd)
 }
 
 // RangeOr returns the objects satisfying at least one predicate
-// (disjunctive complex query); ErrSharded on a sharded index.
+// (disjunctive complex query), concatenated in shard order.
 func (ix *Index) RangeOr(preds []Pred) ([]Match, error) {
-	sh, err := ix.checkPreds(preds)
-	if err != nil {
-		return nil, err
-	}
-	return sh.Tree.RangeOr(preds, mtree.QueryOptions{UseParentDist: true})
+	return ix.complexQuery(preds, (*mtree.Tree).RangeOr)
 }
 
-// checkPreds returns the one tree a complex query runs on, after
-// validating every predicate's query object.
-func (ix *Index) checkPreds(preds []Pred) (*shard.Shard, error) {
+// complexQuery validates every predicate's query object and runs the
+// complex query on each shard in turn. On a stop the matches found so
+// far are returned with the error.
+func (ix *Index) complexQuery(preds []Pred, run func(*mtree.Tree, []Pred, mtree.QueryOptions) ([]Match, error)) ([]Match, error) {
 	qs := make([]Object, len(preds))
 	for i, p := range preds {
 		qs[i] = p.Q
@@ -42,7 +33,15 @@ func (ix *Index) checkPreds(preds []Pred) (*shard.Shard, error) {
 	if err := ix.check(qs...); err != nil {
 		return nil, err
 	}
-	return ix.single()
+	var out []Match
+	for _, sh := range ix.set.Shards() {
+		ms, err := run(sh.Tree, preds, mtree.QueryOptions{UseParentDist: true})
+		out = append(out, sh.Global(ms)...)
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // PredictRangeAnd predicts conjunctive-query costs under predicate
@@ -66,33 +65,4 @@ func (ix *Index) PredictSelectivityAnd(radii []float64) float64 {
 // PredictSelectivityOr predicts the disjunction's result cardinality.
 func (ix *Index) PredictSelectivityOr(radii []float64) float64 {
 	return ix.sumFloat(func(m *core.MTreeModel) float64 { return m.RangeOrObjects(radii) })
-}
-
-// JoinPair is one result of a similarity self-join.
-type JoinPair = mtree.JoinPair
-
-// JoinEstimate is a predicted self-join cost and result size.
-type JoinEstimate = core.JoinEstimate
-
-// SimilarityJoin returns every unordered pair of indexed objects within
-// eps of each other, using the pruned tree-vs-tree traversal;
-// ErrSharded on a sharded index.
-func (ix *Index) SimilarityJoin(eps float64) ([]JoinPair, error) {
-	sh, err := ix.single()
-	if err != nil {
-		return nil, err
-	}
-	return sh.Tree.SimilarityJoin(eps)
-}
-
-// PredictJoin predicts the self-join's cost and result size: node pairs
-// are compared with probability F(r_i + r_j + eps), and C(n,2)·F(eps)
-// object pairs qualify. Every field is NaN on a sharded index, where
-// the pairs that cross shards have no model.
-func (ix *Index) PredictJoin(eps float64) JoinEstimate {
-	sh, err := ix.single()
-	if err != nil {
-		return JoinEstimate{LeafPairVisits: math.NaN(), Dists: math.NaN(), Pairs: math.NaN()}
-	}
-	return sh.Model.JoinN(eps)
 }

@@ -74,14 +74,14 @@ func ExampleIndex_PredictRange() {
 }
 
 // Export the fitted cost model as JSON and use it standalone.
-func ExampleIndex_SaveModel() {
+func ExampleIndex_Models() {
 	space := mcost.VectorSpace("Linf", 3)
 	idx, err := mcost.Build(space, exampleObjects(400, 3), mcost.Options{Seed: 3})
 	if err != nil {
 		panic(err)
 	}
 	var catalog bytes.Buffer
-	if err := idx.SaveModel(&catalog); err != nil {
+	if err := idx.Models()[0].Save(&catalog); err != nil {
 		panic(err)
 	}
 	model, err := mcost.LoadModel(&catalog)
@@ -114,23 +114,4 @@ func ExampleHV() {
 	fmt.Println("homogeneous:", res.HV > 0.9)
 	// Output:
 	// homogeneous: true
-}
-
-// Run a similarity self-join with its cost prediction.
-func ExampleIndex_SimilarityJoin() {
-	space := mcost.VectorSpace("Linf", 3)
-	idx, err := mcost.Build(space, exampleObjects(300, 3), mcost.Options{Seed: 5})
-	if err != nil {
-		panic(err)
-	}
-	pairs, err := idx.SimilarityJoin(0.05)
-	if err != nil {
-		panic(err)
-	}
-	est := idx.PredictJoin(0.05)
-	fmt.Println("pairs found:", len(pairs) > 0)
-	fmt.Println("estimate positive:", est.Pairs > 0)
-	// Output:
-	// pairs found: true
-	// estimate positive: true
 }

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	var catalog bytes.Buffer
-	if err := idx.SaveModel(&catalog); err != nil {
+	if err := idx.Models()[0].Save(&catalog); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("catalog entry: %d bytes of JSON for a %d-object index (%d nodes)\n\n",

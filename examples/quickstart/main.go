@@ -78,7 +78,7 @@ func main() {
 	const k = 10
 	nnPred := idx.PredictNN(k)
 	fmt.Printf("NN(Q, %d)      predicted: %7.1f node reads, %9.1f distances, E[nn_%d] = %.3f\n",
-		k, nnPred.Nodes, nnPred.Dists, k, idx.ExpectedNNDistance(k))
+		k, nnPred.Nodes, nnPred.Dists, k, idx.Models()[0].ExpectedNNDist(k))
 
 	idx.ResetCosts()
 	var nnDistSum float64

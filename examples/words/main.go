@@ -42,7 +42,7 @@ func main() {
 	fmt.Printf("  predicted: %.1f page reads, %.1f edit-distance computations\n",
 		pred.Nodes, pred.Dists)
 	fmt.Printf("  expected distance of the %dth match: %.2f edits\n\n",
-		k, idx.ExpectedNNDistance(k))
+		k, idx.Models()[0].ExpectedNNDist(k))
 
 	query := "tempesta"
 	idx.ResetCosts()

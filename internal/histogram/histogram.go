@@ -256,13 +256,13 @@ func (h *Histogram) Discrete() bool { return h.discrete }
 // CDF evaluates F(x), the fraction of distances <= x. For continuous
 // histograms the value interpolates linearly between bin edges; for
 // discrete ones it is the step function jumping at integer distances.
-// CDF(x) = 0 for x < 0 and 1 for x >= Bound. Note F(0) for discrete
+// CDF(x) = 0 for x < 0 or NaN and 1 for x >= Bound. Note F(0) for discrete
 // histograms equals the mass at distance zero only if the first bin
 // separates it; with one bin per integer, F(0) is approximated by 0
 // (distance-0 mass merges into bin 1), matching the paper's 25-bin
 // treatment where F(1) is the first stored value.
 func (h *Histogram) CDF(x float64) float64 {
-	if x < 0 {
+	if !(x >= 0) { // below the support, or NaN
 		return 0
 	}
 	if x >= h.bound {
@@ -293,7 +293,7 @@ func (h *Histogram) CDF(x float64) float64 {
 // For discrete histograms it returns the probability mass spread over the
 // unit bin (mass / width), which integrates correctly.
 func (h *Histogram) PDF(x float64) float64 {
-	if x < 0 || x >= h.bound {
+	if !(x >= 0) || x >= h.bound { // outside the support, or NaN
 		return 0
 	}
 	i := int(x / h.width)

@@ -52,14 +52,17 @@ func randomHistogram(rng *rand.Rand) *Histogram {
 }
 
 // TestCDFProperties checks that every generated histogram's CDF behaves
-// like a distribution function: 0 below the support, 1 at the bound,
-// and monotonically non-decreasing throughout.
+// like a distribution function: 0 below the support and at NaN, 1 at
+// the bound, and monotonically non-decreasing throughout.
 func TestCDFProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		h := randomHistogram(rng)
 		if got := h.CDF(-0.5); got != 0 {
 			t.Fatalf("trial %d: CDF(-0.5) = %g, want 0", trial, got)
+		}
+		if got := h.CDF(math.NaN()); got != 0 {
+			t.Fatalf("trial %d: CDF(NaN) = %g, want 0", trial, got)
 		}
 		if got := h.CDF(h.Bound()); got != 1 {
 			t.Fatalf("trial %d: CDF(bound) = %g, want 1", trial, got)
@@ -154,7 +157,7 @@ func TestPDFIntegratesToOneProperty(t *testing.T) {
 			t.Fatalf("trial %d: density integrates to %g, want 1 (bins=%d, bound=%g, discrete=%v)",
 				trial, mass, h.Bins(), h.Bound(), h.Discrete())
 		}
-		if h.PDF(-0.1) != 0 || h.PDF(h.Bound()) != 0 || h.PDF(h.Bound()+1) != 0 {
+		if h.PDF(-0.1) != 0 || h.PDF(h.Bound()) != 0 || h.PDF(h.Bound()+1) != 0 || h.PDF(math.NaN()) != 0 {
 			t.Fatalf("trial %d: PDF nonzero outside support", trial)
 		}
 	}

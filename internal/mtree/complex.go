@@ -31,8 +31,8 @@ func validatePreds(preds []Pred) error {
 		if p.Q == nil {
 			return fmt.Errorf("mtree: predicate %d has nil query object", i)
 		}
-		if p.Radius < 0 {
-			return fmt.Errorf("mtree: predicate %d has negative radius %g", i, p.Radius)
+		if !(p.Radius >= 0) {
+			return fmt.Errorf("mtree: predicate %d has negative or NaN radius %g", i, p.Radius)
 		}
 	}
 	return nil

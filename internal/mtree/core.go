@@ -182,15 +182,15 @@ func putScratch(sc *scratch) {
 }
 
 // checkArgs is the one argument contract of every query entry point:
-// no nil query, no negative (stop) radius, k at least 1.
+// no nil query, no negative or NaN (stop) radius, k at least 1.
 func checkArgs(qs []metric.Object, radius float64, k int) error {
 	for i, q := range qs {
 		if q == nil {
 			return fmt.Errorf("mtree: nil query object (query %d of %d)", i+1, len(qs))
 		}
 	}
-	if radius < 0 {
-		return fmt.Errorf("mtree: negative radius %g", radius)
+	if !(radius >= 0) {
+		return fmt.Errorf("mtree: radius %g is negative or NaN", radius)
 	}
 	if k <= 0 {
 		return fmt.Errorf("mtree: k = %d", k)

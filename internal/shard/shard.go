@@ -292,11 +292,18 @@ func (sh *Shard) Run(qs []metric.Object, radius float64, k int, opt mtree.QueryO
 		res = make([][]mtree.Match, len(qs))
 	}
 	for _, ms := range res {
-		for j := range ms {
-			ms[j].OID = sh.OIDs[ms[j].OID]
-		}
+		sh.Global(ms)
 	}
 	return res, err
+}
+
+// Global rewrites the tree-local OIDs of ms to global OIDs in place and
+// returns ms.
+func (sh *Shard) Global(ms []mtree.Match) []mtree.Match {
+	for j := range ms {
+		ms[j].OID = sh.OIDs[ms[j].OID]
+	}
+	return ms
 }
 
 // observe feeds one clean execution's trace back into the recalibrator:
@@ -755,6 +762,10 @@ func (s *Set) balls() []Ball {
 	return balls
 }
 
+// Bounds is LowerBounds for q against the set's shards, in shard order,
+// counted in Costs like the pivot distances of Range and NN.
+func (s *Set) Bounds(q metric.Object) []float64 { return s.lowerBounds(q, s.balls()) }
+
 // lowerBounds is LowerBounds for one query against the set, counting
 // the pivot distances it spends.
 func (s *Set) lowerBounds(q metric.Object, balls []Ball) []float64 {
@@ -836,8 +847,9 @@ func less(a, b mtree.Match) bool {
 	return a.OID < b.OID
 }
 
-// mergeK folds src (any order) into dst (sorted) keeping the k best.
-func mergeK(dst, src []mtree.Match, k int) []mtree.Match {
+// MergeK folds src (any order) into dst (sorted by (distance, global
+// OID)) keeping the k best.
+func MergeK(dst, src []mtree.Match, k int) []mtree.Match {
 	dst = append(dst, src...)
 	sort.Slice(dst, func(i, j int) bool { return less(dst[i], dst[j]) })
 	if len(dst) > k {
@@ -857,7 +869,7 @@ type shardCand struct {
 
 func (s *Set) shardOrder(q metric.Object, k int) []shardCand {
 	order := make([]shardCand, len(s.shards))
-	lb := s.lowerBounds(q, s.balls())
+	lb := s.Bounds(q)
 	for i, sh := range s.shards {
 		kk := k
 		if n := sh.Tree.Size(); kk > n {
@@ -914,7 +926,7 @@ func (s *Set) NN(q metric.Object, k int, opt QueryOptions) ([]mtree.Match, error
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		best = mergeK(best, res[0], k)
+		best = MergeK(best, res[0], k)
 	}
 	return best, firstErr
 }
@@ -929,8 +941,8 @@ func (s *Set) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) (
 			return nil, fmt.Errorf("shard: nil query object at batch index %d", i)
 		}
 	}
-	if radius < 0 {
-		return nil, fmt.Errorf("shard: negative radius %g", radius)
+	if !(radius >= 0) {
+		return nil, fmt.Errorf("shard: radius %g is negative or NaN", radius)
 	}
 	S := len(s.shards)
 	out := make([][]mtree.Match, len(qs))
@@ -1053,7 +1065,7 @@ func (s *Set) runNNWave(qs []metric.Object, k int, subsets [][]int, out [][]mtre
 	}
 	for i := range results {
 		for j, qi := range subsets[i] {
-			out[qi] = mergeK(out[qi], results[i][j], k)
+			out[qi] = MergeK(out[qi], results[i][j], k)
 		}
 	}
 	return errs, nil

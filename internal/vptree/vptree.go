@@ -261,8 +261,8 @@ func (t *Tree) Range(q metric.Object, radius float64, stats *VisitStats, tr *obs
 	if q == nil {
 		return nil, errors.New("vptree: nil query")
 	}
-	if radius < 0 {
-		return nil, fmt.Errorf("vptree: negative radius %g", radius)
+	if !(radius >= 0) {
+		return nil, fmt.Errorf("vptree: radius %g is negative or NaN", radius)
 	}
 	tr.StartRange(radius)
 	var out []Match

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"mcost/internal/core"
@@ -247,22 +246,13 @@ func Build(space *Space, objects []Object, opt Options) (*Index, error) {
 // shard.
 func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) (*Index, error) {
 	stacks := make([]*pager.Stack, max(so.Shards, 0))
-	set, err := shard.Build(space, objects, shard.Options{
-		Shards:        so.Shards,
-		Assign:        so.Assign,
-		PageSize:      opt.PageSize,
-		HistogramBins: opt.HistogramBins,
-		SamplePairs:   opt.SamplePairs,
-		Seed:          opt.Seed,
-		Workers:       opt.Workers,
-		Incremental:   opt.Incremental,
-		Arena:         opt.arena(),
-		TreeOptions: func(i int) (mtree.Options, error) {
-			mo, stack, err := buildStorage(space, objects[0], opt)
-			stacks[i] = stack
-			return mo, err
-		},
+	sopt := opt.shardOptions(so, func(i int) (mtree.Options, error) {
+		mo, stack, err := buildStorage(space, objects[0], opt)
+		stacks[i] = stack
+		return mo, err
 	})
+	sopt.Arena = opt.arena()
+	set, err := shard.Build(space, objects, sopt)
 	if err != nil {
 		return nil, err
 	}
@@ -276,6 +266,22 @@ func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) 
 	}
 	ix.profileTime = clock.Lap()
 	return ix, nil
+}
+
+// shardOptions is the shard builder's view of opt and so, with
+// treeOptions giving shard i its tree options.
+func (opt Options) shardOptions(so ShardOptions, treeOptions func(i int) (mtree.Options, error)) shard.Options {
+	return shard.Options{
+		Shards:        so.Shards,
+		Assign:        so.Assign,
+		PageSize:      opt.PageSize,
+		HistogramBins: opt.HistogramBins,
+		SamplePairs:   opt.SamplePairs,
+		Seed:          opt.Seed,
+		Workers:       opt.Workers,
+		Incremental:   opt.Incremental,
+		TreeOptions:   treeOptions,
+	}
 }
 
 func (ix *Index) qopt() shard.QueryOptions {
@@ -348,19 +354,6 @@ func (ix *Index) NNBatch(qs []Object, k int) ([][]Match, error) {
 	return ix.set.NNBatch(qs, k, ix.qopt())
 }
 
-// ErrSharded is returned by the operations that need one tree — a
-// whole model, a join or a complex query over one traversal — on an
-// index of more than one shard.
-var ErrSharded = errors.New("mcost: operation needs a one-shard index")
-
-// single returns the index's one tree, or ErrSharded.
-func (ix *Index) single() (*shard.Shard, error) {
-	if sh := ix.set.Shards(); len(sh) == 1 {
-		return sh[0], nil
-	}
-	return nil, ErrSharded
-}
-
 // sumFloat adds f over the shards, in shard order.
 func (ix *Index) sumFloat(f func(m *core.MTreeModel) float64) float64 {
 	var sum float64
@@ -417,19 +410,13 @@ func (ix *Index) PredictNN(k int) CostEstimate {
 // side's k-NN price.
 func (ix *Index) PredictNNLevel(k int) CostEstimate { return ix.tree().PriceNN(k) }
 
-// ExpectedNNDistance predicts the distance of the k-th nearest neighbor
-// of a random query (Eq. 11). It is NaN on a sharded index: the model
-// of one shard does not give the whole dataset's k-th neighbor.
-func (ix *Index) ExpectedNNDistance(k int) float64 {
-	sh, err := ix.single()
-	if err != nil {
-		return math.NaN()
-	}
-	return sh.Model.ExpectedNNDist(k)
-}
-
-// DistanceDistribution exposes the estimated F̂ (the merge of the
-// shards'): F(x) is the fraction of object pairs within distance x.
+// DistanceDistribution exposes the estimated F̂: F(x) is the fraction of
+// object pairs within distance x. At S > 1 it is the mass-weighted merge
+// of the shards' F̂s, each sampled from pairs within one shard. Under
+// ShardPivot those pairs are closer than the dataset's, so the merge is
+// biased short: on uniform Linf D=8, n = 5 000, S = 3, Eq. 11 on it puts
+// the 10th neighbor at 0.225 where brute force measures 0.276. Each
+// shard's own model (Models) is unbiased for that shard's objects.
 func (ix *Index) DistanceDistribution() func(x float64) float64 { return ix.f.CDF }
 
 // PredictTotalMS combines a prediction into milliseconds under the disk
@@ -521,17 +508,18 @@ func (ix *Index) RecalStats() (recal.Stats, bool) { return ix.set.RecalStats() }
 // access to the index or the data.
 type Model = core.MTreeModel
 
-// SaveModel writes the index's fitted cost model as JSON; ErrSharded on
-// a sharded index, whose S models are not one.
-func (ix *Index) SaveModel(w io.Writer) error {
-	sh, err := ix.single()
-	if err != nil {
-		return err
+// Models returns the shards' fitted cost models in shard order, one at
+// S = 1: Save writes one as JSON for a catalog, and ExpectedNNDist(k) is
+// Eq. 11 over that shard's objects. A refit replaces them.
+func (ix *Index) Models() []*Model {
+	ms := make([]*Model, ix.set.NumShards())
+	for i, sh := range ix.set.Shards() {
+		ms[i] = sh.Model
 	}
-	return sh.Model.Save(w)
+	return ms
 }
 
-// LoadModel reads a model written by SaveModel.
+// LoadModel reads a model written by Model.Save.
 func LoadModel(r io.Reader) (*Model, error) { return core.LoadModel(r) }
 
 // HVResult reports a homogeneity-of-viewpoints estimate.
@@ -577,24 +565,33 @@ func TuneNodeSize(space *Space, objects []Object, sizes []int, radius float64, d
 	return best.NodeSize, points, nil
 }
 
-// NNApprox returns approximately the k nearest neighbors: the best-first
-// search stops at the confidence-quantile of the k-NN distance predicted
-// by the cost model (Eq. 9), so with probability >= confidence the true
-// k-th neighbor lies within the searched region. Lower confidence means
-// fewer node reads and distance computations; confidence >= 1 degrades
-// to the exact NN. This is the probably-approximately-correct use of the
-// model the paper's optimizer framing invites. ErrSharded on a sharded
-// index, whose shard models do not give the dataset's quantile.
+// NNApprox returns approximately the k nearest neighbors: each shard's
+// best-first search stops at the confidence-quantile of its k-NN
+// distance predicted by its own cost model (Eq. 9), so with probability
+// >= confidence the shard's true k-th neighbor lies within the searched
+// region, and a shard whose lower bound exceeds its stop is skipped. The
+// shards' answers merge closest first, ties by OID. Lower confidence
+// means fewer node reads and distance computations; confidence >= 1
+// degrades to the exact NN. This is the probably-approximately-correct
+// use of the model the paper's optimizer framing invites. One stop from
+// the merged F̂ would cut short under ShardPivot (see
+// DistanceDistribution). The recalibrators are not fed.
 func (ix *Index) NNApprox(q Object, k int, confidence float64) ([]Match, error) {
 	if err := ix.check(q); err != nil {
 		return nil, err
 	}
-	sh, err := ix.single()
-	if err != nil {
-		return nil, err
+	var out []Match
+	lb := ix.set.Bounds(q)
+	for i, sh := range ix.set.Shards() {
+		if stop := sh.Model.NNDistQuantile(k, confidence); lb[i] <= stop {
+			ms, err := sh.Tree.NNWithStop(q, k, stop, mtree.QueryOptions{UseParentDist: true})
+			if err != nil {
+				return nil, err
+			}
+			out = shard.MergeK(out, sh.Global(ms), k)
+		}
 	}
-	stop := sh.Model.NNDistQuantile(k, confidence)
-	return sh.Tree.NNWithStop(q, k, stop, mtree.QueryOptions{UseParentDist: true})
+	return out, nil
 }
 
 // IndexStats summarizes the built trees for observability and

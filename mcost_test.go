@@ -141,7 +141,7 @@ func TestEndToEndVectors(t *testing.T) {
 	}
 
 	// Expected NN distance increases with k and sits inside (0, d+).
-	e1, e10 := ix.ExpectedNNDistance(1), ix.ExpectedNNDistance(10)
+	e1, e10 := ix.Models()[0].ExpectedNNDist(1), ix.Models()[0].ExpectedNNDist(10)
 	if !(0 < e1 && e1 < e10 && e10 < space.Bound) {
 		t.Fatalf("E[nn1]=%g E[nn10]=%g", e1, e10)
 	}
@@ -268,48 +268,88 @@ func TestPredictTotalMS(t *testing.T) {
 	}
 }
 
+// shardConfigs are the shard layouts a per-shard operation is checked
+// at: one tree, and three under each assignment.
+var shardConfigs = []struct {
+	name string
+	so   ShardOptions
+}{
+	{"S=1", ShardOptions{Shards: 1}},
+	{"S=3/pivot", ShardOptions{Shards: 3, Assign: ShardPivot}},
+	{"S=3/round-robin", ShardOptions{Shards: 3, Assign: ShardRoundRobin}},
+}
+
+// oidSet returns the OIDs of ms, failing on a duplicate.
+func oidSet(t *testing.T, ms []Match) map[uint64]bool {
+	t.Helper()
+	set := make(map[uint64]bool, len(ms))
+	for _, m := range ms {
+		if set[m.OID] {
+			t.Fatalf("OID %d returned twice", m.OID)
+		}
+		set[m.OID] = true
+	}
+	return set
+}
+
 func TestComplexQueriesFacade(t *testing.T) {
 	space := VectorSpace("Linf", 4)
 	objs := randomVectors(2000, 4, 12)
-	ix, err := Build(space, objs, Options{Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
 	preds := []Pred{
 		{Q: Vector{0.3, 0.3, 0.3, 0.3}, Radius: 0.3},
 		{Q: Vector{0.6, 0.6, 0.6, 0.6}, Radius: 0.35},
 	}
-	and, err := ix.RangeAnd(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	or, err := ix.RangeOr(preds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Scan reference.
-	var wantAnd, wantOr int
-	for _, o := range objs {
+	wantAnd, wantOr := map[uint64]bool{}, map[uint64]bool{}
+	for i, o := range objs {
 		in0 := space.Distance(preds[0].Q, o) <= preds[0].Radius
 		in1 := space.Distance(preds[1].Q, o) <= preds[1].Radius
 		if in0 && in1 {
-			wantAnd++
+			wantAnd[uint64(i)] = true
 		}
 		if in0 || in1 {
-			wantOr++
+			wantOr[uint64(i)] = true
 		}
 	}
-	if len(and) != wantAnd || len(or) != wantOr {
-		t.Fatalf("AND %d/%d, OR %d/%d", len(and), wantAnd, len(or), wantOr)
-	}
-	radii := []float64{0.3, 0.35}
-	if p := ix.PredictRangeAnd(radii); p.Nodes <= 0 || p.Nodes > ix.PredictRangeOr(radii).Nodes {
-		t.Fatalf("AND prediction %+v inconsistent with OR %+v", p, ix.PredictRangeOr(radii))
-	}
-	sAnd := ix.PredictSelectivityAnd(radii)
-	sOr := ix.PredictSelectivityOr(radii)
-	if sAnd < 0 || sOr < sAnd {
-		t.Fatalf("selectivities AND %.1f OR %.1f", sAnd, sOr)
+	for _, sc := range shardConfigs {
+		t.Run(sc.name, func(t *testing.T) {
+			ix, err := BuildSharded(space, objs, Options{Seed: 13}, sc.so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			and, err := ix.RangeAnd(preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			or, err := ix.RangeOr(preds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(and) != len(wantAnd) || len(or) != len(wantOr) {
+				t.Fatalf("AND %d/%d, OR %d/%d", len(and), len(wantAnd), len(or), len(wantOr))
+			}
+			for _, got := range []map[uint64]bool{oidSet(t, and), oidSet(t, or)} {
+				for oid := range got {
+					if !wantOr[oid] {
+						t.Fatalf("OID %d matches no predicate", oid)
+					}
+				}
+			}
+			for oid := range wantAnd {
+				if !oidSet(t, and)[oid] {
+					t.Fatalf("AND misses OID %d", oid)
+				}
+			}
+			radii := []float64{0.3, 0.35}
+			if p := ix.PredictRangeAnd(radii); p.Nodes <= 0 || p.Nodes > ix.PredictRangeOr(radii).Nodes {
+				t.Fatalf("AND prediction %+v inconsistent with OR %+v", p, ix.PredictRangeOr(radii))
+			}
+			sAnd := ix.PredictSelectivityAnd(radii)
+			sOr := ix.PredictSelectivityOr(radii)
+			if sAnd < 0 || sOr < sAnd {
+				t.Fatalf("selectivities AND %.1f OR %.1f", sAnd, sOr)
+			}
+		})
 	}
 }
 
@@ -359,7 +399,7 @@ func TestSaveLoadModelFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.SaveModel(&buf); err != nil {
+	if err := ix.Models()[0].Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	m, err := LoadModel(&buf)
@@ -375,73 +415,51 @@ func TestSaveLoadModelFacade(t *testing.T) {
 	}
 }
 
-func TestSimilarityJoinFacade(t *testing.T) {
-	space := VectorSpace("Linf", 3)
-	objs := randomVectors(400, 3, 18)
-	ix, err := Build(space, objs, Options{PageSize: 1024, Seed: 19})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const eps = 0.1
-	pairs, err := ix.SimilarityJoin(eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for i := 0; i < len(objs); i++ {
-		for j := i + 1; j < len(objs); j++ {
-			if space.Distance(objs[i], objs[j]) <= eps {
-				want++
-			}
-		}
-	}
-	if len(pairs) != want {
-		t.Fatalf("join found %d pairs, scan %d", len(pairs), want)
-	}
-	est := ix.PredictJoin(eps)
-	if est.Pairs <= 0 || est.Dists <= 0 {
-		t.Fatalf("join estimate %+v", est)
-	}
-	if math.Abs(est.Pairs-float64(want))/math.Max(float64(want), 1) > 0.5 {
-		t.Fatalf("join pairs estimate %.0f vs actual %d", est.Pairs, want)
-	}
-}
-
 func TestExplainRange(t *testing.T) {
 	space := VectorSpace("Linf", 4)
 	objs := randomVectors(2000, 4, 21)
-	ix, err := Build(space, objs, Options{PageSize: 1024, Seed: 22})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := Vector{0.4, 0.4, 0.4, 0.4}
-	matches, levels, err := ix.ExplainRange(q, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(levels) != ix.Height() {
-		t.Fatalf("explain has %d levels, height %d", len(levels), ix.Height())
-	}
-	want, err := ix.Range(q, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != len(want) {
-		t.Fatalf("explain found %d matches, Range %d", len(matches), len(want))
-	}
-	var actTotal int
-	for _, l := range levels {
-		if l.PredNodes <= 0 || l.PredDists <= 0 {
-			t.Fatalf("level %d: empty prediction", l.Level)
-		}
-		actTotal += l.ActNodes
-	}
-	if actTotal <= 0 {
-		t.Fatal("no measured accesses")
-	}
-	// Root level is always read exactly once.
-	if levels[0].ActNodes != 1 {
-		t.Fatalf("root level read %d times", levels[0].ActNodes)
+	for _, sc := range shardConfigs {
+		t.Run(sc.name, func(t *testing.T) {
+			ix, err := BuildSharded(space, objs, Options{PageSize: 1024, Seed: 22}, sc.so)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matches, levels, err := ix.ExplainRange(q, 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(levels) != ix.Height() {
+				t.Fatalf("explain has %d levels, height %d", len(levels), ix.Height())
+			}
+			want, err := ix.Range(q, 0.25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Both concatenate in shard order and DFS order within a shard.
+			if len(matches) != len(want) {
+				t.Fatalf("explain found %d matches, Range %d", len(matches), len(want))
+			}
+			for i := range want {
+				if matches[i].OID != want[i].OID || matches[i].Distance != want[i].Distance {
+					t.Fatalf("match %d: explain %+v, Range %+v", i, matches[i], want[i])
+				}
+			}
+			var actTotal int
+			for _, l := range levels {
+				if l.PredNodes <= 0 || l.PredDists <= 0 {
+					t.Fatalf("level %d: empty prediction", l.Level)
+				}
+				actTotal += l.ActNodes
+			}
+			if actTotal <= 0 {
+				t.Fatal("no measured accesses")
+			}
+			// Every shard's root is read exactly once.
+			if levels[0].ActNodes != ix.NumShards() {
+				t.Fatalf("root level read %d times over %d shards", levels[0].ActNodes, ix.NumShards())
+			}
+		})
 	}
 }
 
@@ -492,59 +510,65 @@ func TestPlanIndexValidation(t *testing.T) {
 func TestNNApproxRecallAndSavings(t *testing.T) {
 	space := VectorSpace("Linf", 8)
 	objs := randomVectors(5000, 8, 29)
-	ix, err := Build(space, objs, Options{Seed: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
 	queries := randomVectors(60, 8, 31)
 	const k = 10
-
-	ix.ResetCosts()
-	exact := make([][]Match, len(queries))
-	for i, q := range queries {
-		exact[i], err = ix.NN(q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, exactDists := ix.Costs()
-
-	ix.ResetCosts()
-	var found, total int
-	for i, q := range queries {
-		approx, err := ix.NNApprox(q, k, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[uint64]bool{}
-		for _, m := range exact[i] {
-			want[m.OID] = true
-		}
-		for _, m := range approx {
-			if want[m.OID] {
-				found++
+	for _, sc := range shardConfigs {
+		t.Run(sc.name, func(t *testing.T) {
+			ix, err := BuildSharded(space, objs, Options{Seed: 30}, sc.so)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		total += len(exact[i])
-	}
-	_, approxDists := ix.Costs()
+			ix.ResetCosts()
+			exact := make([][]Match, len(queries))
+			for i, q := range queries {
+				exact[i], err = ix.NN(q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, exactDists := ix.Costs()
 
-	recall := float64(found) / float64(total)
-	if recall < 0.8 {
-		t.Fatalf("recall %.2f below 0.8 at 95%% confidence", recall)
-	}
-	if approxDists >= exactDists {
-		t.Fatalf("approximate search cost %d not below exact %d", approxDists, exactDists)
-	}
-	// Confidence 1 degrades to exact.
-	full, err := ix.NNApprox(queries[0], k, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full {
-		if full[i].Distance != exact[0][i].Distance {
-			t.Fatalf("confidence=1 rank %d: %g vs %g", i, full[i].Distance, exact[0][i].Distance)
-		}
+			ix.ResetCosts()
+			var found, total int
+			for i, q := range queries {
+				approx, err := ix.NNApprox(q, k, 0.95)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oidSet(t, exact[i])
+				for _, m := range approx {
+					if want[m.OID] {
+						found++
+					}
+				}
+				total += len(exact[i])
+			}
+			_, approxDists := ix.Costs()
+
+			recall := float64(found) / float64(total)
+			t.Logf("recall %.3f; distances %d approximate, %d exact", recall, approxDists, exactDists)
+			if recall < 0.8 {
+				t.Fatalf("recall %.2f below 0.8 at 95%% confidence", recall)
+			}
+			if approxDists >= exactDists {
+				t.Fatalf("approximate search cost %d not below exact %d", approxDists, exactDists)
+			}
+			// Confidence 1 degrades to exact.
+			for qi, q := range queries {
+				full, err := ix.NNApprox(q, k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(full) != len(exact[qi]) {
+					t.Fatalf("query %d: confidence=1 found %d, NN %d", qi, len(full), len(exact[qi]))
+				}
+				for i := range full {
+					if full[i].OID != exact[qi][i].OID || full[i].Distance != exact[qi][i].Distance {
+						t.Fatalf("query %d confidence=1 rank %d: %+v vs %+v", qi, i, full[i], exact[qi][i])
+					}
+				}
+			}
+		})
 	}
 }
 

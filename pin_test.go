@@ -36,7 +36,7 @@ func digest(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
 func indexDigest(t *testing.T, ix *Index) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ix.SaveModel(&buf); err != nil {
+	if err := ix.Models()[0].Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(&buf, "stats %+v\n", ix.Stats())
@@ -137,7 +137,7 @@ func TestRecalibratedIndexPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ix.SaveModel(&buf); err != nil {
+	if err := ix.Models()[0].Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := ix.RecalStats()

@@ -1,10 +1,7 @@
 package mcost
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"sort"
 	"testing"
 
@@ -382,43 +379,5 @@ func TestShardedFaultStats(t *testing.T) {
 	}
 	if fs := sx.FaultStats(); fs.ReadErrors == 0 {
 		t.Errorf("20 range queries at a 5%% read fault rate report %+v", fs)
-	}
-}
-
-// TestOneTreeOperations: the operations that need one tree — its whole
-// model, one traversal — answer on one shard and refuse on three, with
-// ErrSharded or NaN, never a number that looks right.
-func TestOneTreeOperations(t *testing.T) {
-	objs := randomVectors(600, 5, 71)
-	q := objs[3]
-	preds := []Pred{{Q: q, Radius: 0.3}, {Q: objs[4], Radius: 0.4}}
-	errs := map[string]func(ix *Index) error{
-		"SaveModel":      func(ix *Index) error { return ix.SaveModel(io.Discard) },
-		"NNApprox":       func(ix *Index) error { _, err := ix.NNApprox(q, 5, 0.9); return err },
-		"ExplainRange":   func(ix *Index) error { _, _, err := ix.ExplainRange(q, 0.3); return err },
-		"RangeAnd":       func(ix *Index) error { _, err := ix.RangeAnd(preds); return err },
-		"RangeOr":        func(ix *Index) error { _, err := ix.RangeOr(preds); return err },
-		"SimilarityJoin": func(ix *Index) error { _, err := ix.SimilarityJoin(0.05); return err },
-	}
-	nans := map[string]func(ix *Index) float64{
-		"ExpectedNNDistance": func(ix *Index) float64 { return ix.ExpectedNNDistance(5) },
-		"PredictJoin":        func(ix *Index) float64 { return ix.PredictJoin(0.05).Pairs },
-	}
-	for _, shards := range []int{1, 3} {
-		ix, _ := shardedFixture(t, 600, shards, ShardPivot, Options{Seed: 13})
-		for name, f := range errs {
-			err := f(ix)
-			if shards == 1 && err != nil {
-				t.Errorf("%s on one shard: %v", name, err)
-			}
-			if shards > 1 && !errors.Is(err, ErrSharded) {
-				t.Errorf("%s on %d shards = %v, want ErrSharded", name, shards, err)
-			}
-		}
-		for name, f := range nans {
-			if v := f(ix); math.IsNaN(v) != (shards > 1) {
-				t.Errorf("%s on %d shards = %v", name, shards, v)
-			}
-		}
 	}
 }

@@ -20,20 +20,10 @@ type ShardNode = shard.Node
 // built in one process, and a router merging the nodes' answers is
 // bit-identical to the in-process sharded Index.
 func BuildShardNode(space *Space, objects []Object, opt Options, so ShardOptions, index int) (*ShardNode, error) {
-	sh, err := shard.BuildOne(space, objects, shard.Options{
-		Shards:        so.Shards,
-		Assign:        so.Assign,
-		PageSize:      opt.PageSize,
-		HistogramBins: opt.HistogramBins,
-		SamplePairs:   opt.SamplePairs,
-		Seed:          opt.Seed,
-		Workers:       opt.Workers,
-		Incremental:   opt.Incremental,
-		TreeOptions: func(i int) (mtree.Options, error) {
-			mo, _, err := buildStorage(space, objects[0], opt)
-			return mo, err
-		},
-	}, index)
+	sh, err := shard.BuildOne(space, objects, opt.shardOptions(so, func(int) (mtree.Options, error) {
+		mo, _, err := buildStorage(space, objects[0], opt)
+		return mo, err
+	}), index)
 	if err != nil {
 		return nil, err
 	}

@@ -6,17 +6,19 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mcost/internal/metric"
 )
 
 // Facade boundary validation: every query entry point of Index, on one
-// shard and on two, rejects objects the space cannot compare with a typed
-// ErrInvalidQuery before any distance call. PR 9 fixed a wrong-length
-// Hamming query panicking inside the distance function; the entry points
-// that kept their own copy of the check drifted until ExplainRange,
-// RangeAnd and RangeOr panicked on a 2-coordinate query to a 4-D index.
+// shard and on two, and of VPTree rejects objects the space cannot
+// compare with a typed ErrInvalidQuery before any distance call. A
+// wrong-length Hamming query once panicked inside the distance
+// function; after that fix, entry points that kept their own copy of
+// the check drifted until ExplainRange, RangeAnd and RangeOr panicked on
+// a 2-coordinate query to a 4-D index.
 
 func TestIndexRejectsInvalidQueries(t *testing.T) {
 	space := VectorSpace("L2", 4)
@@ -26,6 +28,10 @@ func TestIndexRejectsInvalidQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	sx, err := BuildSharded(space, objs, Options{Seed: 3}, ShardOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := BuildVPTree(space, objs, VPOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +69,12 @@ func TestIndexRejectsInvalidQueries(t *testing.T) {
 				"Sharded.RangeBatch":     func() error { _, err := sx.RangeBatch(qs, 0.5); return err },
 				"Sharded.NNBatch":        func() error { _, err := sx.NNBatch(qs, 3); return err },
 				"Sharded.RunWorkload":    func() error { _, err := sx.RunWorkload(mix, qs, wopt); return err },
+				"Sharded.NNApprox":       func() error { _, err := sx.NNApprox(tc.q, 3, 0.9); return err },
+				"Sharded.ExplainRange":   func() error { _, _, err := sx.ExplainRange(tc.q, 0.5); return err },
+				"Sharded.RangeAnd":       func() error { _, err := sx.RangeAnd(preds); return err },
+				"Sharded.RangeOr":        func() error { _, err := sx.RangeOr(preds); return err },
+				"VPTree.Range":           func() error { _, err := vp.Range(tc.q, 0.5); return err },
+				"VPTree.NN":              func() error { _, err := vp.NN(tc.q, 3); return err },
 				"Sharded.RangeBatchTraced": func() error {
 					_, err := sx.RangeBatchTraced(ctx, qs, 0.5, QueryBudget{}, nil)
 					return err
@@ -75,6 +87,56 @@ func TestIndexRejectsInvalidQueries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNaNRadiusRejected: a NaN radius is an error at every range entry
+// point, not a query matching every object (no pruning test or match
+// test is true against NaN) or none, and the predictions priced at it
+// stay finite instead of indexing F̂'s bins at int(NaN).
+func TestNaNRadiusRejected(t *testing.T) {
+	space := VectorSpace("L2", 4)
+	objs := randomVectors(200, 4, 7)
+	nan := math.NaN()
+	for _, shards := range []int{1, 3} {
+		ix, err := BuildSharded(space, objs, Options{Seed: 7}, ShardOptions{Shards: shards, Assign: ShardPivot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := objs[0]
+		calls := map[string]func() error{
+			"Range":      func() error { _, err := ix.Range(q, nan); return err },
+			"RangeBatch": func() error { _, err := ix.RangeBatch([]Object{q}, nan); return err },
+			"RangeBatchTraced": func() error {
+				_, err := ix.RangeBatchTraced(context.Background(), []Object{q}, nan, QueryBudget{}, nil)
+				return err
+			},
+			"RangeAnd":     func() error { _, err := ix.RangeAnd([]Pred{{Q: q, Radius: nan}}); return err },
+			"RangeOr":      func() error { _, err := ix.RangeOr([]Pred{{Q: q, Radius: nan}}); return err },
+			"ExplainRange": func() error { _, _, err := ix.ExplainRange(q, nan); return err },
+		}
+		for name, call := range calls {
+			if err := callNoPanic(call); err == nil || strings.HasPrefix(err.Error(), "panic") {
+				t.Errorf("S=%d %s(NaN): err = %v, want a radius error", shards, name, err)
+			}
+		}
+		preds := map[string]func() []float64{
+			"PredictRange":       func() []float64 { e := ix.PredictRange(nan); return []float64{e.Nodes, e.Dists} },
+			"PredictRangeLevel":  func() []float64 { e := ix.PredictRangeLevel(nan); return []float64{e.Nodes, e.Dists} },
+			"PriceRange":         func() []float64 { e := ix.PriceRange(nan); return []float64{e.Nodes, e.Dists} },
+			"PredictSelectivity": func() []float64 { return []float64{ix.PredictSelectivity(nan)} },
+		}
+		for name, pred := range preds {
+			var vs []float64
+			if err := callNoPanic(func() error { vs = pred(); return nil }); err != nil {
+				t.Errorf("S=%d %s(NaN): %v", shards, name, err)
+			}
+			for _, v := range vs {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Errorf("S=%d %s(NaN) = %v, want finite", shards, name, vs)
+				}
+			}
+		}
 	}
 }
 

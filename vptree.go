@@ -6,6 +6,7 @@ import (
 	"mcost/internal/core"
 	"mcost/internal/dataset"
 	"mcost/internal/distdist"
+	"mcost/internal/metric"
 	"mcost/internal/vptree"
 )
 
@@ -36,6 +37,10 @@ type VPOptions struct {
 type VPTree struct {
 	tree  *vptree.Tree
 	model *core.VPModel
+	space *Space
+	// sample is one indexed object, the reference shape for query
+	// validation, as in Index.
+	sample Object
 }
 
 // VPCost is a predicted vp-tree query cost.
@@ -73,16 +78,23 @@ func BuildVPTree(space *Space, objects []Object, opt VPOptions) (*VPTree, error)
 	if err != nil {
 		return nil, err
 	}
-	return &VPTree{tree: tree, model: model}, nil
+	return &VPTree{tree: tree, model: model, space: space, sample: objects[0]}, nil
 }
 
-// Range returns all objects within radius of q.
+// Range returns all objects within radius of q. A query the space
+// cannot compare is an ErrInvalidQuery, as on Index.
 func (vp *VPTree) Range(q Object, radius float64) ([]VPMatch, error) {
+	if err := metric.ValidateQuery(vp.space, vp.sample, q); err != nil {
+		return nil, err
+	}
 	return vp.tree.Range(q, radius, nil, nil)
 }
 
 // NN returns the k nearest neighbors of q, closest first.
 func (vp *VPTree) NN(q Object, k int) ([]VPMatch, error) {
+	if err := metric.ValidateQuery(vp.space, vp.sample, q); err != nil {
+		return nil, err
+	}
 	return vp.tree.NN(q, k, nil, nil)
 }
 

@@ -56,29 +56,33 @@ type LevelExplain struct {
 	ActDists  int
 }
 
-// ExplainRange runs range(q, radius) without the parent-distance
-// optimization (so the measurement is exactly what the model predicts)
-// and returns the matches with a per-level prediction-vs-measurement
-// breakdown; ErrSharded on a sharded index.
+// ExplainRange runs range(q, radius) on every shard without the
+// parent-distance optimization (so the measurement is exactly what the
+// model predicts) and returns the matches, concatenated in shard order,
+// with a per-level prediction-vs-measurement breakdown: Height() levels,
+// root first, each shard's level i summed into level i as shard traces
+// merge.
 func (ix *Index) ExplainRange(q Object, radius float64) ([]Match, []LevelExplain, error) {
 	if err := ix.check(q); err != nil {
 		return nil, nil, err
 	}
-	sh, err := ix.single()
-	if err != nil {
-		return nil, nil, err
-	}
-	matches, profile, err := sh.Tree.RangeProfile(q, radius)
-	if err != nil {
-		return nil, nil, err
-	}
-	pred := sh.Model.RangeLByLevel(radius)
-	out := make([]LevelExplain, len(profile))
-	for i, p := range profile {
-		out[i] = LevelExplain{Level: p.Level, ActNodes: p.Nodes, ActDists: p.Dists}
-		if i < len(pred) {
-			out[i].PredNodes = pred[i].Nodes
-			out[i].PredDists = pred[i].Dists
+	var matches []Match
+	out := make([]LevelExplain, ix.Height())
+	for _, sh := range ix.set.Shards() {
+		ms, profile, err := sh.Tree.RangeProfile(q, radius)
+		if err != nil {
+			return nil, nil, err
+		}
+		matches = append(matches, sh.Global(ms)...)
+		pred := sh.Model.RangeLByLevel(radius)
+		for i, p := range profile {
+			out[i].Level = p.Level
+			out[i].ActNodes += p.Nodes
+			out[i].ActDists += p.Dists
+			if i < len(pred) {
+				out[i].PredNodes += pred[i].Nodes
+				out[i].PredDists += pred[i].Dists
+			}
 		}
 	}
 	return matches, out, nil
