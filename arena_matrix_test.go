@@ -3,9 +3,11 @@ package mcost
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"mcost/internal/dataset"
+	"mcost/internal/mtree"
 )
 
 // The engine equivalence matrix: memory, paged, and arena layouts must
@@ -72,8 +74,10 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 						rangeB   func(qs []Object) ([][]Match, error)
 						nnB      func(qs []Object) ([][]Match, error)
 					)
+					var ix *Index
 					if shards == 1 {
-						ix, err := Build(c.d.Space, c.d.Objects, opt)
+						var err error
+						ix, err = Build(c.d.Space, c.d.Objects, opt)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -90,6 +94,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
+						ix = sx
 						rangeOne = func(q Object) ([]Match, error) { return sx.Range(q, c.radius) }
 						nnOne = func(q Object) ([]Match, error) { return sx.NN(q, k) }
 						rangeB = func(qs []Object) ([][]Match, error) { return sx.RangeBatch(qs, c.radius) }
@@ -138,6 +143,7 @@ func TestEngineEquivalenceMatrix(t *testing.T) {
 							}
 						}
 					}
+					checkScanEngine(t, label("scan"), ix, c.d, c.queries, c.radius, k)
 				}
 			}
 		})
@@ -244,5 +250,69 @@ func TestArenaDisabledUnderFaultInjection(t *testing.T) {
 	}
 	if !sawFault {
 		t.Fatal("no query observed a storage fault: reads are not going through the faulty paged stack")
+	}
+}
+
+// checkScanEngine holds an index's scan engine to a fresh mtree.NewScan
+// over the input, before and after writes: full answers are canonical,
+// so the scan order — slab order over frozen arenas, OID order
+// otherwise — never shows in them.
+func checkScanEngine(t *testing.T, label string, ix *Index, d *dataset.Dataset, queries []Object, radius float64, k int) {
+	t.Helper()
+	ref, err := mtree.NewScan(d.Space, d.Objects, ix.PageSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.SetEngineMode(EngineScan); err != nil {
+		t.Fatal(err)
+	}
+	compare := func(stage string) {
+		t.Helper()
+		gotR, err := ix.RangeBatchTraced(context.Background(), queries, radius, QueryBudget{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantR, err := ref.RangeBatch(queries, radius, mtree.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotN, err := ix.NNBatchTraced(context.Background(), queries, k, QueryBudget{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantN, err := ref.NNBatch(queries, k, mtree.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range queries {
+			sameAnswers(t, label+"/"+stage+"/range", gotR[i], wantR[i])
+			sameAnswers(t, label+"/"+stage+"/nn", gotN[i], wantN[i])
+		}
+	}
+	compare("built")
+	for _, q := range queries[:3] {
+		oid, err := ix.Insert(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Insert(q, oid)
+	}
+	for _, oid := range []uint64{0, 7, 100} {
+		if err := ix.Delete(d.Objects[oid], oid); err != nil {
+			t.Fatal(err)
+		}
+		ref.Remove(oid)
+	}
+	compare("written")
+}
+
+// sameAnswers is sameSets, plus equal result objects.
+func sameAnswers(t *testing.T, label string, got, want []Match) {
+	t.Helper()
+	sameSets(t, label, got, want)
+	for i := range got {
+		if !reflect.DeepEqual(got[i].Object, want[i].Object) {
+			t.Fatalf("%s: match %d (oid %d) object %v, want %v", label, i, got[i].OID, got[i].Object, want[i].Object)
+		}
 	}
 }

@@ -34,7 +34,8 @@ type Arena struct {
 
 	// Per-entry slabs, indexed by dense entry index: child is the dense
 	// child node index (-1 for leaf entries), objs the result objects
-	// (routing objects too), vecs the coordinates of vector kinds.
+	// (routing objects too), vecs the coordinates of vector kinds — and
+	// then objs are views into vecs (see buildArena).
 	columns
 }
 
@@ -67,10 +68,21 @@ func (t *Tree) Arena() *Arena { return t.arena }
 func (a *Arena) NumNodes() int { return len(a.leaf) }
 
 // buildArena walks the tree in DFS preorder through the store's
-// uncounted peek and lays every node out flat. In memory mode the
-// result objects are the very boxes the store holds, so arena results
-// are pointer-identical to store results; in paged mode they are the
-// decoded copies peek produced (decoding always copies — see codec.go).
+// uncounted peek and lays every node out flat. Each slab is allocated
+// once, at its final size: the store holds NumNodes nodes and Size +
+// NumNodes − 1 entries, one leaf entry per object plus one routing entry
+// per node but the root.
+//
+// On vector kernels vecs is the one copy of the coordinates: every
+// entry's object becomes a capacity-capped view of its own row, and the
+// entry the store peeked is pointed at that same view. In memory mode
+// the store's nodes are live, so store and arena results stay
+// pointer-identical and the caller's vectors are no longer referenced;
+// in paged mode the peeked nodes are decoded copies (decoding always
+// copies — see codec.go) and nothing else changes. Other kernels keep
+// the store's objects: in memory mode the very boxes the store holds.
+// A view keeps its slab alive until the next freeze re-points the
+// entries, so thawing never invalidates a result.
 func buildArena(t *Tree) (*Arena, error) {
 	root, err := t.store.peek(t.root)
 	if err != nil {
@@ -80,7 +92,9 @@ func buildArena(t *Tree) (*Arena, error) {
 	if len(root.entries) > 0 {
 		sample = root.entries[0].Object
 	}
-	a := &Arena{reads: &t.reads}
+	nodes := t.store.numNodes()
+	entries := t.size + nodes - 1
+	a := &Arena{reads: &t.reads, leaf: make([]bool, nodes), start: make([]int32, nodes), end: make([]int32, nodes)}
 	a.engine = engine{
 		// The accelerated view: bit-identical distances for the generic kind.
 		kernel:  kernelFor(t.counter.Space(), sample),
@@ -88,53 +102,89 @@ func buildArena(t *Tree) (*Arena, error) {
 		counter: t.counter,
 		bound:   t.opt.Space.Bound,
 	}
+	a.columns = columns{
+		radius:     make([]float64, entries),
+		parentDist: make([]float64, entries),
+		child:      make([]int32, entries),
+		oid:        make([]uint64, entries),
+		objs:       make([]metric.Object, entries),
+	}
+	if a.kind == kernelVector {
+		a.vecs = make([]float64, entries*a.dim)
+	}
 
+	var ni, ne int32 // nodes and entries laid out so far
 	var walk func(id pager.PageID) (int32, error)
 	walk = func(id pager.PageID) (int32, error) {
 		n, err := t.store.peek(id)
 		if err != nil {
 			return 0, err
 		}
-		ni := int32(len(a.leaf))
-		base := int32(len(a.oid))
-		a.leaf = append(a.leaf, n.leaf)
-		a.start = append(a.start, base)
-		a.end = append(a.end, base+int32(len(n.entries)))
+		if int(ni) == nodes || int(ne)+len(n.entries) > entries {
+			return 0, fmt.Errorf("mtree: arena freeze: the tree outgrows the store's %d nodes and %d entries", nodes, entries)
+		}
+		me, base := ni, ne
+		ni, ne = ni+1, ne+int32(len(n.entries))
+		a.leaf[me], a.start[me], a.end[me] = n.leaf, base, ne
 		for i := range n.entries {
-			e := &n.entries[i]
-			a.parentDist = append(a.parentDist, e.ParentDist)
-			a.radius = append(a.radius, e.Radius)
-			a.oid = append(a.oid, e.OID)
-			a.child = append(a.child, -1)
-			a.objs = append(a.objs, e.Object)
+			e, j := &n.entries[i], int(base)+i
+			a.parentDist[j], a.radius[j], a.oid[j], a.child[j] = e.ParentDist, e.Radius, e.OID, -1
 			switch a.kind {
 			case kernelVector:
 				v, ok := e.Object.(metric.Vector)
 				if !ok || len(v) != a.dim {
 					return 0, fmt.Errorf("mtree: arena freeze: entry object %T does not match %d-dimensional vector layout", e.Object, a.dim)
 				}
-				a.vecs = append(a.vecs, v...)
+				row := a.vecs[j*a.dim : (j+1)*a.dim : (j+1)*a.dim]
+				copy(row, v)
+				e.Object = metric.Vector(row)
 			case kernelEdit, kernelHamming:
 				if _, ok := e.Object.(string); !ok {
 					return 0, fmt.Errorf("mtree: arena freeze: entry object %T in a string space", e.Object)
 				}
 			}
+			a.objs[j] = e.Object
 		}
+		n.cols.Store(nil) // a memory-mode node's cached columns still hold the old objects
 		if !n.leaf {
 			for i := range n.entries {
 				ci, err := walk(n.entries[i].Child)
 				if err != nil {
 					return 0, err
 				}
-				a.child[base+int32(i)] = ci
+				a.child[int(base)+i] = ci
 			}
 		}
-		return ni, nil
+		return me, nil
 	}
 	if _, err := walk(t.root); err != nil {
 		return nil, err
 	}
+	if int(ni) < nodes {
+		// Only a restored paged tree overcounts: pages freed before its
+		// snapshot still count as nodes (see pagedStore.free).
+		a.leaf, a.start, a.end = a.leaf[:ni], a.start[:ni], a.end[:ni]
+		c := &a.columns
+		c.radius, c.parentDist, c.child, c.oid, c.objs = c.radius[:ne], c.parentDist[:ne], c.child[:ne], c.oid[:ne], c.objs[:ne]
+		if c.vecs != nil {
+			c.vecs = c.vecs[:int(ne)*a.dim]
+		}
+	}
 	return a, nil
+}
+
+// Leaves appends the leaf entries' objects and tree-local OIDs to objs
+// and oids in slab order: DFS preorder, leaf by leaf, each leaf's
+// entries in node order. On vector kernels the objects are views into
+// vecs, in ascending slab position.
+func (a *Arena) Leaves(objs []metric.Object, oids []uint64) ([]metric.Object, []uint64) {
+	for ni, leaf := range a.leaf {
+		if leaf {
+			objs = append(objs, a.objs[a.start[ni]:a.end[ni]]...)
+			oids = append(oids, a.oid[a.start[ni]:a.end[ni]]...)
+		}
+	}
+	return objs, oids
 }
 
 // roots and load make the arena a nodeSource: a node read is a counter

@@ -27,6 +27,13 @@ import (
 // tree's: the scan is a node source of the same traversal core
 // (core.go).
 //
+// Pages are cut from the list in scan order. NewScan's order is OID
+// order; an mcost.Index over frozen arenas scans in slab order — shard
+// by shard, each arena's leaves in DFS preorder — because its objects
+// are views into the slabs. A full answer is canonical either way and
+// costs the same pages and distances; only which objects a stopped
+// query has seen, and so its partial answer, follows the scan order.
+//
 // Like the tree, a Scan is safe for concurrent read-only queries;
 // Insert/Remove must not run concurrently with queries.
 type Scan struct {
@@ -43,21 +50,32 @@ type Scan struct {
 // page used for the node-read meter; objs[0] fixes the per-object
 // encoded size.
 func NewScan(space *metric.Space, objs []metric.Object, pageSize int) (*Scan, error) {
+	oids := make([]uint64, len(objs))
+	for i := range oids {
+		oids[i] = uint64(i)
+	}
+	return NewScanOIDs(space, append([]metric.Object(nil), objs...), oids, pageSize)
+}
+
+// NewScanOIDs builds a scan engine that reads objs in the order given,
+// objs[i] under oids[i]. The scan keeps both slices. An mcost.Index
+// passes the leaf views of its frozen arenas in slab order (see
+// Arena.Leaves), so the scan walks each coordinate slab front to back.
+func NewScanOIDs(space *metric.Space, objs []metric.Object, oids []uint64, pageSize int) (*Scan, error) {
 	if space == nil {
 		return nil, errors.New("mtree: scan: nil space")
 	}
 	if len(objs) == 0 {
 		return nil, errors.New("mtree: scan: no objects")
 	}
+	if len(oids) != len(objs) {
+		return nil, fmt.Errorf("mtree: scan: %d OIDs for %d objects", len(oids), len(objs))
+	}
 	per, err := scanObjectsPerPage(objs[0], pageSize)
 	if err != nil {
 		return nil, err
 	}
-	oids := make([]uint64, len(objs))
-	for i := range oids {
-		oids[i] = uint64(i)
-	}
-	s := &Scan{columns: columns{objs: append([]metric.Object(nil), objs...), oid: oids}, perPage: per}
+	s := &Scan{columns: columns{objs: objs, oid: oids}, perPage: per}
 	// No d+ cap on the search radius: the scan answers for whatever
 	// distances the space produces.
 	s.engine = engine{kernel: kernelFor(space, objs[0]), src: s, counter: metric.NewCounter(space), bound: math.Inf(1)}

@@ -22,9 +22,10 @@ import (
 // one HTTP shard node per shard (real server.Server over a real
 // shard.Node engine), and the dataset they all share.
 type cluster struct {
-	d     *dataset.Dataset
-	sx    *mcost.Index
-	nodes []*httptest.Server
+	d       *dataset.Dataset
+	sx      *mcost.Index
+	engines []*mcost.ShardNode
+	nodes   []*httptest.Server
 	// handlers[i] is shard i's node handler, for wrapping (slow
 	// proxies, extra replicas) without another engine build.
 	handlers []http.Handler
@@ -32,8 +33,14 @@ type cluster struct {
 
 func buildCluster(t testing.TB, shards int) *cluster {
 	t.Helper()
+	return buildClusterWith(t, shards, mcost.Options{Seed: 7, Workers: 1})
+}
+
+// buildClusterWith is buildCluster under the given build options, which
+// the reference Index and every node share.
+func buildClusterWith(t testing.TB, shards int, opt mcost.Options) *cluster {
+	t.Helper()
 	d := dataset.Uniform(600, 4, 7)
-	opt := mcost.Options{Seed: 7, Workers: 1}
 	so := mcost.ShardOptions{Shards: shards, Assign: mcost.ShardPivot}
 	sx, err := mcost.BuildSharded(d.Space, d.Objects, opt, so)
 	if err != nil {
@@ -45,6 +52,7 @@ func buildCluster(t testing.TB, shards int) *cluster {
 		if err != nil {
 			t.Fatalf("shard node %d: %v", i, err)
 		}
+		c.engines = append(c.engines, node)
 		srv, err := server.New(server.Config{Engine: node, Decode: server.VectorDecoder(4)})
 		if err != nil {
 			t.Fatalf("shard node %d server: %v", i, err)
@@ -150,56 +158,67 @@ type nnReq struct {
 
 // The healthy path is bit-identical to the in-process sharded Index:
 // same matches, same order, same objects, same predicted cost — for
-// range and k-NN, fronting one node and three.
+// range and k-NN, fronting one node and three, with the nodes and the
+// Index serving from the node store or from the frozen arena.
 func TestRouterEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c := buildCluster(t, shards)
-			rt := newRouter(t, router.Config{Shards: c.endpoints()})
-			h := rt.Handler()
-			qs := dataset.UniformQueries(10, 4, 99).Queries
+			for _, layout := range []string{"memory", "arena"} {
+				t.Run(layout, func(t *testing.T) {
+					opt := mcost.Options{Seed: 7, Workers: 1, Arena: mcost.ArenaOptions{Enabled: layout == "arena"}}
+					c := buildClusterWith(t, shards, opt)
+					for i, node := range c.engines {
+						if frozen := node.Shard().Tree.Arena() != nil; frozen != opt.Arena.Enabled {
+							t.Fatalf("shard node %d: arena attached = %v, want %v", i, frozen, opt.Arena.Enabled)
+						}
+					}
+					rt := newRouter(t, router.Config{Shards: c.endpoints()})
+					h := rt.Handler()
+					qs := dataset.UniformQueries(10, 4, 99).Queries
 
-			for qi, q := range qs {
-				qv := q.(metric.Vector)
-				for _, radius := range []float64{0.15, 0.4} {
-					want, err := c.sx.Range(q, radius)
-					if err != nil {
-						t.Fatal(err)
+					for qi, q := range qs {
+						qv := q.(metric.Vector)
+						for _, radius := range []float64{0.15, 0.4} {
+							want, err := c.sx.Range(q, radius)
+							if err != nil {
+								t.Fatal(err)
+							}
+							code, body := postJSON(t, h, "/v1/range", rangeReq{qv, radius})
+							if code != http.StatusOK {
+								t.Fatalf("range q%d r=%g: status %d: %s", qi, radius, code, body)
+							}
+							qr := decodeQR(t, body)
+							label := fmt.Sprintf("range q%d r=%g", qi, radius)
+							assertWireEqual(t, label, qr.Matches, want, c.d)
+							if qr.Degraded || qr.Partial {
+								t.Errorf("%s: healthy response flagged degraded=%v partial=%v", label, qr.Degraded, qr.Partial)
+							}
+							pred := c.sx.PredictRangeLevel(radius)
+							if qr.Predicted.NodeReads != pred.Nodes || qr.Predicted.DistCalcs != pred.Dists {
+								t.Errorf("%s: predicted (%v, %v), want in-process (%v, %v)",
+									label, qr.Predicted.NodeReads, qr.Predicted.DistCalcs, pred.Nodes, pred.Dists)
+							}
+						}
+						for _, k := range []int{1, 5, 20} {
+							want, err := c.sx.NN(q, k)
+							if err != nil {
+								t.Fatal(err)
+							}
+							code, body := postJSON(t, h, "/v1/nn", nnReq{qv, k})
+							if code != http.StatusOK {
+								t.Fatalf("nn q%d k=%d: status %d: %s", qi, k, code, body)
+							}
+							qr := decodeQR(t, body)
+							label := fmt.Sprintf("nn q%d k=%d", qi, k)
+							assertWireEqual(t, label, qr.Matches, want, c.d)
+							pred := c.sx.PredictNNLevel(k)
+							if qr.Predicted.NodeReads != pred.Nodes || qr.Predicted.DistCalcs != pred.Dists {
+								t.Errorf("%s: predicted (%v, %v), want in-process (%v, %v)",
+									label, qr.Predicted.NodeReads, qr.Predicted.DistCalcs, pred.Nodes, pred.Dists)
+							}
+						}
 					}
-					code, body := postJSON(t, h, "/v1/range", rangeReq{qv, radius})
-					if code != http.StatusOK {
-						t.Fatalf("range q%d r=%g: status %d: %s", qi, radius, code, body)
-					}
-					qr := decodeQR(t, body)
-					label := fmt.Sprintf("range q%d r=%g", qi, radius)
-					assertWireEqual(t, label, qr.Matches, want, c.d)
-					if qr.Degraded || qr.Partial {
-						t.Errorf("%s: healthy response flagged degraded=%v partial=%v", label, qr.Degraded, qr.Partial)
-					}
-					pred := c.sx.PredictRangeLevel(radius)
-					if qr.Predicted.NodeReads != pred.Nodes || qr.Predicted.DistCalcs != pred.Dists {
-						t.Errorf("%s: predicted (%v, %v), want in-process (%v, %v)",
-							label, qr.Predicted.NodeReads, qr.Predicted.DistCalcs, pred.Nodes, pred.Dists)
-					}
-				}
-				for _, k := range []int{1, 5, 20} {
-					want, err := c.sx.NN(q, k)
-					if err != nil {
-						t.Fatal(err)
-					}
-					code, body := postJSON(t, h, "/v1/nn", nnReq{qv, k})
-					if code != http.StatusOK {
-						t.Fatalf("nn q%d k=%d: status %d: %s", qi, k, code, body)
-					}
-					qr := decodeQR(t, body)
-					label := fmt.Sprintf("nn q%d k=%d", qi, k)
-					assertWireEqual(t, label, qr.Matches, want, c.d)
-					pred := c.sx.PredictNNLevel(k)
-					if qr.Predicted.NodeReads != pred.Nodes || qr.Predicted.DistCalcs != pred.Dists {
-						t.Errorf("%s: predicted (%v, %v), want in-process (%v, %v)",
-							label, qr.Predicted.NodeReads, qr.Predicted.DistCalcs, pred.Nodes, pred.Dists)
-					}
-				}
+				})
 			}
 		})
 	}

@@ -148,7 +148,9 @@ type Shard struct {
 	Model *core.MTreeModel
 	// Objects are the shard's members in local-OID order; OIDs maps a
 	// local OID (dense insertion index) back to the global OID, i.e.
-	// the object's index in the dataset handed to Build.
+	// the object's index in the dataset handed to Build. A shard frozen
+	// at build keeps the arena's leaf views here, not the objects it was
+	// given (see New).
 	Objects []metric.Object
 	OIDs    []uint64
 	// Pivot and Radius describe the shard's bounding ball under Pivot
@@ -174,7 +176,9 @@ type Stages struct {
 // oids: it bulk-loads the tree from mo (inserts one by one when
 // incremental), freezes it into the arena when arena is non-nil, samples
 // F̂ under est (whose seed and worker count the caller picks) and fits
-// L-MCM. The shard keeps objs and appends to it on Insert.
+// L-MCM. The shard keeps objs and appends to it on Insert. A frozen
+// shard overwrites objs with the arena's leaf views, so on vector spaces
+// the arena slab is the only copy of the members it holds.
 func New(objs []metric.Object, oids []uint64, mo mtree.Options, incremental bool, arena *mtree.ArenaConfig, est distdist.Options) (*Shard, error) {
 	sh := &Shard{Objects: objs, OIDs: oids}
 	clock := obs.StartStopwatch()
@@ -194,6 +198,10 @@ func New(objs []metric.Object, oids []uint64, mo mtree.Options, incremental bool
 	if arena != nil {
 		if err := sh.Tree.FreezeArena(*arena); err != nil {
 			return nil, fmt.Errorf("freezing arena: %w", err)
+		}
+		views, locals := sh.Tree.Arena().Leaves(nil, nil)
+		for j, local := range locals {
+			objs[local] = views[j]
 		}
 		sh.Stages.Freeze = clock.Lap()
 	}

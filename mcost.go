@@ -109,7 +109,11 @@ type Options struct {
 // allocations. Results, traces, and cost counters are bit-identical to
 // the store-backed traversal. Insert and Delete thaw the arena — the
 // index transparently falls back to the store path until it is frozen
-// again. It stays a struct, not a bool on Options, because bench/ sets it.
+// again. On vector spaces the coordinate slab is the index's only copy
+// of each vector: the index keeps no reference to the caller's vectors
+// but the first and the shard pivots, and a returned Match.Object is a
+// capacity-capped view into the slab, which must not be written. It
+// stays a struct, not a bool on Options, because bench/ sets it.
 type ArenaOptions struct {
 	// Enabled freezes the tree at Build. Ignored when fault injection
 	// is configured (faults target the paged read path, which the
@@ -246,19 +250,13 @@ func Build(space *Space, objects []Object, opt Options) (*Index, error) {
 // shard.
 func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) (*Index, error) {
 	stacks := make([]*pager.Stack, max(so.Shards, 0))
-	sopt := opt.shardOptions(so, func(i int) (mtree.Options, error) {
-		mo, stack, err := buildStorage(space, objects[0], opt)
-		stacks[i] = stack
-		return mo, err
-	})
-	sopt.Arena = opt.arena()
-	set, err := shard.Build(space, objects, sopt)
+	set, err := shard.Build(space, objects, opt.shardOptions(space, objects, so, stacks))
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{space: space, sample: objects[0], set: set, stacks: stacks, workers: opt.Workers, mode: EngineTree}
 	clock := obs.StartStopwatch()
-	if ix.scan, err = mtree.NewScan(space, objects, set.PageSize()); err != nil {
+	if ix.scan, err = newScan(space, objects, set); err != nil {
 		return nil, fmt.Errorf("mcost: building scan engine: %w", err)
 	}
 	if err := ix.refreshProfile(); err != nil {
@@ -268,9 +266,39 @@ func BuildSharded(space *Space, objects []Object, opt Options, so ShardOptions) 
 	return ix, nil
 }
 
-// shardOptions is the shard builder's view of opt and so, with
-// treeOptions giving shard i its tree options.
-func (opt Options) shardOptions(so ShardOptions, treeOptions func(i int) (mtree.Options, error)) shard.Options {
+// newScan builds the index's scan engine. Over frozen shards it scans
+// the arenas' leaf views in slab order, shard by shard, under global
+// OIDs: the scan then keeps no vector of its own and reads each slab
+// front to back. (In OID order the same views lie scattered over the
+// slab, and a D=64 range scan over 10 000 objects took 2.0 ms against
+// 1.2 ms.) Without arenas it scans objects in OID order.
+func newScan(space *Space, objects []Object, set *shard.Set) (*mtree.Scan, error) {
+	var objs []Object
+	var oids []uint64
+	for _, sh := range set.Shards() {
+		a := sh.Tree.Arena()
+		if a == nil {
+			return mtree.NewScan(space, objects, set.PageSize())
+		}
+		from := len(oids)
+		objs, oids = a.Leaves(objs, oids)
+		for j := from; j < len(oids); j++ {
+			oids[j] = sh.OIDs[oids[j]]
+		}
+	}
+	return mtree.NewScanOIDs(space, objs, oids, set.PageSize())
+}
+
+// shardOptions is the shard builder's view of opt and so over objects,
+// mounting shard i's tree on its own storage stack; stacks, when
+// non-nil, receives the stacks. The tree-options hook lives as long as
+// the shard set, so it keeps only objects[0], the codec's sample: the
+// slice would pin every object the caller passed in.
+func (opt Options) shardOptions(space *Space, objects []Object, so ShardOptions, stacks []*pager.Stack) shard.Options {
+	var sample Object
+	if len(objects) > 0 {
+		sample = objects[0]
+	}
 	return shard.Options{
 		Shards:        so.Shards,
 		Assign:        so.Assign,
@@ -280,7 +308,14 @@ func (opt Options) shardOptions(so ShardOptions, treeOptions func(i int) (mtree.
 		Seed:          opt.Seed,
 		Workers:       opt.Workers,
 		Incremental:   opt.Incremental,
-		TreeOptions:   treeOptions,
+		TreeOptions: func(i int) (mtree.Options, error) {
+			mo, stack, err := buildStorage(space, sample, opt)
+			if stacks != nil {
+				stacks[i] = stack
+			}
+			return mo, err
+		},
+		Arena: opt.arena(),
 	}
 }
 

@@ -1,9 +1,6 @@
 package mcost
 
-import (
-	"mcost/internal/mtree"
-	"mcost/internal/shard"
-)
+import "mcost/internal/shard"
 
 // ShardNode is one shard of a sharded dataset served as a standalone
 // engine: it prices and answers queries for its own partition (with
@@ -20,10 +17,7 @@ type ShardNode = shard.Node
 // built in one process, and a router merging the nodes' answers is
 // bit-identical to the in-process sharded Index.
 func BuildShardNode(space *Space, objects []Object, opt Options, so ShardOptions, index int) (*ShardNode, error) {
-	sh, err := shard.BuildOne(space, objects, opt.shardOptions(so, func(int) (mtree.Options, error) {
-		mo, _, err := buildStorage(space, objects[0], opt)
-		return mo, err
-	}), index)
+	sh, err := shard.BuildOne(space, objects, opt.shardOptions(space, objects, so, nil), index)
 	if err != nil {
 		return nil, err
 	}
