@@ -112,15 +112,11 @@ func TestClusterSmoke(t *testing.T) {
 	nodesUp := time.Now()
 	routerURL := "http://" + routerAddr
 	waitHealthy(t, routerURL, "router")
-	// The router polls the nodes' /v1/model from 10ms apart, doubling, so
-	// it is up within about as long again as the nodes took — not a fixed
-	// half second after its first refused attempt, as it once was. Nodes
-	// this small build in well under 250ms; on a machine too loaded for
-	// that the polls may by then be 500ms apart and the check says nothing.
-	if took, lag := nodesUp.Sub(routerStarted), time.Since(nodesUp); took > 250*time.Millisecond {
-		t.Logf("nodes took %v to come up; router boot lag %v not checked", took, lag)
-	} else if lag > 300*time.Millisecond {
-		t.Errorf("router turned healthy %v after the last node (nodes took %v), want within 300ms", lag, took)
+	// The router polls the nodes' /v1/model every 10ms, however long the
+	// nodes take, so it turns healthy within a poll or two of the last
+	// node.
+	if took, lag := nodesUp.Sub(routerStarted), time.Since(nodesUp); lag > 100*time.Millisecond {
+		t.Errorf("router turned healthy %v after the last node (nodes took %v), want within 100ms", lag, took)
 	}
 
 	d := dataset.Uniform(nObjects, dim, seed)

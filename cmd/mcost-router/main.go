@@ -1,15 +1,16 @@
 // Command mcost-router fronts N mcost-serve shard nodes as one
-// cost-routed scatter-gather endpoint. At boot it fetches each shard's
-// F̂/L-MCM model summary from GET /v1/model and reconstructs the
-// per-shard predictors locally; from then on every query is priced per
-// shard before any network call. Predictions drive the routing: shards
-// whose pivot lower bound proves them irrelevant are never contacted,
-// per-shard timeouts scale with predicted cost, and cheap shard calls
-// hedge to a replica while expensive ones never duplicate work.
-// Failures degrade instead of cascading — retries with capped jittered
-// backoff, per-endpoint circuit breakers fed by a /healthz polling
-// loop, and typed partial responses ("degraded": true, shards_failed)
-// when a shard stays down.
+// cost-routed scatter-gather endpoint: internal/server over a
+// router.Router engine, so it speaks the nodes' own wire API. At boot
+// it fetches each shard's F̂/L-MCM model summary from GET /v1/model and
+// reconstructs the per-shard predictors locally; from then on every
+// query is priced per shard before any network call. Predictions drive
+// the routing: shards whose pivot lower bound proves them irrelevant
+// are never contacted, per-shard timeouts scale with predicted cost,
+// and cheap shard calls hedge to a replica while expensive ones never
+// duplicate work. Failures degrade instead of cascading — retries with
+// capped jittered backoff, per-endpoint circuit breakers fed by a
+// /healthz polling loop, and typed partial responses ("degraded":
+// "shards_failed", shards_failed) when a shard stays down.
 //
 // Usage:
 //
@@ -19,8 +20,9 @@
 // Each positional argument lists one shard's endpoints, comma-separated
 // with the primary first; shard order must match the nodes'
 // -shard-index order. Endpoints: POST /v1/range, POST /v1/nn, GET
-// /v1/stats (router.* counters and per-shard latency histograms), GET
-// /healthz (per-endpoint breaker states).
+// /v1/stats (server.* and router.* counters, per-shard latency
+// histograms, per-endpoint breaker-state gauges), GET /healthz (503
+// "building" until every shard's summary is in).
 package main
 
 import (
@@ -31,10 +33,12 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"mcost/internal/router"
+	"mcost/internal/server"
 )
 
 func main() {
@@ -52,8 +56,8 @@ func main() {
 		brkFails    = flag.Int("breaker-fails", router.DefaultBreakerFails, "consecutive failures that open an endpoint's circuit breaker")
 		brkCooldown = flag.Duration("breaker-cooldown", router.DefaultBreakerCooldown, "how long an open breaker blocks traffic before a half-open probe")
 		healthEvery = flag.Duration("health-interval", router.DefaultHealthInterval, "cadence of the /healthz polling loop over every endpoint (negative = off)")
-		planCeiling = flag.Float64("plan-ceiling", 0, "reject a query when even its cheapest per-shard plan (tree share or linear scan, whichever is cheaper, summed over shards) prices above this many node reads + distance computations (typed 422 plan_rejected; 0 = no ceiling)")
-		modelWait   = flag.Duration("model-wait", 30*time.Second, "keep retrying the boot-time /v1/model fetches this long while nodes build")
+		planCeiling = flag.Float64("plan-ceiling", 0, "reject a query when its tree fan-out, summed over shards, prices above this many node reads + distance computations (typed 422 plan_rejected; 0 = no ceiling)")
+		modelWait   = flag.Duration("model-wait", 30*time.Second, "keep polling the boot-time /v1/model fetches this long while nodes build")
 		seed        = flag.Int64("seed", 0, "retry-jitter seed (0 = from the clock)")
 	)
 	flag.Parse()
@@ -91,39 +95,55 @@ func main() {
 		BreakerFails:    *brkFails,
 		BreakerCooldown: *brkCooldown,
 		HealthInterval:  *healthEvery,
-		PlanCeiling:     *planCeiling,
 		Seed:            *seed,
 	}
 	if *retries <= 0 {
 		cfg.MaxRetries = -1 // Config: negative disables retries (0 would mean "default")
 	}
 
-	// Nodes listen before they finish building (503 "building"), so the
-	// boot-time model fetch polls until every shard's summary is up: from
-	// 10ms, doubling to a 500ms cap, so the router is ready within about
-	// as long again as the nodes took, and a slow build is not hammered.
-	fmt.Printf("fetching shard models from %d shard(s)...\n", len(shards))
+	// Listen at once, answering 503 "building" until every shard's
+	// summary is in. Nodes listen before they finish building too, so
+	// the summaries are polled every 10ms until -model-wait runs out:
+	// the router is ready within one poll of the last node.
+	var handler atomic.Value // http.Handler
+	handler.Store(server.BootingHandler())
+	httpSrv := &http.Server{Addr: *addr, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handler.Load().(http.Handler).ServeHTTP(w, r)
+	})}
+	done := make(chan error, 1)
+	go func() { done <- httpSrv.ListenAndServe() }()
+	fmt.Printf("listening on %s (booting); fetching shard models from %d shard(s)...\n", *addr, len(shards))
 	var rt *router.Router
 	var err error
 	deadline := time.Now().Add(*modelWait)
-	for wait := 10 * time.Millisecond; ; wait = min(2*wait, 500*time.Millisecond) {
-		rt, err = router.New(context.Background(), cfg)
-		if err == nil {
+	for {
+		if rt, err = router.New(context.Background(), cfg); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
 			fail(err)
 		}
-		time.Sleep(wait)
+		select {
+		case err := <-done:
+			fail(err)
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 	defer rt.Close()
-	fmt.Printf("router: %d shards, %d objects total\n", rt.Shards(), rt.Size())
-
-	httpSrv := &http.Server{Addr: *addr, Handler: rt.Handler()}
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.ListenAndServe() }()
-	fmt.Printf("routing on %s (hedge <= %g predicted nodes, %d retries, breaker opens at %d fails)\n",
-		*addr, *hedgeNodes, cfg.MaxRetries, *brkFails)
+	srv, err := server.New(server.Config{
+		Engine:      rt,
+		Decode:      rt.Decoder(),
+		PlanCeiling: *planCeiling,
+		BudgetSlack: -1, // each node budgets its own share
+		Registry:    rt.Registry(),
+	})
+	if err != nil {
+		fail(err)
+	}
+	defer srv.Close()
+	handler.Store(srv.Handler())
+	fmt.Printf("routing on %s: %d shards, %d objects total (hedge <= %g predicted nodes, %d retries, breaker opens at %d fails)\n",
+		*addr, len(shards), rt.Size(), *hedgeNodes, cfg.MaxRetries, *brkFails)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -160,15 +160,8 @@ func buildArena(t *Tree) (*Arena, error) {
 	if _, err := walk(t.root); err != nil {
 		return nil, err
 	}
-	if int(ni) < nodes {
-		// Only a restored paged tree overcounts: pages freed before its
-		// snapshot still count as nodes (see pagedStore.free).
-		a.leaf, a.start, a.end = a.leaf[:ni], a.start[:ni], a.end[:ni]
-		c := &a.columns
-		c.radius, c.parentDist, c.child, c.oid, c.objs = c.radius[:ne], c.parentDist[:ne], c.child[:ne], c.oid[:ne], c.objs[:ne]
-		if c.vecs != nil {
-			c.vecs = c.vecs[:int(ne)*a.dim]
-		}
+	if int(ni) != nodes || int(ne) != entries {
+		return nil, fmt.Errorf("mtree: arena freeze: the walk laid out %d nodes and %d entries, the store counts %d and %d", ni, ne, nodes, entries)
 	}
 	return a, nil
 }

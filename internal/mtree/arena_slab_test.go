@@ -55,9 +55,10 @@ func TestFreezeSlabsExactlySized(t *testing.T) {
 	}
 }
 
-// A restored paged tree counts the pages freed before its snapshot as
-// nodes, so its store overcounts; the freeze trims the slabs to what the
-// walk laid out.
+// A restored paged tree knows the pages freed before its snapshot: it
+// counts exactly the original's nodes, the freeze sizes the slabs to
+// them, and later inserts reuse the freed pages before growing the
+// pager.
 func TestFreezeRestoredTreeTrimsSlabs(t *testing.T) {
 	const dim = 5
 	d := dataset.PaperClustered(700, dim, 9)
@@ -86,8 +87,12 @@ func TestFreezeRestoredTreeTrimsSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.NumNodes() <= tr.NumNodes() {
-		t.Fatalf("restored store counts %d nodes, the tree has %d: no freed page to overcount", restored.NumNodes(), tr.NumNodes())
+	nodes, pages := tr.NumNodes(), p.NumPages()
+	if pages == nodes {
+		t.Fatal("no page was freed before the snapshot: the test checks nothing")
+	}
+	if restored.NumNodes() != nodes {
+		t.Fatalf("restored tree counts %d nodes, the original %d", restored.NumNodes(), nodes)
 	}
 	if err := restored.FreezeArena(ArenaConfig{}); err != nil {
 		t.Fatal(err)
@@ -108,6 +113,20 @@ func TestFreezeRestoredTreeTrimsSlabs(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameMatches(t, "restored", got, want)
+	}
+
+	for _, o := range dataset.PaperClusteredQueries(200, dim, 11).Queries {
+		if err := restored.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := restored.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	added, grown := restored.NumNodes()-nodes, p.NumPages()-pages
+	t.Logf("200 inserts added %d nodes with %d pages free; the pager grew by %d", added, pages-nodes, grown)
+	if want := max(0, added-(pages-nodes)); grown != want {
+		t.Errorf("200 inserts added %d nodes and grew the pager by %d pages with %d free; want %d", added, grown, pages-nodes, want)
 	}
 }
 

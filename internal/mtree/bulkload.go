@@ -22,7 +22,7 @@ func (t *Tree) BulkLoad(objs []metric.Object) error {
 	if t.size != 0 {
 		return errors.New("mtree: BulkLoad requires an empty tree")
 	}
-	t.ThawArena()
+	t.beginWrite()
 	if len(objs) == 0 {
 		return nil
 	}

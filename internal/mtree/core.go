@@ -175,9 +175,13 @@ func (e *engine) getScratch(q metric.Object) *scratch {
 	return sc
 }
 
+// putScratch pools sc without its last query and results: a result's
+// object may be a view into an arena slab, which a pooled scratch would
+// keep alive after its index is dropped.
 func putScratch(sc *scratch) {
 	sc.q = nil
 	sc.qv = nil
+	clear(sc.best[:cap(sc.best)])
 	scratchPool.Put(sc)
 }
 

@@ -28,7 +28,7 @@ func (t *Tree) Delete(obj metric.Object, oid uint64) error {
 	if obj == nil {
 		return errors.New("mtree: nil object")
 	}
-	t.ThawArena() // any structural change invalidates the frozen snapshot
+	t.beginWrite()
 	if t.root == pager.InvalidPage {
 		return ErrNotFound
 	}

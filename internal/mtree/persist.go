@@ -101,6 +101,7 @@ func Restore(r io.Reader, opt Options) (*Tree, error) {
 	t.height = height
 	t.size = size
 	t.nextOID = nextOID
+	t.store.(*pagedStore).root = func() pager.PageID { return t.root }
 	return t, nil
 }
 

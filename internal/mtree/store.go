@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"mcost/internal/obs"
 	"mcost/internal/pager"
@@ -102,6 +103,12 @@ type pagedStore struct {
 	codec    ObjectCodec
 	corrupt  *obs.Counter
 	freelist []pager.PageID
+	// root is set by Restore: the freelist is in memory only, so a
+	// restored store knows its freed pages once seedFreelist has walked
+	// the tree from the root — on first need, so a read-only restored
+	// tree reads no page it is not asked for.
+	root     func() pager.PageID
+	seedOnce sync.Once
 }
 
 func newPagedStore(p pager.Pager, codec ObjectCodec, corrupt *obs.Counter) *pagedStore {
@@ -170,10 +177,48 @@ func (s *pagedStore) store(n *node) error {
 }
 
 // free recycles the page for a later alloc. The freelist lives in
-// memory only: after Restore, previously-freed pages are simply not
-// reused — wasted space, never corruption.
+// memory only; a restored store recovers it with seedFreelist.
 func (s *pagedStore) free(id pager.PageID) {
 	s.freelist = append(s.freelist, id)
 }
 
-func (s *pagedStore) numNodes() int { return s.p.NumPages() - len(s.freelist) }
+// seedFreelist frees, once, every page of a restored store that an
+// uncounted walk from the root does not reach: the pages freed before
+// the snapshot. A walk that fails on a faulty or corrupt page, or finds
+// a child outside the pager or linked twice, seeds nothing: those pages
+// are then wasted space, never reused while still linked.
+func (s *pagedStore) seedFreelist() {
+	s.seedOnce.Do(func() {
+		if s.root == nil {
+			return
+		}
+		reached := make([]bool, s.p.NumPages())
+		var walk func(id pager.PageID) bool
+		walk = func(id pager.PageID) bool {
+			if int(id) >= len(reached) || reached[id] {
+				return false
+			}
+			reached[id] = true
+			n, err := s.peek(id)
+			for i := 0; err == nil && !n.leaf && i < len(n.entries); i++ {
+				if !walk(n.entries[i].Child) {
+					return false
+				}
+			}
+			return err == nil
+		}
+		if root := s.root(); root != pager.InvalidPage && !walk(root) {
+			return
+		}
+		for id, r := range reached {
+			if !r {
+				s.freelist = append(s.freelist, pager.PageID(id))
+			}
+		}
+	})
+}
+
+func (s *pagedStore) numNodes() int {
+	s.seedFreelist()
+	return s.p.NumPages() - len(s.freelist)
+}

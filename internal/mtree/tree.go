@@ -190,6 +190,16 @@ func (t *Tree) Height() int { return t.height }
 // NumNodes returns the number of nodes M in the tree.
 func (t *Tree) NumNodes() int { return t.store.numNodes() }
 
+// beginWrite readies the tree for a structural change: the frozen arena
+// no longer describes it, and a restored paged store must know its
+// freed pages before it allocates or frees one.
+func (t *Tree) beginWrite() {
+	t.ThawArena()
+	if ps, ok := t.store.(*pagedStore); ok {
+		ps.seedFreelist()
+	}
+}
+
 // PageSize returns the node size in bytes.
 func (t *Tree) PageSize() int { return t.opt.PageSize }
 
@@ -260,7 +270,7 @@ func (t *Tree) Insert(obj metric.Object) error {
 	if obj == nil {
 		return errors.New("mtree: nil object")
 	}
-	t.ThawArena() // any structural change invalidates the frozen snapshot
+	t.beginWrite()
 	if err := t.ensureCodec(obj); err != nil {
 		return err
 	}

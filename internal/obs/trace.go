@@ -67,6 +67,19 @@ type Trace struct {
 	Batches int64 `json:"batches,omitempty"`
 	// Levels is the per-level breakdown, index = level-1.
 	Levels []LevelTrace `json:"levels"`
+	// Fanouts holds one record per query of the batch, in query order,
+	// on a fan-out engine's dispatch trace; nil everywhere else.
+	Fanouts []Fanout `json:"-"`
+}
+
+// Fanout is what one query's scatter over remote shards did: the shards
+// the pivot lower bound proved empty, how many shards it called, the
+// ones that failed every attempt, and how many calls fired a hedge.
+type Fanout struct {
+	Skipped []int
+	Queried int
+	Failed  []int
+	Hedged  int
 }
 
 // NewTrace returns an empty enabled trace.

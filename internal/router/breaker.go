@@ -13,8 +13,10 @@ import (
 // single half-open probe decides between closing (success) and another
 // full cooldown (failure). The router's health loop supplies a steady
 // stream of cheap probes, so a recovered node closes its breaker within
-// one polling interval even with no query traffic.
+// one polling interval even with no query traffic. Each breaker's state
+// is a router.breaker.s<shard>.e<endpoint> gauge on /v1/stats.
 
+// breakerState is also the gauge's value: 0 closed, 1 open, 2 half-open.
 type breakerState int
 
 const (
@@ -23,23 +25,11 @@ const (
 	breakerHalfOpen
 )
 
-func (s breakerState) String() string {
-	switch s {
-	case breakerClosed:
-		return "closed"
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "?"
-	}
-}
-
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
 	opens     *obs.Counter // shared router.breaker_opens counter
+	gauge     *obs.Gauge   // this endpoint's state
 
 	mu        sync.Mutex
 	state     breakerState
@@ -47,8 +37,14 @@ type breaker struct {
 	openUntil time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration, opens *obs.Counter) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, opens: opens}
+func newBreaker(threshold int, cooldown time.Duration, opens *obs.Counter, gauge *obs.Gauge) *breaker {
+	return &breaker{threshold: threshold, cooldown: cooldown, opens: opens, gauge: gauge}
+}
+
+// set moves the breaker to state. Caller holds b.mu.
+func (b *breaker) set(state breakerState) {
+	b.state = state
+	b.gauge.Set(float64(state))
 }
 
 // allow reports whether a request may be sent through this endpoint
@@ -64,7 +60,7 @@ func (b *breaker) allow(now time.Time) bool {
 		if now.Before(b.openUntil) {
 			return false
 		}
-		b.state = breakerHalfOpen
+		b.set(breakerHalfOpen)
 		return true
 	}
 }
@@ -73,7 +69,7 @@ func (b *breaker) allow(now time.Time) bool {
 // closes and the failure streak resets.
 func (b *breaker) success() {
 	b.mu.Lock()
-	b.state = breakerClosed
+	b.set(breakerClosed)
 	b.fails = 0
 	b.mu.Unlock()
 }
@@ -85,16 +81,9 @@ func (b *breaker) failure(now time.Time) {
 	defer b.mu.Unlock()
 	b.fails++
 	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.fails >= b.threshold) {
-		b.state = breakerOpen
+		b.set(breakerOpen)
 		b.openUntil = now.Add(b.cooldown)
 		b.fails = 0
 		b.opens.Inc()
 	}
-}
-
-// snapshot returns the current state for /healthz reporting.
-func (b *breaker) snapshot() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }

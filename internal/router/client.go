@@ -25,16 +25,12 @@ type nodeMatch struct {
 	Object   json.RawMessage `json:"object"`
 }
 
-// nodeResponse is a shard node's 200 body (the server.QueryResponse
-// shape, with objects kept raw).
+// nodeResponse is the part of a shard node's 200 body the router
+// reads (the server.QueryResponse shape, with objects kept raw).
 type nodeResponse struct {
-	Matches   []nodeMatch     `json:"matches"`
-	Partial   bool            `json:"partial,omitempty"`
-	Degraded  string          `json:"degraded,omitempty"`
-	Predicted server.CostJSON `json:"predicted"`
-	Cached    bool            `json:"cached,omitempty"`
-	BatchSize int             `json:"batch_size"`
-	QueuedMS  float64         `json:"queued_ms"`
+	Matches  []nodeMatch `json:"matches"`
+	Partial  bool        `json:"partial,omitempty"`
+	Degraded string      `json:"degraded,omitempty"`
 }
 
 // nodeError classifies a failed shard call: transient failures (network
@@ -55,12 +51,13 @@ func (e *nodeError) Error() string {
 	return fmt.Sprintf("%d %s: %s", e.status, e.code, e.msg)
 }
 
-// postQuery sends one query body to one node endpoint and decodes the
-// result. timeout bounds this single attempt.
-func (rt *Router) postQuery(ctx context.Context, base, path string, body []byte, timeout time.Duration) (*nodeResponse, *nodeError) {
+// call sends one request to a node endpoint under timeout and returns
+// up to limit bytes of its 200 body. Any other status is a *nodeError
+// carrying the node's typed error code.
+func (rt *Router) call(ctx context.Context, method, url string, body []byte, timeout time.Duration, limit int64) ([]byte, *nodeError) {
 	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(actx, method, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, &nodeError{msg: err.Error(), transient: false}
 	}
@@ -70,7 +67,7 @@ func (rt *Router) postQuery(ctx context.Context, base, path string, body []byte,
 		return nil, &nodeError{msg: err.Error(), transient: true}
 	}
 	defer res.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(res.Body, rt.maxNodeBody))
+	raw, err := io.ReadAll(io.LimitReader(res.Body, limit))
 	if err != nil {
 		return nil, &nodeError{msg: err.Error(), transient: true}
 	}
@@ -87,6 +84,16 @@ func (rt *Router) postQuery(ctx context.Context, base, path string, body []byte,
 			transient: res.StatusCode >= 500 || res.StatusCode == http.StatusTooManyRequests,
 		}
 	}
+	return raw, nil
+}
+
+// postQuery sends one query body to one node endpoint and decodes the
+// result. timeout bounds this single attempt.
+func (rt *Router) postQuery(ctx context.Context, base, path string, body []byte, timeout time.Duration) (*nodeResponse, *nodeError) {
+	raw, nerr := rt.call(ctx, http.MethodPost, base+path, body, timeout, maxNodeBody)
+	if nerr != nil {
+		return nil, nerr
+	}
 	var out nodeResponse
 	if err := json.Unmarshal(raw, &out); err != nil {
 		return nil, &nodeError{msg: fmt.Sprintf("bad node response: %v", err), transient: true}
@@ -94,51 +101,26 @@ func (rt *Router) postQuery(ctx context.Context, base, path string, body []byte,
 	return &out, nil
 }
 
-// fetchSummary GETs one endpoint's /v1/model and decodes the shard
-// summary.
-func fetchSummary(ctx context.Context, client *http.Client, base string, timeout time.Duration) (*shard.Summary, error) {
-	actx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, base+"/v1/model", nil)
-	if err != nil {
-		return nil, err
-	}
-	res, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer res.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(res.Body, 16<<20))
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode != http.StatusOK {
-		var apiErr server.ErrorResponse
-		if json.Unmarshal(raw, &apiErr) == nil && apiErr.Code != "" {
-			return nil, fmt.Errorf("%s/v1/model: %d %s: %s", base, res.StatusCode, apiErr.Code, apiErr.Error)
+// fetchSummary GETs /v1/model from each endpoint of a shard group until
+// one serves the shard summary.
+func (rt *Router) fetchSummary(ctx context.Context, eps []string) (*shard.Summary, error) {
+	var lastErr error
+	for _, base := range eps {
+		var sum shard.Summary
+		raw, nerr := rt.call(ctx, http.MethodGet, base+"/v1/model", nil, modelTimeout, 16<<20)
+		if nerr != nil {
+			lastErr = fmt.Errorf("%s/v1/model: %w", base, nerr)
+		} else if err := json.Unmarshal(raw, &sum); err != nil {
+			lastErr = fmt.Errorf("%s/v1/model: %v", base, err)
+		} else {
+			return &sum, nil
 		}
-		return nil, fmt.Errorf("%s/v1/model: status %d", base, res.StatusCode)
 	}
-	var sum shard.Summary
-	if err := json.Unmarshal(raw, &sum); err != nil {
-		return nil, fmt.Errorf("%s/v1/model: %v", base, err)
-	}
-	return &sum, nil
+	return nil, lastErr
 }
 
 // probeHealth GETs one endpoint's /healthz; 200 means routable.
-func probeHealth(ctx context.Context, client *http.Client, base string, timeout time.Duration) bool {
-	actx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	res, err := client.Do(req)
-	if err != nil {
-		return false
-	}
-	defer res.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(res.Body, 1<<16))
-	return res.StatusCode == http.StatusOK
+func (rt *Router) probeHealth(base string) bool {
+	_, nerr := rt.call(context.Background(), http.MethodGet, base+"/healthz", nil, rt.cfg.HealthTimeout, 1<<16)
+	return nerr == nil
 }

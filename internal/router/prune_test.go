@@ -102,7 +102,7 @@ func TestRouterSkipsWhatTheSetSkips(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/s=%d", c.name, shards), func(t *testing.T) {
 				set, eps := setCluster(t, c.space, c.objects, shards)
 				rt := newRouter(t, router.Config{Shards: eps})
-				h := rt.Handler()
+				h := serve(t, rt, 0)
 				skippedTotal := 0
 				// Members as queries give distance-0 matches and exact ties.
 				for qi, q := range append(c.objects[:8:8], c.queries...) {
@@ -161,7 +161,7 @@ func TestSkippedShardsCountAsAnswered(t *testing.T) {
 		MaxRetries:      -1,
 		MinShardTimeout: 2 * time.Second,
 	})
-	h := rt.Handler()
+	h := serve(t, rt, 0)
 
 	// A member queried at a small radius reaches its own shard only.
 	const radius = 0.02
@@ -194,9 +194,9 @@ func TestSkippedShardsCountAsAnswered(t *testing.T) {
 		t.Fatalf("range with its one unskipped shard dead: status %d, want 200: %s", code, body)
 	}
 	qr := decodeQR(t, body)
-	if !qr.Degraded || !slices.Equal(qr.ShardsFailed, []int{only}) ||
+	if qr.Degraded != "shards_failed" || !slices.Equal(qr.ShardsFailed, []int{only}) ||
 		!slices.Equal(qr.ShardsSkipped, others) || len(qr.Matches) != 0 {
-		t.Errorf("got degraded=%v shards_failed=%v shards_skipped=%v matches=%d; want true %v %v 0",
+		t.Errorf("got degraded=%q shards_failed=%v shards_skipped=%v matches=%d; want shards_failed %v %v 0",
 			qr.Degraded, qr.ShardsFailed, qr.ShardsSkipped, len(qr.Matches), []int{only}, others)
 	}
 	if !bytes.Contains(body, []byte(`"matches":[]`)) {
@@ -261,7 +261,7 @@ func TestRouterReusesShardConnections(t *testing.T) {
 	rt := newRouter(t, router.Config{Shards: eps, HealthInterval: 5 * time.Millisecond})
 	// k-NN calls every shard, so each sees the full concurrency.
 	bodies := nnBodies(dataset.UniformQueries(queries, 4, 99).Queries, 5)
-	postFrom(workers, rt.Handler(), "/v1/nn", bodies, func(i int, rr *httptest.ResponseRecorder) {
+	postFrom(workers, serve(t, rt, 0), "/v1/nn", bodies, func(i int, rr *httptest.ResponseRecorder) {
 		if rr.Code != http.StatusOK {
 			t.Errorf("query %d: status %d: %s", i, rr.Code, rr.Body.Bytes())
 		}
@@ -282,20 +282,10 @@ func TestRouterPricesEachKOnce(t *testing.T) {
 	const workers, requests, k = 8, 1000, 10
 	c := buildCluster(t, 3)
 	rt := newRouter(t, router.Config{Shards: c.endpoints()})
-	h := rt.Handler()
+	h := serve(t, rt, 0)
 
 	var want server.CostJSON
-	for i, ts := range c.nodes {
-		res, err := http.Get(ts.URL + "/v1/model")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sum shard.Summary
-		err = json.NewDecoder(res.Body).Decode(&sum)
-		_ = res.Body.Close()
-		if err != nil {
-			t.Fatalf("shard %d summary: %v", i, err)
-		}
+	for _, sum := range c.summaries(t) {
 		model, err := sum.Model()
 		if err != nil {
 			t.Fatal(err)
@@ -339,7 +329,7 @@ func BenchmarkRouterQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer rt.Close()
-	h := rt.Handler()
+	h := serve(b, rt, 0)
 	qs := dataset.UniformQueries(64, 4, 99).Queries
 	bodies := func(mk func(metric.Vector) interface{}) [][]byte {
 		out := make([][]byte, len(qs))

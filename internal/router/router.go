@@ -1,40 +1,41 @@
-// Package router is the distributed scatter-gather tier: a thin HTTP
-// router fronting N shard nodes (mcost-serve -shard-index), each
-// holding one partition of a shared deterministic assignment. At boot
-// the router fetches every shard's F̂/L-MCM summary from GET /v1/model
-// and reconstructs the per-shard predictors locally, so each incoming
-// query is priced per shard before any network call — each (shard, k)
-// once, through the model's own price table. The predictions and the
-// pivots drive everything the tier does: shards that shard.LowerBounds
-// proves empty are skipped without being contacted, per-shard
-// timeouts are seeded from predicted cost × slack (an expensive shard
-// earns a longer leash than a trivial one), and requests are hedged to
-// a replica only when the predicted cost is below a threshold —
-// duplicating work is only rational when the work is cheap. Failures
-// degrade, never cascade: transient errors retry with capped
-// exponential backoff and jitter, per-endpoint circuit breakers (fed by
-// a /healthz polling loop and query-path outcomes) stop traffic to dead
-// nodes, and when a shard stays unreachable the router returns a typed
-// partial result ("degraded": true with shards_failed) built from the
-// shards that answered — merged in the same canonical order as the
-// in-process sharded mcost.Index, so a healthy tier is bit-identical to
-// one process holding all the data.
+// Package router is the distributed scatter-gather tier: an engine over
+// N shard nodes (mcost-serve -shard-index), each holding one partition
+// of a shared deterministic assignment, which mcost-router serves
+// through internal/server like any other engine. At boot the router
+// fetches every shard's F̂/L-MCM summary from GET /v1/model and
+// reconstructs the per-shard predictors locally, so each query is
+// priced per shard before any network call — each (shard, k) once,
+// through the model's own price table. The predictions and the pivots
+// drive everything the tier does: shards that shard.LowerBounds proves
+// empty are skipped without being contacted, per-shard timeouts are
+// seeded from predicted cost × slack (an expensive shard earns a longer
+// leash than a trivial one), and requests are hedged to a replica only
+// when the predicted cost is below a threshold — duplicating work is
+// only rational when the work is cheap. Failures degrade, never
+// cascade: transient errors retry with capped exponential backoff and
+// jitter, per-endpoint circuit breakers (fed by a /healthz polling loop
+// and query-path outcomes) stop traffic to dead nodes, and when a shard
+// stays unreachable the query returns server.ErrShardsFailed with the
+// merge of the shards that answered — in the same canonical order as
+// the in-process sharded mcost.Index, so a healthy tier is
+// bit-identical to one process holding all the data.
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
+	"mcost/internal/advisor"
+	"mcost/internal/budget"
 	"mcost/internal/core"
 	"mcost/internal/metric"
+	"mcost/internal/mtree"
 	"mcost/internal/obs"
 	"mcost/internal/server"
 	"mcost/internal/shard"
@@ -43,8 +44,6 @@ import (
 // Defaults for Config's zero values.
 const (
 	DefaultSlackFactor     = 4.0
-	DefaultNSPerNodeRead   = 100_000 // 100µs per predicted node read
-	DefaultNSPerDistCalc   = 1_000   // 1µs per predicted distance
 	DefaultMinShardTimeout = 1 * time.Second
 	DefaultMaxShardTimeout = 10 * time.Second
 	DefaultMaxRetries      = 2
@@ -54,8 +53,17 @@ const (
 	DefaultBreakerCooldown = 1 * time.Second
 	DefaultHealthInterval  = 250 * time.Millisecond
 	DefaultHealthTimeout   = 500 * time.Millisecond
-	DefaultModelTimeout    = 10 * time.Second
-	DefaultMaxNodeBody     = 64 << 20
+)
+
+const (
+	// nsPerNodeRead and nsPerDistCalc convert the L-MCM prediction into
+	// nanoseconds for timeout seeding.
+	nsPerNodeRead = 100_000 // 100µs per predicted node read
+	nsPerDistCalc = 1_000   // 1µs per predicted distance
+	// modelTimeout bounds each boot-time /v1/model fetch.
+	modelTimeout = 10 * time.Second
+	// maxNodeBody caps a node's response body.
+	maxNodeBody = 64 << 20
 )
 
 // Config assembles a Router.
@@ -65,21 +73,11 @@ type Config struct {
 	// primary first, replicas after. Every shard needs at least one
 	// endpoint (required).
 	Shards [][]string
-	// Client performs all node HTTP calls (nil uses a dedicated client;
-	// per-call timeouts come from contexts, not the client).
-	Client *http.Client
 	// Registry receives the router.* metrics (nil allocates one).
 	Registry *obs.Registry
-	// MaxBodyBytes caps incoming request bodies (0 picks the server
-	// default).
-	MaxBodyBytes int64
 	// SlackFactor scales predicted cost into the per-shard timeout
 	// (0 picks DefaultSlackFactor).
 	SlackFactor float64
-	// NSPerNodeRead / NSPerDistCalc convert the L-MCM prediction into
-	// nanoseconds for timeout seeding (0 picks the defaults).
-	NSPerNodeRead float64
-	NSPerDistCalc float64
 	// MinShardTimeout / MaxShardTimeout clamp the seeded timeout: the
 	// floor absorbs network and queueing overhead the cost model does
 	// not price; the ceiling bounds how long a shard can stall a
@@ -114,66 +112,35 @@ type Config struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one health probe (0 picks the default).
 	HealthTimeout time.Duration
-	// ModelTimeout bounds each boot-time /v1/model fetch (0 picks the
-	// default).
-	ModelTimeout time.Duration
-	// PlanCeiling rejects queries whose cheapest plan — per shard the
-	// cheaper of the tree fan-out share and a linear scan of the shard,
-	// summed — prices above this many node reads + distance computations,
-	// with a typed 422 plan_rejected. Zero disables the ceiling. Requires
-	// shard summaries carrying scan_pages (nodes built with the planner).
-	PlanCeiling float64
 	// Seed seeds the retry jitter (0 seeds from the clock).
 	Seed int64
 }
 
 func (c Config) withDefaults() Config {
-	if c.SlackFactor <= 0 {
-		c.SlackFactor = DefaultSlackFactor
-	}
-	if c.NSPerNodeRead <= 0 {
-		c.NSPerNodeRead = DefaultNSPerNodeRead
-	}
-	if c.NSPerDistCalc <= 0 {
-		c.NSPerDistCalc = DefaultNSPerDistCalc
-	}
-	if c.MinShardTimeout <= 0 {
-		c.MinShardTimeout = DefaultMinShardTimeout
-	}
-	if c.MaxShardTimeout <= 0 {
-		c.MaxShardTimeout = DefaultMaxShardTimeout
-	}
+	c.SlackFactor = positiveOr(c.SlackFactor, DefaultSlackFactor)
+	c.MinShardTimeout = positiveOr(c.MinShardTimeout, DefaultMinShardTimeout)
+	c.MaxShardTimeout = positiveOr(c.MaxShardTimeout, DefaultMaxShardTimeout)
 	if c.MaxRetries == 0 {
 		c.MaxRetries = DefaultMaxRetries
 	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = DefaultRetryBase
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = DefaultRetryMax
-	}
-	if c.BreakerFails <= 0 {
-		c.BreakerFails = DefaultBreakerFails
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = DefaultBreakerCooldown
-	}
+	c.MaxRetries = max(c.MaxRetries, 0)
+	c.RetryBase = positiveOr(c.RetryBase, DefaultRetryBase)
+	c.RetryMax = positiveOr(c.RetryMax, DefaultRetryMax)
+	c.BreakerFails = positiveOr(c.BreakerFails, DefaultBreakerFails)
+	c.BreakerCooldown = positiveOr(c.BreakerCooldown, DefaultBreakerCooldown)
 	if c.HealthInterval == 0 {
 		c.HealthInterval = DefaultHealthInterval
 	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = DefaultHealthTimeout
-	}
-	if c.ModelTimeout <= 0 {
-		c.ModelTimeout = DefaultModelTimeout
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = server.DefaultMaxBodyBytes
-	}
+	c.HealthTimeout = positiveOr(c.HealthTimeout, DefaultHealthTimeout)
 	return c
+}
+
+// positiveOr is v, or def when v is zero or negative.
+func positiveOr[T int | float64 | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
 }
 
 // endpoint is one node address serving a shard, with its breaker.
@@ -189,7 +156,6 @@ type shardState struct {
 	index     int
 	model     *core.MTreeModel
 	size      int
-	scanPages int // 0 when the node's summary predates the planner
 	endpoints []*endpoint
 	latency   *obs.Hist
 }
@@ -206,44 +172,36 @@ func (st *shardState) allowed(now time.Time) []*endpoint {
 	return out
 }
 
-// priceRange is the shard's L-MCM range prediction — the same term the
-// node itself computes, because the summary round-trips the model
-// exactly.
-func (st *shardState) priceRange(radius float64) core.CostEstimate {
-	return st.model.RangeL(radius)
-}
-
-// priceNN is the shard's L-MCM k-NN prediction with k clamped to the
-// shard size, mirroring Shard.priceNN. The models are fetched once at
-// boot, so each (shard, k) is integrated once for the router's life.
-func (st *shardState) priceNN(k int) core.CostEstimate {
-	if k > st.size {
-		k = st.size
+// price is the shard's L-MCM prediction — the same term the node itself
+// computes, because the summary round-trips the model exactly. A k-NN's
+// k is clamped to the shard size, mirroring Shard.priceNN; the models
+// are fetched once at boot, so each (shard, k) is integrated once for
+// the router's life.
+func (st *shardState) price(nn bool, radius float64, k int) core.CostEstimate {
+	if !nn {
+		return st.model.RangeL(radius)
 	}
-	if k < 1 {
+	if k = min(k, st.size); k < 1 {
 		return core.CostEstimate{}
 	}
 	return st.model.NNLCached(k)
 }
 
-// priceScan is the shard's linear-scan cost: every page read, every
-// object compared. Valid only when the summary carried scan_pages.
-func (st *shardState) priceScan() core.CostEstimate {
-	return core.CostEstimate{Nodes: float64(st.scanPages), Dists: float64(st.size)}
-}
-
-// Router is the scatter-gather tier. Create with New, expose with
-// Handler, Close to stop the health loop.
+// Router is the scatter-gather engine over remote shards: a
+// server.Engine and server.Planner. Create with New, serve through
+// server.New, Close to stop the health loop.
 type Router struct {
-	cfg         Config
-	client      *http.Client
-	reg         *obs.Registry
-	space       *metric.Space
-	decode      server.ObjectDecoder
-	shards      []*shardState
-	balls       []shard.Ball // per shard, what shard.LowerBounds prunes with
-	totalSize   int
-	maxNodeBody int64
+	cfg       Config
+	client    *http.Client
+	reg       *obs.Registry
+	space     *metric.Space
+	decode    server.ObjectDecoder
+	shards    []*shardState
+	balls     []shard.Ball // per shard, what shard.LowerBounds prunes with
+	totalSize int
+	numNodes  int
+	height    int
+	scan      core.CostEstimate // a linear scan of every shard
 
 	jmu  sync.Mutex
 	jrng *rand.Rand
@@ -253,8 +211,6 @@ type Router struct {
 	closeOnce sync.Once
 
 	cRequests      *obs.Counter
-	cRejected      *obs.Counter
-	cErrors        *obs.Counter
 	cDegraded      *obs.Counter
 	cShardCalls    *obs.Counter
 	cShardFailures *obs.Counter
@@ -264,13 +220,6 @@ type Router struct {
 	cHedgesWon     *obs.Counter
 	cHedgesLost    *obs.Counter
 	cBreakerOpens  *obs.Counter
-	cPlanTree      *obs.Counter
-	cPlanScan      *obs.Counter
-	cPlanRejected  *obs.Counter
-
-	// canPlan is true when every shard summary carried scan_pages, so
-	// the router can price the scan side of each shard's plan.
-	canPlan bool
 }
 
 // New fetches every shard's model summary, validates that the summaries
@@ -288,17 +237,14 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 			return nil, fmt.Errorf("router: shard %d has no endpoints", i)
 		}
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: newTransport()}
-		// A boot loop calls New until the nodes are up; a failed attempt
-		// must not leave its connections behind.
-		defer func() {
-			if err != nil {
-				client.CloseIdleConnections()
-			}
-		}()
-	}
+	client := &http.Client{Transport: newTransport()}
+	// A boot loop calls New until the nodes are up; a failed attempt
+	// must not leave its connections behind.
+	defer func() {
+		if err != nil {
+			client.CloseIdleConnections()
+		}
+	}()
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -311,12 +257,9 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 		cfg:            cfg,
 		client:         client,
 		reg:            reg,
-		maxNodeBody:    DefaultMaxNodeBody,
 		jrng:           rand.New(rand.NewSource(seed)),
 		stop:           make(chan struct{}),
 		cRequests:      reg.Counter("router.requests"),
-		cRejected:      reg.Counter("router.rejected"),
-		cErrors:        reg.Counter("router.errors"),
 		cDegraded:      reg.Counter("router.degraded"),
 		cShardCalls:    reg.Counter("router.shard_calls"),
 		cShardFailures: reg.Counter("router.shard_failures"),
@@ -326,15 +269,11 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 		cHedgesWon:     reg.Counter("router.hedges_won"),
 		cHedgesLost:    reg.Counter("router.hedges_lost"),
 		cBreakerOpens:  reg.Counter("router.breaker_opens"),
-		cPlanTree:      reg.Counter("router.plan_tree"),
-		cPlanScan:      reg.Counter("router.plan_scan"),
-		cPlanRejected:  reg.Counter("router.plan_rejected"),
-		canPlan:        true,
 	}
 
 	var first *shard.Summary
 	for i, eps := range cfg.Shards {
-		sum, err := rt.fetchShardSummary(ctx, eps)
+		sum, err := rt.fetchSummary(ctx, eps)
 		if err != nil {
 			return nil, fmt.Errorf("router: shard %d: %w", i, err)
 		}
@@ -377,23 +316,26 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 		}
 		rt.balls = append(rt.balls, shard.Ball{Pivot: pivot, Radius: sum.Radius})
 		st := &shardState{
-			index:     i,
-			model:     model,
-			size:      sum.Size,
-			scanPages: sum.ScanPages,
-			latency:   reg.Hist(fmt.Sprintf("router.shard_latency_ms.s%d", i), 40, 0, 2000),
+			index:   i,
+			model:   model,
+			size:    sum.Size,
+			latency: reg.Hist(fmt.Sprintf("router.shard_latency_ms.s%d", i), 40, 0, 2000),
 		}
-		if sum.ScanPages <= 0 {
-			rt.canPlan = false
-		}
-		for _, base := range eps {
+		for j, base := range eps {
+			gauge := reg.Gauge(fmt.Sprintf("router.breaker.s%d.e%d", i, j))
 			st.endpoints = append(st.endpoints, &endpoint{
 				base: base,
-				brk:  newBreaker(cfg.BreakerFails, cfg.BreakerCooldown, rt.cBreakerOpens),
+				brk:  newBreaker(cfg.BreakerFails, cfg.BreakerCooldown, rt.cBreakerOpens, gauge),
 			})
 		}
 		rt.shards = append(rt.shards, st)
 		rt.totalSize += sum.Size
+		for _, l := range sum.Levels {
+			rt.numNodes += l.Nodes
+		}
+		rt.height = max(rt.height, sum.Height)
+		rt.scan.Nodes += float64(sum.ScanPages)
+		rt.scan.Dists += float64(sum.Size)
 	}
 
 	if cfg.HealthInterval > 0 {
@@ -422,20 +364,6 @@ func newTransport() *http.Transport {
 	}
 }
 
-// fetchShardSummary tries each endpoint of a shard group until one
-// serves /v1/model.
-func (rt *Router) fetchShardSummary(ctx context.Context, eps []string) (*shard.Summary, error) {
-	var lastErr error
-	for _, base := range eps {
-		sum, err := fetchSummary(ctx, rt.client, base, rt.cfg.ModelTimeout)
-		if err == nil {
-			return sum, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
 // Close stops the health loop and drops the idle node connections.
 // In-flight requests finish on their own.
 func (rt *Router) Close() {
@@ -447,315 +375,209 @@ func (rt *Router) Close() {
 // Registry returns the router's metrics registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
-// Shards returns the number of shards the router fronts.
-func (rt *Router) Shards() int { return len(rt.shards) }
+// Decoder returns the query decoder the shards' space and object kind
+// call for.
+func (rt *Router) Decoder() server.ObjectDecoder { return rt.decode }
 
 // Size returns the total object count across shards.
 func (rt *Router) Size() int { return rt.totalSize }
 
-// Handler returns the route mux.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/range", rt.handleQuery(false))
-	mux.HandleFunc("/v1/nn", rt.handleQuery(true))
-	mux.HandleFunc("/v1/stats", rt.handleStats)
-	mux.HandleFunc("/healthz", rt.handleHealth)
-	return mux
+// NumNodes returns the tree nodes across shards, as of their summaries.
+func (rt *Router) NumNodes() int { return rt.numNodes }
+
+// Height returns the tallest shard tree's height.
+func (rt *Router) Height() int { return rt.height }
+
+// PageSize returns 0: the summaries do not carry the nodes' page size.
+func (rt *Router) PageSize() int { return 0 }
+
+// PriceRange and PriceNN sum the shards' predictions in shard order,
+// skipped shards included — the figure the in-process sharded Index
+// quotes as its tree price.
+func (rt *Router) PriceRange(radius float64) core.CostEstimate { return rt.price(false, radius, 0) }
+func (rt *Router) PriceNN(k int) core.CostEstimate             { return rt.price(true, 0, k) }
+
+func (rt *Router) price(nn bool, radius float64, k int) core.CostEstimate {
+	var total core.CostEstimate
+	for _, st := range rt.shards {
+		est := st.price(nn, radius, k)
+		total.Nodes += est.Nodes
+		total.Dists += est.Dists
+	}
+	return total
 }
 
-// healthLoop probes every endpoint's /healthz on a fixed cadence and
-// feeds the outcomes to the breakers: a dead node's breaker opens even
-// with no query traffic, and a recovered node closes within one
-// interval.
-func (rt *Router) healthLoop() {
-	defer rt.wg.Done()
-	t := time.NewTicker(rt.cfg.HealthInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-rt.stop:
-			return
-		case <-t.C:
-			rt.probeAll()
-		}
+// PlanRange and PlanNN quote the one plan the nodes can run: a node
+// serves only its tree, so the query is the tree fan-out, priced beside
+// a linear scan of every shard. The server's plan ceiling is then
+// enforced against the fan-out's summed tree price.
+func (rt *Router) PlanRange(radius float64) (advisor.Decision, error) {
+	return rt.plan(rt.PriceRange(radius)), nil
+}
+
+func (rt *Router) PlanNN(k int) (advisor.Decision, error) { return rt.plan(rt.PriceNN(k)), nil }
+
+func (rt *Router) plan(tree core.CostEstimate) advisor.Decision {
+	return advisor.Decision{
+		Engine:        advisor.EngineFanout,
+		PredictedTree: tree,
+		PredictedScan: rt.scan,
+		Reason:        "shard nodes run only their trees; the scan is priced for comparison",
 	}
 }
 
-func (rt *Router) probeAll() {
+// RangeBatchTraced and NNBatchTraced scatter each query of the batch to
+// its shards and gather the answers; tr receives one obs.Fanout per
+// query. The budget is not forwarded: each node budgets its own share
+// from its own prediction. A node's budget or deadline partial returns
+// budget.ErrExceeded or context.DeadlineExceeded with the matches, shard
+// loss server.ErrShardsFailed with the surviving shards' merge.
+func (rt *Router) RangeBatchTraced(ctx context.Context, qs []metric.Object, radius float64, _ budget.Budget, tr *obs.Trace) ([][]mtree.Match, error) {
+	return rt.scatter(ctx, qs, false, radius, 0, tr)
+}
+
+func (rt *Router) NNBatchTraced(ctx context.Context, qs []metric.Object, k int, _ budget.Budget, tr *obs.Trace) ([][]mtree.Match, error) {
+	return rt.scatter(ctx, qs, true, 0, k, tr)
+}
+
+func (rt *Router) scatter(ctx context.Context, qs []metric.Object, nn bool, radius float64, k int, tr *obs.Trace) ([][]mtree.Match, error) {
+	fos := make([]obs.Fanout, len(qs)) // one slot per concurrent query
+	if tr != nil {
+		tr.Fanouts = fos
+	}
+	sets := make([][]mtree.Match, len(qs))
+	errs := make([]error, len(qs))
 	var wg sync.WaitGroup
-	for _, st := range rt.shards {
-		for _, ep := range st.endpoints {
-			wg.Add(1)
-			go func(ep *endpoint) {
-				defer wg.Done()
-				if probeHealth(context.Background(), rt.client, ep.base, rt.cfg.HealthTimeout) {
-					ep.brk.success()
-				} else {
-					ep.brk.failure(time.Now())
-				}
-			}(ep)
-		}
+	for i, q := range qs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sets[i], errs[i] = rt.query(ctx, q, nn, radius, k, &fos[i])
+		}()
 	}
 	wg.Wait()
+	return sets, errors.Join(errs...)
 }
 
-// Match is one merged result on the router's wire: the object bytes are
-// exactly what the shard node returned.
-type Match struct {
-	OID      uint64          `json:"oid"`
-	Distance float64         `json:"distance"`
-	Object   json.RawMessage `json:"object"`
-}
-
-// QueryResponse is the 200 body of the router's /v1/range and /v1/nn.
-type QueryResponse struct {
-	Matches []Match `json:"matches"`
-	// Partial mirrors a node-level degradation (budget or deadline
-	// stop inside a shard): every match is valid, completeness within a
-	// shard was traded away.
-	Partial bool `json:"partial,omitempty"`
-	// Degraded reports shard-level loss: one or more shards failed
-	// every attempt and their results are missing. ShardsFailed lists
-	// them; ShardsSkipped lists shards the pivot lower bound proved
-	// empty (a proof, not a degradation: a skipped shard has answered).
-	Degraded      bool  `json:"degraded,omitempty"`
-	ShardsFailed  []int `json:"shards_failed,omitempty"`
-	ShardsSkipped []int `json:"shards_skipped,omitempty"`
-	ShardsQueried int   `json:"shards_queried"`
-	// Hedged counts shard calls that fired a hedge for this request.
-	Hedged int `json:"hedged,omitempty"`
-	// Predicted is the summed L-MCM prediction over all shards — the
-	// same figure the in-process sharded Index quotes as its tree price.
-	Predicted server.CostJSON `json:"predicted"`
-	// Plan is the router's per-shard plan from the round-tripped models
-	// (absent when any shard's summary predates the planner).
-	Plan *RoutePlan `json:"plan,omitempty"`
-}
-
-// RoutePlan is the router's breakdown-aware view of one query: per
-// shard, the cheaper of the tree fan-out share and a linear scan of
-// that shard, decided from the round-tripped models alone.
-type RoutePlan struct {
-	// Engines[i] is shard i's cheaper engine, "tree" or "scan".
-	Engines []string `json:"engines"`
-	// PredictedTree and PredictedScan are the summed all-tree and
-	// all-scan alternatives; Cheapest sums each shard's cheaper side —
-	// the figure the plan ceiling is enforced against.
-	PredictedTree server.CostJSON `json:"predicted_tree"`
-	PredictedScan server.CostJSON `json:"predicted_scan"`
-	Cheapest      server.CostJSON `json:"cheapest"`
-}
-
-// errorBody is every non-200 router body.
-type errorBody struct {
-	Code         string `json:"code"`
-	Error        string `json:"error"`
-	ShardsFailed []int  `json:"shards_failed,omitempty"`
-}
-
-// shardPlan is one shard's share of a scatter: what to send, how long
-// to wait, and whether the predicted cost earns a hedge.
-type shardPlan struct {
+// shardCall is one shard's share of a scatter: what to send, how long
+// to wait, and the predicted cost that decides whether it earns a hedge;
+// then the answer, the hedges fired, and the error if every attempt
+// failed.
+type shardCall struct {
 	st      *shardState
+	path    string
 	body    []byte
 	est     core.CostEstimate
 	timeout time.Duration
+
+	res    *nodeResponse
+	hedged int
+	err    error
+}
+
+// query prices, prunes, scatters and gathers one query, recording what
+// it did in fo.
+func (rt *Router) query(ctx context.Context, q metric.Object, nn bool, radius float64, k int, fo *obs.Fanout) ([]mtree.Match, error) {
+	rt.cRequests.Inc()
+	raw, err := json.Marshal(q)
+	if err != nil {
+		return nil, err
+	}
+	path := "/v1/range"
+	var lb []float64 // k-NN has no radius to compare a bound with
+	if nn {
+		path = "/v1/nn"
+	} else {
+		lb = shard.LowerBounds(rt.space, q, rt.balls)
+	}
+	var calls []shardCall
+	for _, st := range rt.shards {
+		if !nn && lb[st.index] > radius {
+			fo.Skipped = append(fo.Skipped, st.index)
+			rt.cShardsSkipped.Inc()
+			continue
+		}
+		body, err := shardBody(raw, nn, radius, min(k, st.size))
+		if err != nil {
+			return nil, err
+		}
+		est := st.price(nn, radius, k)
+		calls = append(calls, shardCall{st: st, path: path, body: body, est: est, timeout: rt.timeoutFor(est)})
+	}
+	fo.Queried = len(calls)
+
+	// Scatter. Each shard runs its own hedge/retry state machine;
+	// results land in call order, which is shard order.
+	var wg sync.WaitGroup
+	for ci := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &calls[ci]
+			c.res, c.hedged, c.err = rt.queryShard(ctx, *c)
+		}()
+	}
+	wg.Wait()
+
+	// Gather. Range results concatenate in shard order; k-NN results
+	// merge by (distance, OID) and truncate — the canonical orders the
+	// in-process Set uses, so the healthy path is bit-identical.
+	matches := []mtree.Match{}
+	var partial, firstErr error
+	for _, c := range calls {
+		if c.err != nil {
+			fo.Failed = append(fo.Failed, c.st.index)
+			if firstErr == nil {
+				firstErr = c.err
+			}
+			continue
+		}
+		fo.Hedged += c.hedged
+		switch {
+		case !c.res.Partial:
+		case c.res.Degraded == "deadline":
+			partial = context.DeadlineExceeded
+		default:
+			partial = budget.ErrExceeded
+		}
+		for _, m := range c.res.Matches {
+			matches = append(matches, mtree.Match{OID: m.OID, Distance: m.Distance, Object: m.Object})
+		}
+	}
+	if nn {
+		matches = shard.MergeK(matches, nil, k)
+	}
+	if len(fo.Failed) > 0 {
+		if len(fo.Failed) < len(calls) || len(fo.Skipped) > 0 {
+			rt.cDegraded.Inc()
+		}
+		return matches, fmt.Errorf("%w: %d of %d queried shards failed; first error: %v",
+			server.ErrShardsFailed, len(fo.Failed), len(calls), firstErr)
+	}
+	return matches, partial
 }
 
 // timeoutFor seeds a shard timeout from its predicted cost: cost
 // converted to nanoseconds, scaled by slack, clamped.
 func (rt *Router) timeoutFor(est core.CostEstimate) time.Duration {
-	ns := (est.Nodes*rt.cfg.NSPerNodeRead + est.Dists*rt.cfg.NSPerDistCalc) * rt.cfg.SlackFactor
-	d := time.Duration(ns) * time.Nanosecond
-	if d < rt.cfg.MinShardTimeout {
-		d = rt.cfg.MinShardTimeout
-	}
-	if d > rt.cfg.MaxShardTimeout {
-		d = rt.cfg.MaxShardTimeout
-	}
-	return d
+	d := time.Duration((est.Nodes*nsPerNodeRead + est.Dists*nsPerDistCalc) * rt.cfg.SlackFactor)
+	return min(max(d, rt.cfg.MinShardTimeout), rt.cfg.MaxShardTimeout)
 }
 
-// handleQuery prices, prunes, scatters, and gathers one query.
-func (rt *Router) handleQuery(nn bool) http.HandlerFunc {
-	path := "/v1/range"
+// shardBody builds the per-shard request body around the encoded query.
+// A k-NN's k comes clamped to the shard's size — same answer, and it
+// keeps the node's own MaxK validation happy.
+func shardBody(query json.RawMessage, nn bool, radius float64, k int) ([]byte, error) {
 	if nn {
-		path = "/v1/nn"
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.cRequests.Inc()
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			rt.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "query endpoints accept POST only")
-			return
-		}
-		r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
-		req, aerr := server.DecodeQueryRequest(r.Body, nn, rt.decode, rt.totalSize)
-		if aerr != nil {
-			rt.reject(w, aerr.Status, aerr.Code, aerr.Msg)
-			return
-		}
-
-		// Price every shard and plan the scatter. The response quotes the
-		// full sum (what the in-process engine would predict); skipped
-		// shards still contribute to the quote but not to the fan-out.
-		var total, totalScan, cheapest core.CostEstimate
-		var planEngines []string
-		var skipped []int
-		var plans []shardPlan
-		var lb []float64 // k-NN has no radius to compare a bound with
-		if !nn {
-			lb = shard.LowerBounds(rt.space, req.Query, rt.balls)
-		}
-		for _, st := range rt.shards {
-			var est core.CostEstimate
-			if nn {
-				est = st.priceNN(req.K)
-			} else {
-				est = st.priceRange(req.Radius)
-			}
-			total.Nodes += est.Nodes
-			total.Dists += est.Dists
-			if rt.canPlan {
-				// Per-shard plan choice from the round-tripped models: the
-				// cheaper of this shard's tree share and its linear scan.
-				scan := st.priceScan()
-				totalScan.Nodes += scan.Nodes
-				totalScan.Dists += scan.Dists
-				if est.Nodes+est.Dists <= scan.Nodes+scan.Dists {
-					cheapest.Nodes += est.Nodes
-					cheapest.Dists += est.Dists
-					planEngines = append(planEngines, "tree")
-					rt.cPlanTree.Inc()
-				} else {
-					cheapest.Nodes += scan.Nodes
-					cheapest.Dists += scan.Dists
-					planEngines = append(planEngines, "scan")
-					rt.cPlanScan.Inc()
-				}
-			}
-			if !nn && lb[st.index] > req.Radius {
-				skipped = append(skipped, st.index)
-				rt.cShardsSkipped.Inc()
-				continue
-			}
-			body, err := shardBody(req, nn, st.size)
-			if err != nil {
-				rt.cErrors.Inc()
-				rt.reject(w, http.StatusInternalServerError, "internal", err.Error())
-				return
-			}
-			plans = append(plans, shardPlan{st: st, body: body, est: est, timeout: rt.timeoutFor(est)})
-		}
-		if rt.canPlan && rt.cfg.PlanCeiling > 0 && cheapest.Nodes+cheapest.Dists > rt.cfg.PlanCeiling {
-			rt.cPlanRejected.Inc()
-			rt.reject(w, http.StatusUnprocessableEntity, "plan_rejected",
-				fmt.Sprintf("cheapest plan prices at %.0f node reads + distance computations across %d shards, above the ceiling %.0f",
-					cheapest.Nodes+cheapest.Dists, len(rt.shards), rt.cfg.PlanCeiling))
-			return
-		}
-
-		resp := QueryResponse{
-			Matches:       []Match{},
-			ShardsSkipped: skipped,
-			ShardsQueried: len(plans),
-			Predicted:     server.CostJSON{NodeReads: total.Nodes, DistCalcs: total.Dists},
-		}
-		if rt.canPlan {
-			resp.Plan = &RoutePlan{
-				Engines:       planEngines,
-				PredictedTree: server.CostJSON{NodeReads: total.Nodes, DistCalcs: total.Dists},
-				PredictedScan: server.CostJSON{NodeReads: totalScan.Nodes, DistCalcs: totalScan.Dists},
-				Cheapest:      server.CostJSON{NodeReads: cheapest.Nodes, DistCalcs: cheapest.Dists},
-			}
-		}
-		if len(plans) == 0 {
-			rt.writeJSON(w, http.StatusOK, resp)
-			return
-		}
-
-		// Scatter. Each shard runs its own hedge/retry state machine;
-		// results land in plan order, which is shard order.
-		results := make([]*nodeResponse, len(plans))
-		failures := make([]error, len(plans))
-		hedged := make([]int, len(plans))
-		var wg sync.WaitGroup
-		for pi := range plans {
-			wg.Add(1)
-			go func(pi int) {
-				defer wg.Done()
-				results[pi], hedged[pi], failures[pi] = rt.queryShard(r.Context(), path, plans[pi])
-			}(pi)
-		}
-		wg.Wait()
-
-		// Gather. Range results concatenate in shard order; k-NN results
-		// merge by (distance, OID) and truncate — the canonical orders the
-		// in-process Set uses, so the healthy path is bit-identical.
-		var failed []int
-		for pi, plan := range plans {
-			if failures[pi] != nil {
-				failed = append(failed, plan.st.index)
-				continue
-			}
-			res := results[pi]
-			if res.Partial {
-				resp.Partial = true
-			}
-			resp.Hedged += hedged[pi]
-			for _, m := range res.Matches {
-				resp.Matches = append(resp.Matches, Match{OID: m.OID, Distance: m.Distance, Object: m.Object})
-			}
-		}
-		if len(failed) == len(plans) && len(skipped) == 0 {
-			// A skipped shard has answered — with the empty set, by proof —
-			// so only a query that skipped none can have heard from nobody.
-			rt.cErrors.Inc()
-			rt.writeJSON(w, http.StatusServiceUnavailable, errorBody{
-				Code:         "all_shards_failed",
-				Error:        fmt.Sprintf("all %d queried shards failed; first error: %v", len(plans), failures[0]),
-				ShardsFailed: failed,
-			})
-			return
-		}
-		if nn {
-			sort.Slice(resp.Matches, func(i, j int) bool {
-				if resp.Matches[i].Distance != resp.Matches[j].Distance {
-					return resp.Matches[i].Distance < resp.Matches[j].Distance
-				}
-				return resp.Matches[i].OID < resp.Matches[j].OID
-			})
-			if len(resp.Matches) > req.K {
-				resp.Matches = resp.Matches[:req.K]
-			}
-		}
-		if len(failed) > 0 {
-			resp.Degraded = true
-			resp.ShardsFailed = failed
-			rt.cDegraded.Inc()
-		}
-		rt.writeJSON(w, http.StatusOK, resp)
-	}
-}
-
-// shardBody builds the per-shard request body. The query bytes are
-// forwarded verbatim; a k above the shard's size is clamped to it —
-// same answer, and it keeps the node's own MaxK validation happy.
-func shardBody(req server.QueryRequest, nn bool, shardSize int) ([]byte, error) {
-	if nn {
-		k := req.K
-		if k > shardSize {
-			k = shardSize
-		}
 		return json.Marshal(struct {
 			Query json.RawMessage `json:"query"`
 			K     int             `json:"k"`
-		}{req.Raw, k})
+		}{query, k})
 	}
 	return json.Marshal(struct {
 		Query  json.RawMessage `json:"query"`
 		Radius float64         `json:"radius"`
-	}{req.Raw, req.Radius})
+	}{query, radius})
 }
 
 var errNoEndpoints = &nodeError{code: "breaker_open", msg: "no routable endpoint (all breakers open)", transient: true}
@@ -764,7 +586,7 @@ var errNoEndpoints = &nodeError{code: "breaker_open", msg: "no routable endpoint
 // attempt, then retries with capped exponential backoff over whichever
 // endpoints the breakers still admit. Returns the node response, how
 // many hedges fired, and the final error if every attempt failed.
-func (rt *Router) queryShard(ctx context.Context, path string, p shardPlan) (*nodeResponse, int, error) {
+func (rt *Router) queryShard(ctx context.Context, c shardCall) (*nodeResponse, int, error) {
 	var lastErr error = errNoEndpoints
 	hedges := 0
 	for attempt := 0; attempt <= rt.cfg.MaxRetries; attempt++ {
@@ -774,17 +596,17 @@ func (rt *Router) queryShard(ctx context.Context, path string, p shardPlan) (*no
 				return nil, hedges, ctx.Err()
 			}
 		}
-		eps := p.st.allowed(time.Now())
+		eps := c.st.allowed(time.Now())
 		if len(eps) == 0 {
 			lastErr = errNoEndpoints
 			continue
 		}
 		primary := eps[attempt%len(eps)]
 		var hedge *endpoint
-		if len(eps) >= 2 && rt.cfg.HedgeMaxNodes > 0 && p.est.Nodes <= rt.cfg.HedgeMaxNodes {
+		if len(eps) >= 2 && rt.cfg.HedgeMaxNodes > 0 && c.est.Nodes <= rt.cfg.HedgeMaxNodes {
 			hedge = eps[(attempt+1)%len(eps)]
 		}
-		res, fired, err := rt.attemptHedged(ctx, path, p, primary, hedge)
+		res, fired, err := rt.attemptHedged(ctx, c, primary, hedge)
 		hedges += fired
 		if err == nil {
 			return res, hedges, nil
@@ -804,10 +626,7 @@ func (rt *Router) queryShard(ctx context.Context, path string, p shardPlan) (*no
 // backoff sleeps the capped exponential delay (plus jitter) before
 // retry number attempt; false means the request context died first.
 func (rt *Router) backoff(ctx context.Context, attempt int) bool {
-	d := rt.cfg.RetryBase << (attempt - 1)
-	if d > rt.cfg.RetryMax {
-		d = rt.cfg.RetryMax
-	}
+	d := min(rt.cfg.RetryBase<<(attempt-1), rt.cfg.RetryMax)
 	rt.jmu.Lock()
 	j := time.Duration(rt.jrng.Int63n(int64(rt.cfg.RetryBase) + 1))
 	rt.jmu.Unlock()
@@ -825,7 +644,7 @@ func (rt *Router) backoff(ctx context.Context, attempt int) bool {
 // the hedge to a replica after the hedge delay if the primary has not
 // answered. First success wins and cancels the loser; a canceled loser
 // is not charged to its breaker. Returns (response, hedgesFired, err).
-func (rt *Router) attemptHedged(ctx context.Context, path string, p shardPlan, primary, hedge *endpoint) (*nodeResponse, int, error) {
+func (rt *Router) attemptHedged(ctx context.Context, c shardCall, primary, hedge *endpoint) (*nodeResponse, int, error) {
 	type report struct {
 		res    *nodeResponse
 		err    *nodeError
@@ -837,13 +656,13 @@ func (rt *Router) attemptHedged(ctx context.Context, path string, p shardPlan, p
 	ch := make(chan report, 2)
 	run := func(ep *endpoint, hedgedLeg bool) {
 		start := time.Now()
-		res, nerr := rt.postQuery(actx, ep.base, path, p.body, p.timeout)
+		res, nerr := rt.postQuery(actx, ep.base, c.path, c.body, c.timeout)
 		if nerr != nil && actx.Err() != nil && ctx.Err() == nil {
 			// The other leg won and we were canceled: not a node failure.
 			ch <- report{hedged: hedgedLeg, lost: true}
 			return
 		}
-		p.st.latency.Observe(time.Since(start).Seconds() * 1000)
+		c.st.latency.Observe(time.Since(start).Seconds() * 1000)
 		rt.cShardCalls.Inc()
 		if nerr != nil {
 			ep.brk.failure(time.Now())
@@ -861,7 +680,7 @@ func (rt *Router) attemptHedged(ctx context.Context, path string, p shardPlan, p
 	if hedge != nil {
 		delay := rt.cfg.HedgeDelay
 		if delay <= 0 {
-			delay = p.timeout / 4
+			delay = c.timeout / 4
 		}
 		timer := time.NewTimer(delay)
 		defer timer.Stop()
@@ -908,61 +727,38 @@ func (rt *Router) attemptHedged(ctx context.Context, path string, p shardPlan, p
 	}
 }
 
-// HealthResponse is the router's /healthz body: per-endpoint breaker
-// states grouped by shard.
-type HealthResponse struct {
-	Status  string `json:"status"`
-	Shards  int    `json:"shards"`
-	Objects int    `json:"objects"`
-	// Breakers[i][j] is the state of shard i's endpoint j: "closed",
-	// "open", or "half-open".
-	Breakers [][]string `json:"breakers"`
-}
-
-func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{
-		Status:  "ok",
-		Shards:  len(rt.shards),
-		Objects: rt.totalSize,
-	}
-	for _, st := range rt.shards {
-		states := make([]string, len(st.endpoints))
-		for j, ep := range st.endpoints {
-			states[j] = ep.brk.snapshot().String()
+// healthLoop probes every endpoint's /healthz on a fixed cadence and
+// feeds the outcomes to the breakers: a dead node's breaker opens even
+// with no query traffic, and a recovered node closes within one
+// interval.
+func (rt *Router) healthLoop() {
+	defer rt.wg.Done()
+	t := time.NewTicker(rt.cfg.HealthInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-rt.stop:
+			return
+		case <-t.C:
+			rt.probeAll()
 		}
-		resp.Breakers = append(resp.Breakers, states)
 	}
-	rt.writeJSON(w, http.StatusOK, resp)
 }
 
-// handleStats serves the router.* registry as the canonical obs
-// envelope, same as the node servers.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		rt.reject(w, http.StatusMethodNotAllowed, "method_not_allowed", "stats endpoint accepts GET only")
-		return
+func (rt *Router) probeAll() {
+	var wg sync.WaitGroup
+	for _, st := range rt.shards {
+		for _, ep := range st.endpoints {
+			wg.Add(1)
+			go func(ep *endpoint) {
+				defer wg.Done()
+				if rt.probeHealth(ep.base) {
+					ep.brk.success()
+				} else {
+					ep.brk.failure(time.Now())
+				}
+			}(ep)
+		}
 	}
-	var buf bytes.Buffer
-	if err := obs.WriteEnvelope(&buf, rt.reg, nil); err != nil {
-		rt.cErrors.Inc()
-		rt.reject(w, http.StatusInternalServerError, "internal", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
-}
-
-func (rt *Router) reject(w http.ResponseWriter, status int, code, msg string) {
-	if status != http.StatusInternalServerError {
-		rt.cRejected.Inc()
-	}
-	rt.writeJSON(w, status, errorBody{Code: code, Error: msg})
-}
-
-func (rt *Router) writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	wg.Wait()
 }

@@ -14,8 +14,10 @@ import (
 	"mcost"
 	"mcost/internal/dataset"
 	"mcost/internal/metric"
+	"mcost/internal/obs"
 	"mcost/internal/router"
 	"mcost/internal/server"
+	"mcost/internal/shard"
 )
 
 // cluster is an in-process 3-tier fixture: the reference sharded Index,
@@ -75,6 +77,24 @@ func (c *cluster) endpoints() [][]string {
 	return out
 }
 
+// summaries fetches every node's model summary, in shard order.
+func (c *cluster) summaries(t *testing.T) []shard.Summary {
+	t.Helper()
+	out := make([]shard.Summary, len(c.nodes))
+	for i, ts := range c.nodes {
+		res, err := http.Get(ts.URL + "/v1/model")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(res.Body).Decode(&out[i])
+		_ = res.Body.Close()
+		if err != nil {
+			t.Fatalf("shard %d summary: %v", i, err)
+		}
+	}
+	return out
+}
+
 func newRouter(t *testing.T, cfg router.Config) *router.Router {
 	t.Helper()
 	if cfg.HealthInterval == 0 {
@@ -91,6 +111,33 @@ func newRouter(t *testing.T, cfg router.Config) *router.Router {
 	return rt
 }
 
+// serve mounts rt behind internal/server as mcost-router does, under
+// the given plan ceiling.
+func serve(t testing.TB, rt *router.Router, ceiling float64) http.Handler {
+	t.Helper()
+	srv, err := server.New(server.Config{
+		Engine: rt, Decode: rt.Decoder(), PlanCeiling: ceiling, BudgetSlack: -1, Registry: rt.Registry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv.Handler()
+}
+
+// wireMatch is one match with its object as the bytes on the wire.
+type wireMatch struct {
+	OID      uint64          `json:"oid"`
+	Distance float64         `json:"distance"`
+	Object   json.RawMessage `json:"object"`
+}
+
+// wireResponse is the router's 200 body with raw match objects.
+type wireResponse struct {
+	server.QueryResponse
+	Matches []wireMatch `json:"matches"`
+}
+
 func postJSON(t *testing.T, h http.Handler, path string, body interface{}) (int, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -103,9 +150,9 @@ func postJSON(t *testing.T, h http.Handler, path string, body interface{}) (int,
 	return rr.Code, rr.Body.Bytes()
 }
 
-func decodeQR(t *testing.T, body []byte) router.QueryResponse {
+func decodeQR(t *testing.T, body []byte) wireResponse {
 	t.Helper()
-	var qr router.QueryResponse
+	var qr wireResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatalf("response body %q: %v", body, err)
 	}
@@ -115,7 +162,7 @@ func decodeQR(t *testing.T, body []byte) router.QueryResponse {
 // assertWireEqual checks the router's wire matches against the
 // in-process reference: OIDs and distances exactly, and each carried
 // object decodes to the dataset object that OID names.
-func assertWireEqual(t *testing.T, label string, got []router.Match, want []mcost.Match, d *dataset.Dataset) {
+func assertWireEqual(t *testing.T, label string, got []wireMatch, want []mcost.Match, d *dataset.Dataset) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Errorf("%s: got %d matches, want %d", label, len(got), len(want))
@@ -173,7 +220,7 @@ func TestRouterEquivalence(t *testing.T) {
 						}
 					}
 					rt := newRouter(t, router.Config{Shards: c.endpoints()})
-					h := rt.Handler()
+					h := serve(t, rt, 0)
 					qs := dataset.UniformQueries(10, 4, 99).Queries
 
 					for qi, q := range qs {
@@ -190,7 +237,7 @@ func TestRouterEquivalence(t *testing.T) {
 							qr := decodeQR(t, body)
 							label := fmt.Sprintf("range q%d r=%g", qi, radius)
 							assertWireEqual(t, label, qr.Matches, want, c.d)
-							if qr.Degraded || qr.Partial {
+							if qr.Degraded != "" || qr.Partial {
 								t.Errorf("%s: healthy response flagged degraded=%v partial=%v", label, qr.Degraded, qr.Partial)
 							}
 							pred := c.sx.PredictRangeLevel(radius)
@@ -239,7 +286,7 @@ func TestRouterShardSkip(t *testing.T) {
 	if len(want) != 0 {
 		t.Fatalf("reference range for the far query returned %d matches, want 0", len(want))
 	}
-	code, body := postJSON(t, rt.Handler(), "/v1/range", rangeReq{far, 0.1})
+	code, body := postJSON(t, serve(t, rt, 0), "/v1/range", rangeReq{far, 0.1})
 	if code != http.StatusOK {
 		t.Fatalf("far range: status %d: %s", code, body)
 	}
@@ -255,14 +302,14 @@ func TestRouterShardSkip(t *testing.T) {
 
 // nodeMatches queries a node server directly and returns its matches —
 // the per-shard contribution the degraded merge must exclude or keep.
-func nodeMatches(t *testing.T, h http.Handler, path string, body interface{}) []router.Match {
+func nodeMatches(t *testing.T, h http.Handler, path string, body interface{}) []wireMatch {
 	t.Helper()
 	code, b := postJSON(t, h, path, body)
 	if code != http.StatusOK {
 		t.Fatalf("node %s: status %d: %s", path, code, b)
 	}
 	var resp struct {
-		Matches []router.Match `json:"matches"`
+		Matches []wireMatch `json:"matches"`
 	}
 	if err := json.Unmarshal(b, &resp); err != nil {
 		t.Fatal(err)
@@ -288,7 +335,7 @@ func TestRouterDegradedPartial(t *testing.T) {
 	for _, m := range deadRange {
 		deadOIDs[m.OID] = true
 	}
-	var wantNN []router.Match
+	var wantNN []wireMatch
 	for i, h := range c.handlers {
 		if i == dead {
 			continue
@@ -310,7 +357,7 @@ func TestRouterDegradedPartial(t *testing.T) {
 		MaxRetries:      -1, // the node is gone; retries only slow the test
 		MinShardTimeout: 2 * time.Second,
 	})
-	h := rt.Handler()
+	h := serve(t, rt, 0)
 	c.nodes[dead].Close()
 
 	fullRange, err := c.sx.Range(q, radius)
@@ -329,7 +376,7 @@ func TestRouterDegradedPartial(t *testing.T) {
 		t.Fatalf("degraded range: status %d: %s", code, body)
 	}
 	qr := decodeQR(t, body)
-	if !qr.Degraded {
+	if qr.Degraded != "shards_failed" || !qr.Partial {
 		t.Errorf("degraded range: response not flagged degraded: %s", body)
 	}
 	if len(qr.ShardsFailed) != 1 || qr.ShardsFailed[0] != dead {
@@ -342,8 +389,8 @@ func TestRouterDegradedPartial(t *testing.T) {
 		t.Fatalf("degraded nn: status %d: %s", code, body)
 	}
 	qr = decodeQR(t, body)
-	if !qr.Degraded || len(qr.ShardsFailed) != 1 || qr.ShardsFailed[0] != dead {
-		t.Errorf("degraded nn: degraded=%v shards_failed=%v, want true [%d]", qr.Degraded, qr.ShardsFailed, dead)
+	if qr.Degraded != "shards_failed" || len(qr.ShardsFailed) != 1 || qr.ShardsFailed[0] != dead {
+		t.Errorf("degraded nn: degraded=%q shards_failed=%v, want shards_failed [%d]", qr.Degraded, qr.ShardsFailed, dead)
 	}
 	if len(qr.Matches) != len(wantNN) {
 		t.Fatalf("degraded nn: %d matches, want %d", len(qr.Matches), len(wantNN))
@@ -361,6 +408,50 @@ func TestRouterDegradedPartial(t *testing.T) {
 	}
 	if n := rt.Registry().Counter("router.shard_failures").Value(); n < 2 {
 		t.Errorf("router.shard_failures = %d, want >= 2", n)
+	}
+}
+
+// A node's own budget partial reaches the client as the node states it:
+// 200, "partial": true, "degraded": "budget_exceeded", no shard lost,
+// and only true matches.
+func TestRouterPassesNodePartials(t *testing.T) {
+	c := buildCluster(t, 3)
+	var eps [][]string
+	for i, node := range c.engines {
+		// A budget of the tree height in node reads and in distances:
+		// a query over the whole cube stops early on every node.
+		srv, err := server.New(server.Config{Engine: node, Decode: server.VectorDecoder(4), BudgetSlack: 1e-9})
+		if err != nil {
+			t.Fatalf("shard node %d server: %v", i, err)
+		}
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		eps = append(eps, []string{ts.URL})
+	}
+	h := serve(t, newRouter(t, router.Config{Shards: eps}), 0)
+	q := dataset.UniformQueries(1, 4, 99).Queries[0]
+	all, err := c.sx.Range(q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := make(map[uint64]float64, len(all))
+	for _, m := range all {
+		dist[m.OID] = m.Distance
+	}
+	code, body := postJSON(t, h, "/v1/range", rangeReq{q.(metric.Vector), 4})
+	if code != http.StatusOK {
+		t.Fatalf("range under node budgets: status %d: %s", code, body)
+	}
+	qr := decodeQR(t, body)
+	if !qr.Partial || qr.Degraded != "budget_exceeded" || len(qr.ShardsFailed) != 0 || len(qr.Matches) >= len(all) {
+		t.Errorf("partial=%v degraded=%q shards_failed=%v with %d of %d matches; want a budget_exceeded partial, no shard lost",
+			qr.Partial, qr.Degraded, qr.ShardsFailed, len(qr.Matches), len(all))
+	}
+	for _, m := range qr.Matches {
+		if d, ok := dist[m.OID]; !ok || d != m.Distance {
+			t.Errorf("match (oid %d, %v) is not a true match", m.OID, m.Distance)
+		}
 	}
 }
 
@@ -384,7 +475,7 @@ func TestRouterAllShardsFailed(t *testing.T) {
 		{"/v1/range", rangeReq{q, 0.4}},
 		{"/v1/nn", nnReq{q, 5}},
 	} {
-		code, body := postJSON(t, rt.Handler(), call.path, call.body)
+		code, body := postJSON(t, serve(t, rt, 0), call.path, call.body)
 		if code != http.StatusServiceUnavailable {
 			t.Fatalf("%s with every node down: status %d: %s", call.path, code, body)
 		}
@@ -433,14 +524,14 @@ func TestRouterHedging(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	code, body := postJSON(t, rt.Handler(), "/v1/range", rangeReq{q.(metric.Vector), 0.4})
+	code, body := postJSON(t, serve(t, rt, 0), "/v1/range", rangeReq{q.(metric.Vector), 0.4})
 	elapsed := time.Since(start)
 	if code != http.StatusOK {
 		t.Fatalf("hedged range: status %d: %s", code, body)
 	}
 	qr := decodeQR(t, body)
 	assertWireEqual(t, "hedged range", qr.Matches, want, c.d)
-	if qr.Degraded {
+	if qr.Degraded != "" {
 		t.Errorf("hedged range flagged degraded: %s", body)
 	}
 	if qr.Hedged < 1 {
@@ -459,7 +550,7 @@ func TestRouterHedging(t *testing.T) {
 	// /v1/stats serves those counters on the wire.
 	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
 	rr := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rr, req)
+	serve(t, rt, 0).ServeHTTP(rr, req)
 	if rr.Code != http.StatusOK || !bytes.Contains(rr.Body.Bytes(), []byte("router.hedges_won")) {
 		t.Errorf("/v1/stats = %d, want 200 carrying router.hedges_won", rr.Code)
 	}
@@ -478,7 +569,7 @@ func TestRouterNoHedgeAboveThreshold(t *testing.T) {
 		HedgeDelay:    time.Millisecond,
 	})
 	q := dataset.UniformQueries(1, 4, 99).Queries[0].(metric.Vector)
-	code, body := postJSON(t, rt.Handler(), "/v1/range", rangeReq{q, 0.4})
+	code, body := postJSON(t, serve(t, rt, 0), "/v1/range", rangeReq{q, 0.4})
 	if code != http.StatusOK {
 		t.Fatalf("range: status %d: %s", code, body)
 	}
@@ -491,7 +582,7 @@ func TestRouterNoHedgeAboveThreshold(t *testing.T) {
 }
 
 // The health loop opens a dead endpoint's breaker without any query
-// traffic, /healthz reports it, and queries fail over to the replica
+// traffic, /v1/stats reports it, and queries fail over to the replica
 // with full (non-degraded) results.
 func TestRouterBreakerOpensAndFailsOver(t *testing.T) {
 	c := buildCluster(t, 2)
@@ -521,36 +612,36 @@ func TestRouterBreakerOpensAndFailsOver(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	// /v1/stats carries every breaker's state: 0 closed, 1 open.
 	rr := httptest.NewRecorder()
-	rt.Handler().ServeHTTP(rr, req)
-	var hr router.HealthResponse
-	if err := json.Unmarshal(rr.Body.Bytes(), &hr); err != nil {
+	serve(t, rt, 0).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var env obs.Envelope
+	if err := json.Unmarshal(rr.Body.Bytes(), &env); err != nil {
 		t.Fatal(err)
 	}
-	if len(hr.Breakers) != 2 || len(hr.Breakers[0]) != 2 || hr.Breakers[0][0] != "open" {
-		t.Errorf("/healthz breakers = %v, want shard 0 primary open", hr.Breakers)
-	}
-	if hr.Breakers[0][1] != "closed" || hr.Breakers[1][0] != "closed" {
-		t.Errorf("/healthz breakers = %v, want healthy endpoints closed", hr.Breakers)
+	want := map[string]float64{"router.breaker.s0.e0": 1, "router.breaker.s0.e1": 0, "router.breaker.s1.e0": 0}
+	for name, state := range want {
+		if got, ok := env.Metrics.Gauges[name]; !ok || got != state {
+			t.Errorf("/v1/stats gauge %s = %v (present %v), want %v", name, got, ok, state)
+		}
 	}
 
 	// With the primary's breaker open, queries go straight to the
 	// replica: full results, nothing degraded, no dial wasted.
 	q := dataset.UniformQueries(1, 4, 99).Queries[0]
-	want, err := c.sx.Range(q, 0.4)
+	wantRange, err := c.sx.Range(q, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := postJSON(t, rt.Handler(), "/v1/range", rangeReq{q.(metric.Vector), 0.4})
+	code, body := postJSON(t, serve(t, rt, 0), "/v1/range", rangeReq{q.(metric.Vector), 0.4})
 	if code != http.StatusOK {
 		t.Fatalf("failover range: status %d: %s", code, body)
 	}
 	qr := decodeQR(t, body)
-	if qr.Degraded {
+	if qr.Degraded != "" {
 		t.Errorf("failover range flagged degraded with a healthy replica: %s", body)
 	}
-	assertWireEqual(t, "failover range", qr.Matches, want, c.d)
+	assertWireEqual(t, "failover range", qr.Matches, wantRange, c.d)
 }
 
 // Transient shard failures retry with backoff and recover without
@@ -589,12 +680,12 @@ func TestRouterRetriesTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := postJSON(t, rt.Handler(), "/v1/range", rangeReq{q.(metric.Vector), 0.4})
+	code, body := postJSON(t, serve(t, rt, 0), "/v1/range", rangeReq{q.(metric.Vector), 0.4})
 	if code != http.StatusOK {
 		t.Fatalf("retried range: status %d: %s", code, body)
 	}
 	qr := decodeQR(t, body)
-	if qr.Degraded {
+	if qr.Degraded != "" {
 		t.Errorf("retried range flagged degraded after recovery: %s", body)
 	}
 	assertWireEqual(t, "retried range", qr.Matches, want, c.d)
@@ -608,7 +699,7 @@ func TestRouterRetriesTransientFailure(t *testing.T) {
 func TestRouterRequestValidation(t *testing.T) {
 	c := buildCluster(t, 2)
 	rt := newRouter(t, router.Config{Shards: c.endpoints()})
-	h := rt.Handler()
+	h := serve(t, rt, 0)
 
 	cases := []struct {
 		path string
@@ -673,7 +764,7 @@ func TestRouterRejectsWrongLengthHammingQuery(t *testing.T) {
 		t.Cleanup(ts.Close)
 		eps = append(eps, []string{ts.URL})
 	}
-	h := newRouter(t, router.Config{Shards: eps}).Handler()
+	h := serve(t, newRouter(t, router.Config{Shards: eps}), 0)
 
 	for _, tc := range []struct {
 		path string
@@ -692,5 +783,49 @@ func TestRouterRejectsWrongLengthHammingQuery(t *testing.T) {
 	}
 	if status, body := postJSON(t, h, "/v1/range", map[string]interface{}{"query": d.Objects[0], "radius": 20}); status != http.StatusOK {
 		t.Errorf("exact-length query: status %d, body %s", status, body)
+	}
+}
+
+// The nodes run only their trees, so the router's plan is the tree
+// fan-out and its ceiling holds against the summed tree price. A ceiling
+// between the summed per-shard minimum (tree share or scan, whichever
+// is cheaper) and that price answers 422 plan_rejected; one above it
+// answers 200 with the fan-out plan.
+func TestRouterCeilingHoldsAgainstTheFanout(t *testing.T) {
+	c := buildCluster(t, 3)
+	rt := newRouter(t, router.Config{Shards: c.endpoints()})
+	const radius = 2 // covers the whole unit 4-cube
+	var tree, cheapest float64
+	for _, sum := range c.summaries(t) {
+		model, err := sum.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		est := model.RangeL(radius)
+		tree += est.Nodes + est.Dists
+		cheapest += min(est.Nodes+est.Dists, float64(sum.ScanPages+sum.Size))
+	}
+	if cheapest >= tree {
+		t.Fatalf("no shard's scan undercuts its tree share (tree %g, cheapest %g): the test checks nothing", tree, cheapest)
+	}
+	q := dataset.UniformQueries(1, 4, 99).Queries[0].(metric.Vector)
+
+	code, body := postJSON(t, serve(t, rt, (cheapest+tree)/2), "/v1/range", rangeReq{q, radius})
+	var eb server.ErrorResponse
+	if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusUnprocessableEntity || eb.Code != "plan_rejected" {
+		t.Errorf("ceiling %g between the cheapest %g and the fan-out %g: status %d, body %s; want 422 plan_rejected",
+			(cheapest+tree)/2, cheapest, tree, code, body)
+	}
+	if n := rt.Registry().Counter("router.shard_calls").Value(); n != 0 {
+		t.Errorf("a rejected query reached the shards: router.shard_calls = %d", n)
+	}
+
+	code, body = postJSON(t, serve(t, rt, tree+1), "/v1/range", rangeReq{q, radius})
+	if code != http.StatusOK {
+		t.Fatalf("ceiling above the fan-out: status %d: %s", code, body)
+	}
+	qr := decodeQR(t, body)
+	if qr.Plan == nil || qr.Plan.Engine != "sharded-fanout" || qr.Plan.PredictedTree != qr.Predicted {
+		t.Errorf("plan = %+v, want the sharded-fanout priced at the predicted %+v", qr.Plan, qr.Predicted)
 	}
 }

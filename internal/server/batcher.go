@@ -60,6 +60,9 @@ type callResult struct {
 	batchSize int
 	queued    time.Duration
 	err       error
+	// fanout is the call's scatter record on a fan-out engine (nil on
+	// an in-process one).
+	fanout *obs.Fanout
 }
 
 // pendingQueue collects calls for one batchKey. gen identifies this
@@ -293,6 +296,9 @@ func (b *Batcher) dispatch(key batchKey, calls []*call) {
 		res := callResult{batchSize: len(calls), queued: started.Sub(c.enq), err: err}
 		if i < len(sets) {
 			res.matches = sets[i]
+		}
+		if i < len(tr.Fanouts) {
+			res.fanout = &tr.Fanouts[i]
 		}
 		b.hQueueMS.Observe(res.queued.Seconds() * 1000)
 		c.ch <- res

@@ -28,7 +28,8 @@ import (
 
 // Engine is the query engine behind the server: a built index that can
 // price queries before running them and execute compatible batches in
-// one shared traversal. *mcost.Index satisfies it at any shard count.
+// one shared traversal. *mcost.Index satisfies it at any shard count;
+// router.Router, over remote shard nodes, does too.
 type Engine interface {
 	// PriceRange / PriceNN return the L-MCM predicted cost of one
 	// query — the admission currency.
@@ -36,7 +37,9 @@ type Engine interface {
 	PriceNN(k int) core.CostEstimate
 	// RangeBatchTraced / NNBatchTraced execute a batch under a context,
 	// a batch budget, and an optional trace; partial per-query results
-	// accompany a typed budget/context error.
+	// accompany a typed budget/context error. A fan-out engine records
+	// one obs.Fanout per query on the trace, and returns ErrShardsFailed
+	// when a query lost shards.
 	RangeBatchTraced(ctx context.Context, qs []metric.Object, radius float64, b budget.Budget, tr *obs.Trace) ([][]mtree.Match, error)
 	NNBatchTraced(ctx context.Context, qs []metric.Object, k int, b budget.Budget, tr *obs.Trace) ([][]mtree.Match, error)
 	// Structural facts for budget floors and /healthz.

@@ -7,23 +7,29 @@ import (
 	"mcost/internal/advisor"
 )
 
-// Planner is the optional breakdown-aware planning surface of an
-// Engine: one that can price a query on both the metric index and the
-// linear scan, pick the cheaper, and describe how close its dataset
-// sits to the metric-indexing breakdown point. *mcost.Index satisfies
-// it at any shard count. A planning engine gets:
+// Planner is the optional planning surface of an Engine: one that can
+// price a query on both the metric index and the linear scan and say
+// which it runs. *mcost.Index satisfies it at any shard count, picking
+// the cheaper; a router quotes the scan but always runs the fan-out. A
+// planning engine gets:
 //
 //   - a plan attached to every query response (chosen engine, both
 //     prices, the reason);
-//   - plan_tree / plan_scan decision counters and advisor.* hardness
-//     gauges on /v1/stats;
-//   - the plan ceiling: when Config.PlanCeiling > 0 and even the
-//     cheapest plan prices above it, the query is rejected up front
-//     with a typed 422 plan_rejected instead of burning its whole
-//     budget and returning a partial.
+//   - plan_tree / plan_scan decision counters on /v1/stats;
+//   - the plan ceiling: when Config.PlanCeiling > 0 and the chosen plan
+//     prices above it, the query is rejected up front with a typed 422
+//     plan_rejected instead of burning its whole budget and returning a
+//     partial.
 type Planner interface {
 	PlanRange(radius float64) (advisor.Decision, error)
 	PlanNN(k int) (advisor.Decision, error)
+}
+
+// HardnessReporter is the optional surface of an engine that profiled
+// how close its dataset sits to the metric-indexing breakdown point:
+// /v1/stats carries the profile as advisor.* gauges. *mcost.Index
+// satisfies it; a router, which holds no data, does not.
+type HardnessReporter interface {
 	Hardness() advisor.Profile
 }
 
@@ -49,11 +55,11 @@ func planJSON(d advisor.Decision) *PlanJSON {
 
 // planQuery asks the engine's advisor for the query's plan, under the
 // read lock when the engine is mutable (planning reads the live model).
-// The ceiling check runs here: a cheapest plan pricing above
-// PlanCeiling (node reads + distance computations) is a typed 422 —
-// the server will not start a query whose best case already exceeds
-// what the operator allows.
-func (s *Server) planQuery(nn bool, req QueryRequest) (advisor.Decision, *RequestError) {
+// The ceiling check runs here: a chosen plan pricing above PlanCeiling
+// (node reads + distance computations) is a typed 422 — the server will
+// not start a query whose plan already exceeds what the operator
+// allows.
+func (s *Server) planQuery(nn bool, req queryRequest) (*PlanJSON, *RequestError) {
 	if s.mut != nil {
 		s.wmu.RLock()
 		defer s.wmu.RUnlock()
@@ -68,18 +74,19 @@ func (s *Server) planQuery(nn bool, req QueryRequest) (advisor.Decision, *Reques
 		d, err = s.planner.PlanRange(req.Radius)
 	}
 	if err != nil {
-		// DecodeQueryRequest already rejected malformed radii/k, so a planning
+		// decodeQueryRequest already rejected malformed radii/k, so a planning
 		// error here is unexpected input the decoder missed — still a
 		// client error, typed as such.
-		return d, badRequest("bad_query", "planning failed: %v", err)
+		return nil, badRequest("bad_query", "planning failed: %v", err)
 	}
-	if s.ceiling > 0 {
-		if best := d.Predicted(); best.Nodes+best.Dists > s.ceiling {
-			return d, &RequestError{
-				Status: http.StatusUnprocessableEntity,
-				Code:   "plan_rejected",
-				Msg:    planRejectedMsg(d, s.ceiling),
-			}
+	if best := d.Predicted(); s.ceiling > 0 && best.Nodes+best.Dists > s.ceiling {
+		s.cPlanRejected.Inc()
+		cost := costJSON(best)
+		return nil, &RequestError{
+			Status: http.StatusUnprocessableEntity,
+			Code:   "plan_rejected",
+			Msg:    planRejectedMsg(d, s.ceiling),
+			cost:   &cost,
 		}
 	}
 	switch d.Engine {
@@ -88,7 +95,7 @@ func (s *Server) planQuery(nn bool, req QueryRequest) (advisor.Decision, *Reques
 	default:
 		s.cPlanTree.Inc()
 	}
-	return d, nil
+	return planJSON(d), nil
 }
 
 // planRejectedMsg renders the 422 body's message. Both costs are
@@ -104,16 +111,17 @@ func planRejectedMsg(d advisor.Decision, ceiling float64) string {
 // registry so /v1/stats snapshots carry it (mirrors
 // refreshRecalGauges).
 func (s *Server) refreshAdvisorGauges() {
-	if s.planner == nil {
+	hr, ok := s.base.(HardnessReporter)
+	if !ok {
 		return
 	}
 	var prof advisor.Profile
 	if s.mut != nil {
 		s.wmu.RLock()
-		prof = s.planner.Hardness()
+		prof = hr.Hardness()
 		s.wmu.RUnlock()
 	} else {
-		prof = s.planner.Hardness()
+		prof = hr.Hardness()
 	}
 	s.reg.Gauge("advisor.d2").Set(prof.D2)
 	d2v := 0.0

@@ -64,11 +64,12 @@ type Config struct {
 	// MaxK caps k-NN requests (0 picks the indexed object count, read
 	// per request so inserts and deletes move the cap).
 	MaxK int
-	// PlanCeiling rejects queries whose cheapest plan — node reads plus
-	// distance computations of whichever engine the advisor would pick —
-	// prices above it, with a typed 422 plan_rejected. Zero disables the
-	// ceiling. Requires a planning engine (one satisfying Planner); New
-	// rejects a ceiling on any other, such as a shard node.
+	// PlanCeiling rejects queries whose plan — node reads plus distance
+	// computations of the engine the planner picks (a router's: the
+	// tree fan-out) — prices above it, with a typed 422 plan_rejected.
+	// Zero disables the ceiling. Requires a planning engine (one
+	// satisfying Planner); New rejects a ceiling on any other, such as
+	// a shard node.
 	PlanCeiling float64
 	// Registry receives the server metrics (nil allocates a fresh one).
 	Registry *obs.Registry
@@ -278,6 +279,15 @@ type MatchJSON struct {
 	Object   metric.Object `json:"object"`
 }
 
+// matchesJSON puts engine matches on the wire ([] for none, never null).
+func matchesJSON(ms []mtree.Match) []MatchJSON {
+	out := make([]MatchJSON, len(ms))
+	for i, m := range ms {
+		out[i] = MatchJSON{OID: m.OID, Distance: m.Distance, Object: m.Object}
+	}
+	return out
+}
+
 // QueryResponse is the 200 body of /v1/range and /v1/nn.
 type QueryResponse struct {
 	Matches []MatchJSON `json:"matches"`
@@ -300,7 +310,24 @@ type QueryResponse struct {
 	// (only present on planning engines, and absent on cache hits — a
 	// cached answer runs on no engine at all).
 	Plan *PlanJSON `json:"plan,omitempty"`
+	// ShardsSkipped, ShardsQueried, ShardsFailed and Hedged report a
+	// fan-out engine's scatter (a router's): the shards the pivot lower
+	// bound proved empty (a proof, not a degradation: a skipped shard
+	// has answered), the shards called, the ones that failed every
+	// attempt (Degraded is then "shards_failed"), and the calls that
+	// fired a hedge. A single node omits all four.
+	ShardsSkipped []int `json:"shards_skipped,omitempty"`
+	ShardsQueried int   `json:"shards_queried,omitempty"`
+	ShardsFailed  []int `json:"shards_failed,omitempty"`
+	Hedged        int   `json:"hedged,omitempty"`
 }
+
+// ErrShardsFailed is the typed error of a fan-out engine whose query
+// lost shards: every attempt at them failed. The call's obs.Fanout
+// names them; the server answers with the other shards' merge, degraded
+// "shards_failed", or with a 503 all_shards_failed when no shard
+// answered, by reply or by proof.
+var ErrShardsFailed = errors.New("shard loss")
 
 // ErrorResponse is every non-200 body.
 type ErrorResponse struct {
@@ -310,6 +337,8 @@ type ErrorResponse struct {
 	// proportionally to what they asked for.
 	PredictedCost *CostJSON `json:"predicted_cost,omitempty"`
 	RetryAfterMS  int64     `json:"retry_after_ms,omitempty"`
+	// ShardsFailed accompanies a 503 all_shards_failed.
+	ShardsFailed []int `json:"shards_failed,omitempty"`
 }
 
 // RequestError is a typed request failure: the HTTP status and the
@@ -318,6 +347,7 @@ type RequestError struct {
 	Status int
 	Code   string
 	Msg    string
+	cost   *CostJSON // the predicted cost a 422 plan_rejected quotes
 }
 
 func (e *RequestError) Error() string { return e.Msg }
@@ -326,24 +356,20 @@ func badRequest(code, format string, args ...interface{}) *RequestError {
 	return &RequestError{Status: http.StatusBadRequest, Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// QueryRequest is the decoded, validated body of /v1/range or /v1/nn.
-type QueryRequest struct {
-	Query metric.Object
-	// Raw is the "query" field as it arrived: what a router forwards to
-	// its shard nodes verbatim.
-	Raw    json.RawMessage
+// queryRequest is the decoded, validated body of /v1/range or /v1/nn.
+type queryRequest struct {
+	Query  metric.Object
 	Radius float64
 	K      int
 }
 
-// DecodeQueryRequest parses and strictly validates a query body — the
-// one decoder behind the node server's and the router's query
-// endpoints. dec decodes the "query" field; k above maxK is rejected.
-// Every invalid input yields a typed *RequestError with a 4xx status;
-// nothing is clamped: a negative radius or k is rejected, never coerced
-// to a runnable query.
-func DecodeQueryRequest(r io.Reader, nn bool, dec ObjectDecoder, maxK int) (QueryRequest, *RequestError) {
-	var out QueryRequest
+// decodeQueryRequest parses and strictly validates a query body. dec
+// decodes the "query" field; k above maxK is rejected. Every invalid
+// input yields a typed *RequestError with a 4xx status; nothing is
+// clamped: a negative radius or k is rejected, never coerced to a
+// runnable query.
+func decodeQueryRequest(r io.Reader, nn bool, dec ObjectDecoder, maxK int) (queryRequest, *RequestError) {
+	var out queryRequest
 	jd := json.NewDecoder(r)
 	jd.DisallowUnknownFields()
 	var raw struct {
@@ -369,7 +395,7 @@ func DecodeQueryRequest(r io.Reader, nn bool, dec ObjectDecoder, maxK int) (Quer
 	if err != nil {
 		return out, badRequest("bad_query", "%v", err)
 	}
-	out.Query, out.Raw = q, raw.Query
+	out.Query = q
 	if nn {
 		if raw.Radius != nil {
 			return out, badRequest("bad_k", "\"radius\" is not a k-NN parameter; POST /v1/range instead")
@@ -429,7 +455,7 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 		if nn && maxK <= 0 {
 			maxK = s.eng.Size()
 		}
-		req, aerr := DecodeQueryRequest(r.Body, nn, s.dec, maxK)
+		req, aerr := decodeQueryRequest(r.Body, nn, s.dec, maxK)
 		if aerr != nil {
 			s.reject(w, aerr)
 			return
@@ -465,15 +491,11 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 			if pr.Hit {
 				s.cCacheHit.Inc()
 				s.cSavedNode.Add(int64(math.Ceil(est.Nodes)))
-				resp := QueryResponse{
+				writeJSON(w, http.StatusOK, QueryResponse{
 					Predicted: costJSON(est),
 					Cached:    true,
-					Matches:   make([]MatchJSON, len(pr.Matches)),
-				}
-				for i, m := range pr.Matches {
-					resp.Matches[i] = MatchJSON{OID: m.OID, Distance: m.Distance, Object: m.Object}
-				}
-				s.writeJSON(w, http.StatusOK, resp)
+					Matches:   matchesJSON(pr.Matches),
+				})
 				return
 			}
 			s.cCacheMiss.Inc()
@@ -485,22 +507,11 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 		// drain bucket tokens on its way to a rejection.
 		var plan *PlanJSON
 		if s.planner != nil {
-			d, aerr := s.planQuery(nn, req)
-			if aerr != nil {
-				if aerr.Code == "plan_rejected" {
-					s.cPlanRejected.Inc()
-					s.cRejected.Inc()
-					best := d.Predicted()
-					cost := costJSON(best)
-					s.writeJSON(w, aerr.Status, ErrorResponse{
-						Code: aerr.Code, Error: aerr.Msg, PredictedCost: &cost,
-					})
-					return
-				}
+			var aerr *RequestError
+			if plan, aerr = s.planQuery(nn, req); aerr != nil {
 				s.reject(w, aerr)
 				return
 			}
-			plan = planJSON(d)
 		}
 
 		dec := s.adm.Admit(est)
@@ -510,7 +521,7 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 			retryMS := s.jitterRetryMS(dec.RetryAfter.Milliseconds())
 			retryAfter := time.Duration(retryMS) * time.Millisecond
 			w.Header().Set("Retry-After", fmt.Sprintf("%d", (retryAfter+time.Second-1)/time.Second))
-			s.writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
+			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{
 				Code:          "overloaded",
 				Error:         "predicted cost exceeds the server's admission budget; back off and retry",
 				PredictedCost: &cost,
@@ -528,7 +539,24 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 			QueuedMS:  res.queued.Seconds() * 1000,
 			Plan:      plan,
 		}
+		if fo := res.fanout; fo != nil {
+			if len(fo.Failed) > 0 && len(fo.Failed) == fo.Queried && len(fo.Skipped) == 0 {
+				// A skipped shard has answered — with the empty set, by
+				// proof — so only a query that skipped none can have heard
+				// from nobody.
+				s.cErrors.Inc()
+				writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{
+					Code: "all_shards_failed", Error: res.err.Error(), ShardsFailed: fo.Failed,
+				})
+				return
+			}
+			resp.ShardsSkipped, resp.ShardsQueried, resp.ShardsFailed, resp.Hedged = fo.Skipped, fo.Queried, fo.Failed, fo.Hedged
+		}
 		switch {
+		case len(resp.ShardsFailed) > 0:
+			s.cPartial.Inc()
+			resp.Partial = true
+			resp.Degraded = "shards_failed"
 		case res.err == nil:
 			// Only complete, error-free results may populate the cache: a
 			// budget- or deadline-stopped partial set verifies no ball, and
@@ -548,18 +576,17 @@ func (s *Server) handleQuery(nn bool) http.HandlerFunc {
 			s.cPartial.Inc()
 			resp.Partial = true
 			resp.Degraded = "deadline"
+		case errors.Is(res.err, ErrShardsFailed):
+			// A batch companion lost shards; this call's scatter did not.
 		default:
 			s.cErrors.Inc()
-			s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{
+			writeJSON(w, http.StatusInternalServerError, ErrorResponse{
 				Code: "internal", Error: res.err.Error(),
 			})
 			return
 		}
-		resp.Matches = make([]MatchJSON, len(res.matches))
-		for i, m := range res.matches {
-			resp.Matches[i] = MatchJSON{OID: m.OID, Distance: m.Distance, Object: m.Object}
-		}
-		s.writeJSON(w, http.StatusOK, resp)
+		resp.Matches = matchesJSON(res.matches)
+		writeJSON(w, http.StatusOK, resp)
 	}
 }
 
@@ -578,7 +605,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	if err := obs.WriteEnvelope(&buf, s.reg, nil); err != nil {
 		s.cErrors.Inc()
-		s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -622,18 +649,18 @@ type HealthResponse struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
-		s.writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "building"})
+		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "building"})
 		return
 	}
 	if s.wedgeThresh > 0 {
 		if age := s.writes.oldest(s.clock()); age > s.wedgeThresh {
-			s.writeJSON(w, http.StatusServiceUnavailable, HealthResponse{
+			writeJSON(w, http.StatusServiceUnavailable, HealthResponse{
 				Status: "wedged", Ready: true, WedgedMS: age.Seconds() * 1000,
 			})
 			return
 		}
 	}
-	s.writeJSON(w, http.StatusOK, HealthResponse{
+	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:   "ok",
 		Ready:    true,
 		Objects:  s.eng.Size(),
@@ -661,7 +688,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	raw, err := s.model.ModelSummary()
 	if err != nil {
 		s.cErrors.Inc()
-		s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -677,43 +704,23 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 func BootingHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeBootJSON(w, HealthResponse{Status: "building"})
+		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "building"})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeBootJSON(w, ErrorResponse{Code: "building", Error: "index is still building; retry shortly"})
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Code: "building", Error: "index is still building; retry shortly"})
 	})
 	return mux
 }
 
-func writeBootJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) reject(w http.ResponseWriter, aerr *RequestError) {
 	s.cRejected.Inc()
-	s.writeJSON(w, aerr.Status, ErrorResponse{Code: aerr.Code, Error: aerr.Msg})
+	writeJSON(w, aerr.Status, ErrorResponse{Code: aerr.Code, Error: aerr.Msg, PredictedCost: aerr.cost})
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v interface{}) {
+// writeJSON answers with v; an encoding error comes after the headers
+// are gone, so there is nothing left to report it with.
+func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		// Headers are gone; nothing to do but drop the connection state.
-		_ = err
-	}
-}
-
-// EngineMatches converts wire matches back to engine matches — the
-// helper load generators and tests use to compare HTTP results with
-// direct in-process execution. OIDs and distances round-trip exactly;
-// objects come back as decoded JSON values.
-func (r *QueryResponse) EngineMatches() []mtree.Match {
-	out := make([]mtree.Match, len(r.Matches))
-	for i, m := range r.Matches {
-		out[i] = mtree.Match{OID: m.OID, Distance: m.Distance, Object: m.Object}
-	}
-	return out
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -146,7 +146,7 @@ type rawWriteRequest struct {
 }
 
 // decodeWrite parses and strictly validates a write body, mirroring
-// DecodeQueryRequest's discipline: typed 4xx errors, nothing coerced.
+// decodeQueryRequest's discipline: typed 4xx errors, nothing coerced.
 func (s *Server) decodeWrite(r io.Reader, insert bool) (writeRequest, *RequestError) {
 	var out writeRequest
 	dec := json.NewDecoder(r)
@@ -219,11 +219,11 @@ func (s *Server) handleWrite(insert bool) http.HandlerFunc {
 			s.writes.end(wid)
 			if err != nil {
 				s.cErrors.Inc()
-				s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
+				writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
 				return
 			}
 			s.cInserts.Inc()
-			s.writeJSON(w, http.StatusOK, InsertResponse{OID: oid, Size: s.eng.Size()})
+			writeJSON(w, http.StatusOK, InsertResponse{OID: oid, Size: s.eng.Size()})
 			return
 		}
 		wid := s.writes.begin(s.clock())
@@ -240,11 +240,11 @@ func (s *Server) handleWrite(insert bool) http.HandlerFunc {
 				return
 			}
 			s.cErrors.Inc()
-			s.writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
+			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Code: "internal", Error: err.Error()})
 			return
 		}
 		s.cDeletes.Inc()
-		s.writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true, Size: s.eng.Size()})
+		writeJSON(w, http.StatusOK, DeleteResponse{Deleted: true, Size: s.eng.Size()})
 	}
 }
 

@@ -76,9 +76,8 @@ type Summary struct {
 	FHat   *histogram.Histogram `json:"f_hat"`
 	Levels []mtree.LevelStat    `json:"levels"`
 	// ScanPages is the page count of a full linear scan of this shard —
-	// the node-read side of the scan plan a breakdown-aware router
-	// compares the tree prediction against (0 on summaries from nodes
-	// that predate the planner; routers then skip plan reporting).
+	// the node-read side of the scan a router quotes beside its tree
+	// fan-out (0 on summaries from nodes that predate the planner).
 	ScanPages int `json:"scan_pages,omitempty"`
 }
 

@@ -65,14 +65,13 @@ type HTTPReport struct {
 	// Requests is the number issued; it always equals OK + Partial +
 	// Shed + Errors.
 	Requests int
-	// OK counts complete 200 responses, Partial the budget- or
-	// deadline-degraded 200s, Shed the typed 429s.
+	// OK counts complete 200 responses, Partial the degraded 200s
+	// (budget, deadline or lost shards), Shed the typed 429s.
 	OK, Partial, Shed int
 	// Degraded counts 200 responses a scatter-gather router marked
-	// shard-degraded ("degraded": true with shards_failed) — results
-	// missing one or more failed shards. Orthogonal to the OK/Partial
-	// split: a degraded response still counts in OK or Partial, so the
-	// Requests identity holds.
+	// shard-degraded ("degraded": "shards_failed") — results missing one
+	// or more failed shards. They also count in Partial, so the Requests
+	// identity holds.
 	Degraded int
 	// Errors counts transport failures and any other status.
 	Errors int
@@ -100,17 +99,9 @@ type wireQueryResponse struct {
 	Matches []wireMatch `json:"matches"`
 	Partial bool        `json:"partial"`
 	Cached  bool        `json:"cached"`
-	// Degraded is a bool on the router's wire (shard-level loss) and a
-	// cause string on a node's (budget/deadline), so it stays raw here
-	// and degradedFlag interprets it.
-	Degraded json.RawMessage `json:"degraded"`
-}
-
-// degradedFlag reports whether a raw "degraded" field marks a
-// router-style shard-degraded response (boolean true). Node-style cause
-// strings ride with "partial": true and are already counted as Partial.
-func degradedFlag(raw json.RawMessage) bool {
-	return string(raw) == "true"
+	// Degraded names a partial's cause; a router's shard loss is
+	// "shards_failed".
+	Degraded string `json:"degraded"`
 }
 
 type wireErrorResponse struct {
@@ -335,7 +326,7 @@ func issue(client *http.Client, baseURL string, r httpRequest, stack *oidStack) 
 		if qr.Cached {
 			out.cached = 1
 		}
-		if degradedFlag(qr.Degraded) {
+		if qr.Degraded == "shards_failed" {
 			out.degraded = 1
 		}
 		if r.class.K == 0 {

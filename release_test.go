@@ -57,11 +57,8 @@ func TestIndexReleasesInput(t *testing.T) {
 	}
 }
 
-// liveHeap returns the bytes of live heap after full collections: two,
-// because a pooled query scratch keeps its last results, and with them
-// a slab, until a second collection drains sync.Pool's victim cache.
+// liveHeap returns the bytes of live heap after a full collection.
 func liveHeap() float64 {
-	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
