@@ -2,7 +2,7 @@ package mcost
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"mcost/internal/dataset"
+	"mcost/internal/metric"
+	"mcost/internal/server"
 	"mcost/internal/workload"
 )
 
@@ -128,7 +130,7 @@ func TestClusterSmoke(t *testing.T) {
 
 	// Phase 1: healthy cluster. Nothing sheds, nothing degrades,
 	// nothing errors, every range match is within its radius.
-	rep, err := workload.RunHTTP(routerURL, mix, d.Objects, workload.HTTPOptions{
+	rep, err := server.RunHTTP(routerURL, mix, d.Objects, server.HTTPOptions{
 		Requests: 200, Workers: 8, Seed: 3,
 	})
 	if err != nil {
@@ -147,11 +149,11 @@ func TestClusterSmoke(t *testing.T) {
 	// within radius.
 	const dead = 1
 	phase2 := make(chan struct{})
-	var rep2 *workload.HTTPReport
+	var rep2 *server.HTTPReport
 	var err2 error
 	go func() {
 		defer close(phase2)
-		rep2, err2 = workload.RunHTTP(routerURL, mix, d.Objects, workload.HTTPOptions{
+		rep2, err2 = server.RunHTTP(routerURL, mix, d.Objects, server.HTTPOptions{
 			Requests: 400, Workers: 8, Seed: 5,
 		})
 	}()
@@ -196,24 +198,18 @@ func TestClusterSmoke(t *testing.T) {
 	survivors := []string{"http://" + nodeAddrs[0], "http://" + nodeAddrs[2]}
 	for qi := 0; qi < 5; qi++ {
 		q := d.Objects[qi*37]
-		qb, err := json.Marshal(q)
-		if err != nil {
-			t.Fatal(err)
-		}
 
-		rangeBody := fmt.Sprintf(`{"query":%s,"radius":0.4}`, qb)
-		got := postMatches(t, routerURL+"/v1/range", rangeBody)
-		var want []wireSmokeMatch
+		got := queryMatches(t, routerURL, q, 0.4, 0)
+		var want []server.MatchJSON
 		for _, base := range survivors {
-			want = append(want, postMatches(t, base+"/v1/range", rangeBody)...)
+			want = append(want, queryMatches(t, base, q, 0.4, 0)...)
 		}
 		assertSmokeMatches(t, fmt.Sprintf("q%d range", qi), got, want)
 
-		nnBody := fmt.Sprintf(`{"query":%s,"k":10}`, qb)
-		got = postMatches(t, routerURL+"/v1/nn", nnBody)
+		got = queryMatches(t, routerURL, q, 0, 10)
 		want = nil
 		for _, base := range survivors {
-			want = append(want, postMatches(t, base+"/v1/nn", nnBody)...)
+			want = append(want, queryMatches(t, base, q, 0, 10)...)
 		}
 		sort.Slice(want, func(i, j int) bool {
 			if want[i].Distance != want[j].Distance {
@@ -228,39 +224,36 @@ func TestClusterSmoke(t *testing.T) {
 	}
 }
 
-type wireSmokeMatch struct {
-	OID      uint64  `json:"oid"`
-	Distance float64 `json:"distance"`
-}
-
-func postMatches(t *testing.T, url, body string) []wireSmokeMatch {
+// queryMatches asks the endpoint at base for q's k nearest neighbours
+// or, with k = 0, for its range at radius.
+func queryMatches(t *testing.T, base string, q metric.Object, radius float64, k int) []server.MatchJSON {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
+	cl := server.NewClient(base, nil)
+	var (
+		qr  *server.QueryResponse
+		err error
+	)
+	if k > 0 {
+		qr, err = cl.NN(context.Background(), q, k)
+	} else {
+		qr, err = cl.Range(context.Background(), q, radius)
+	}
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		t.Fatalf("%s: %v", base, err)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	var out struct {
-		Matches []wireSmokeMatch `json:"matches"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("POST %s: decode: %v", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: status %d", url, resp.StatusCode)
-	}
-	return out.Matches
+	return qr.Matches
 }
 
-func assertSmokeMatches(t *testing.T, label string, got, want []wireSmokeMatch) {
+func assertSmokeMatches(t *testing.T, label string, got, want []server.MatchJSON) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Errorf("%s: got %d matches, want %d", label, len(got), len(want))
 		return
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("%s: match %d = %+v, want %+v", label, i, got[i], want[i])
+		if got[i].OID != want[i].OID || got[i].Distance != want[i].Distance {
+			t.Errorf("%s: match %d = (oid %d, dist %v), want (oid %d, dist %v)",
+				label, i, got[i].OID, got[i].Distance, want[i].OID, want[i].Distance)
 			return
 		}
 	}
@@ -284,14 +277,11 @@ func httpGet(t *testing.T, url string) []byte {
 // generous boot deadline.
 func waitHealthy(t *testing.T, base, label string) {
 	t.Helper()
+	cl := server.NewClient(base, nil)
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			_ = resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return
-			}
+		if cl.Health(context.Background()) == nil {
+			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

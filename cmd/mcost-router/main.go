@@ -29,12 +29,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mcost/internal/router"
@@ -105,13 +101,7 @@ func main() {
 	// summary is in. Nodes listen before they finish building too, so
 	// the summaries are polled every 10ms until -model-wait runs out:
 	// the router is ready within one poll of the last node.
-	var handler atomic.Value // http.Handler
-	handler.Store(server.BootingHandler())
-	httpSrv := &http.Server{Addr: *addr, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	})}
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.ListenAndServe() }()
+	ln := server.Listen(*addr)
 	fmt.Printf("listening on %s (booting); fetching shard models from %d shard(s)...\n", *addr, len(shards))
 	var rt *router.Router
 	var err error
@@ -124,12 +114,11 @@ func main() {
 			fail(err)
 		}
 		select {
-		case err := <-done:
+		case err := <-ln.Failed():
 			fail(err)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	defer rt.Close()
 	srv, err := server.New(server.Config{
 		Engine:      rt,
 		Decode:      rt.Decoder(),
@@ -138,25 +127,14 @@ func main() {
 		Registry:    rt.Registry(),
 	})
 	if err != nil {
+		rt.Close()
 		fail(err)
 	}
-	defer srv.Close()
-	handler.Store(srv.Handler())
+	ln.Ready(srv.Handler())
 	fmt.Printf("routing on %s: %d shards, %d objects total (hedge <= %g predicted nodes, %d retries, breaker opens at %d fails)\n",
 		*addr, len(shards), rt.Size(), *hedgeNodes, cfg.MaxRetries, *brkFails)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-done:
+	if err := ln.Run(srv.Close, rt.Close); err != nil {
 		fail(err)
-	case s := <-sig:
-		fmt.Printf("\n%v: draining...\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "mcost-router: shutdown:", err)
-		}
 	}
 }
 

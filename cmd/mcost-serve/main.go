@@ -31,15 +31,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	_ "net/http/pprof" // -debug mounts the default mux
 	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mcost"
@@ -93,13 +88,7 @@ func main() {
 	// Listen before building: the node answers 503 "building" on every
 	// route until the engine is warm, so a router's health loop can see
 	// it early without routing work to it.
-	var handler atomic.Value // http.Handler
-	handler.Store(server.BootingHandler())
-	httpSrv := &http.Server{Addr: *addr, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	})}
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.ListenAndServe() }()
+	ln := server.Listen(*addr)
 
 	fmt.Printf("listening on %s (booting); building engine over %s (n=%d, node size %d B, shards=%d)...\n",
 		*addr, d.Name, d.N(), tf.PageSize, shf.Shards)
@@ -189,7 +178,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	handler.Store(srv.Handler())
+	ln.Ready(srv.Handler())
 
 	fmt.Printf("serving on %s (admission: %g node reads/s, %g dist calcs/s; batch window %v)\n",
 		*addr, *nodeRate, *distRate, *batchWindow)
@@ -199,21 +188,8 @@ func main() {
 	if *debug {
 		fmt.Printf("debug endpoints on http://%s/debug/pprof/ and /debug/vars\n", *addr)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-done:
-		srv.Close()
+	if err := ln.Run(srv.Close); err != nil {
 		fail(err)
-	case s := <-sig:
-		fmt.Printf("\n%v: draining...\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "mcost-serve: shutdown:", err)
-		}
-		srv.Close()
 	}
 }
 

@@ -62,8 +62,6 @@ const (
 	nsPerDistCalc = 1_000   // 1µs per predicted distance
 	// modelTimeout bounds each boot-time /v1/model fetch.
 	modelTimeout = 10 * time.Second
-	// maxNodeBody caps a node's response body.
-	maxNodeBody = 64 << 20
 )
 
 // Config assembles a Router.
@@ -143,10 +141,11 @@ func positiveOr[T int | float64 | time.Duration](v, def T) T {
 	return v
 }
 
-// endpoint is one node address serving a shard, with its breaker.
+// endpoint is one node serving a shard: its /v1 client and its
+// breaker.
 type endpoint struct {
-	base string
-	brk  *breaker
+	cl  *server.Client
+	brk *breaker
 }
 
 // shardState is everything the router knows about one shard: the
@@ -272,8 +271,16 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 	}
 
 	var first *shard.Summary
-	for i, eps := range cfg.Shards {
-		sum, err := rt.fetchSummary(ctx, eps)
+	for i, bases := range cfg.Shards {
+		var eps []*endpoint
+		for j, base := range bases {
+			gauge := reg.Gauge(fmt.Sprintf("router.breaker.s%d.e%d", i, j))
+			eps = append(eps, &endpoint{
+				cl:  server.NewClient(base, client),
+				brk: newBreaker(cfg.BreakerFails, cfg.BreakerCooldown, rt.cBreakerOpens, gauge),
+			})
+		}
+		sum, err := fetchSummary(ctx, bases, eps)
 		if err != nil {
 			return nil, fmt.Errorf("router: shard %d: %w", i, err)
 		}
@@ -315,20 +322,13 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 			return nil, fmt.Errorf("router: shard %d disagrees with shard 0 about carrying a pivot", i)
 		}
 		rt.balls = append(rt.balls, shard.Ball{Pivot: pivot, Radius: sum.Radius})
-		st := &shardState{
-			index:   i,
-			model:   model,
-			size:    sum.Size,
-			latency: reg.Hist(fmt.Sprintf("router.shard_latency_ms.s%d", i), 40, 0, 2000),
-		}
-		for j, base := range eps {
-			gauge := reg.Gauge(fmt.Sprintf("router.breaker.s%d.e%d", i, j))
-			st.endpoints = append(st.endpoints, &endpoint{
-				base: base,
-				brk:  newBreaker(cfg.BreakerFails, cfg.BreakerCooldown, rt.cBreakerOpens, gauge),
-			})
-		}
-		rt.shards = append(rt.shards, st)
+		rt.shards = append(rt.shards, &shardState{
+			index:     i,
+			model:     model,
+			size:      sum.Size,
+			endpoints: eps,
+			latency:   reg.Hist(fmt.Sprintf("router.shard_latency_ms.s%d", i), 40, 0, 2000),
+		})
 		rt.totalSize += sum.Size
 		for _, l := range sum.Levels {
 			rt.numNodes += l.Nodes
@@ -343,6 +343,22 @@ func New(ctx context.Context, cfg Config) (_ *Router, err error) {
 		go rt.healthLoop()
 	}
 	return rt, nil
+}
+
+// fetchSummary GETs /v1/model from each endpoint of a shard group, in
+// order, until one serves the shard summary.
+func fetchSummary(ctx context.Context, bases []string, eps []*endpoint) (*shard.Summary, error) {
+	var lastErr error
+	for j, ep := range eps {
+		mctx, cancel := context.WithTimeout(ctx, modelTimeout)
+		sum, err := ep.cl.Model(mctx)
+		cancel()
+		if err == nil {
+			return sum, nil
+		}
+		lastErr = fmt.Errorf("%s/v1/model: %w", bases[j], err)
+	}
+	return nil, lastErr
 }
 
 // idleConnsPerShard is the keep-alive pool the router holds per node
@@ -465,14 +481,26 @@ func (rt *Router) scatter(ctx context.Context, qs []metric.Object, nn bool, radi
 // failed.
 type shardCall struct {
 	st      *shardState
-	path    string
-	body    []byte
+	q       json.RawMessage // encoded once for every shard and attempt
+	nn      bool
+	radius  float64
+	k       int // clamped to the shard's size
 	est     core.CostEstimate
 	timeout time.Duration
 
-	res    *nodeResponse
+	res    *server.QueryResponse
 	hedged int
 	err    error
+}
+
+// send runs one attempt of c at ep; the shard's timeout bounds it.
+func (c *shardCall) send(ctx context.Context, ep *endpoint) (*server.QueryResponse, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.timeout)
+	defer cancel()
+	if c.nn {
+		return ep.cl.NN(ctx, c.q, c.k)
+	}
+	return ep.cl.Range(ctx, c.q, c.radius)
 }
 
 // query prices, prunes, scatters and gathers one query, recording what
@@ -483,11 +511,8 @@ func (rt *Router) query(ctx context.Context, q metric.Object, nn bool, radius fl
 	if err != nil {
 		return nil, err
 	}
-	path := "/v1/range"
 	var lb []float64 // k-NN has no radius to compare a bound with
-	if nn {
-		path = "/v1/nn"
-	} else {
+	if !nn {
 		lb = shard.LowerBounds(rt.space, q, rt.balls)
 	}
 	var calls []shardCall
@@ -497,12 +522,11 @@ func (rt *Router) query(ctx context.Context, q metric.Object, nn bool, radius fl
 			rt.cShardsSkipped.Inc()
 			continue
 		}
-		body, err := shardBody(raw, nn, radius, min(k, st.size))
-		if err != nil {
-			return nil, err
-		}
+		// A k-NN's k goes clamped to the shard's size: same answer, and
+		// it keeps the node's own MaxK validation happy.
 		est := st.price(nn, radius, k)
-		calls = append(calls, shardCall{st: st, path: path, body: body, est: est, timeout: rt.timeoutFor(est)})
+		calls = append(calls, shardCall{st: st, q: raw, nn: nn, radius: radius, k: min(k, st.size),
+			est: est, timeout: rt.timeoutFor(est)})
 	}
 	fo.Queried = len(calls)
 
@@ -564,29 +588,23 @@ func (rt *Router) timeoutFor(est core.CostEstimate) time.Duration {
 	return min(max(d, rt.cfg.MinShardTimeout), rt.cfg.MaxShardTimeout)
 }
 
-// shardBody builds the per-shard request body around the encoded query.
-// A k-NN's k comes clamped to the shard's size — same answer, and it
-// keeps the node's own MaxK validation happy.
-func shardBody(query json.RawMessage, nn bool, radius float64, k int) ([]byte, error) {
-	if nn {
-		return json.Marshal(struct {
-			Query json.RawMessage `json:"query"`
-			K     int             `json:"k"`
-		}{query, k})
-	}
-	return json.Marshal(struct {
-		Query  json.RawMessage `json:"query"`
-		Radius float64         `json:"radius"`
-	}{query, radius})
-}
+var errNoEndpoints = &server.ClientError{Code: "breaker_open", Msg: "no routable endpoint (all breakers open)", Retry: true}
 
-var errNoEndpoints = &nodeError{code: "breaker_open", msg: "no routable endpoint (all breakers open)", transient: true}
+// retryable reports whether a failed shard call is worth another
+// attempt, and so whether it counts against its endpoint's breaker.
+// Only transport errors, 5xx and 429 sheds are: a node that refused the
+// request, or whose answer overran the client's size cap, is up and
+// would answer the same way again.
+func retryable(err error) bool {
+	var ce *server.ClientError
+	return !errors.As(err, &ce) || ce.Retry
+}
 
 // queryShard runs one shard's share to completion: hedged first
 // attempt, then retries with capped exponential backoff over whichever
 // endpoints the breakers still admit. Returns the node response, how
 // many hedges fired, and the final error if every attempt failed.
-func (rt *Router) queryShard(ctx context.Context, c shardCall) (*nodeResponse, int, error) {
+func (rt *Router) queryShard(ctx context.Context, c shardCall) (*server.QueryResponse, int, error) {
 	var lastErr error = errNoEndpoints
 	hedges := 0
 	for attempt := 0; attempt <= rt.cfg.MaxRetries; attempt++ {
@@ -612,8 +630,7 @@ func (rt *Router) queryShard(ctx context.Context, c shardCall) (*nodeResponse, i
 			return res, hedges, nil
 		}
 		lastErr = err
-		var nerr *nodeError
-		if errors.As(err, &nerr) && !nerr.transient {
+		if !retryable(err) {
 			break
 		}
 		if ctx.Err() != nil {
@@ -643,34 +660,36 @@ func (rt *Router) backoff(ctx context.Context, attempt int) bool {
 // attemptHedged runs one attempt against the primary endpoint, firing
 // the hedge to a replica after the hedge delay if the primary has not
 // answered. First success wins and cancels the loser; a canceled loser
-// is not charged to its breaker. Returns (response, hedgesFired, err).
-func (rt *Router) attemptHedged(ctx context.Context, c shardCall, primary, hedge *endpoint) (*nodeResponse, int, error) {
+// is not charged to its breaker, and neither is a permanent error: the
+// node answered. Returns (response, hedgesFired, err).
+func (rt *Router) attemptHedged(ctx context.Context, c shardCall, primary, hedge *endpoint) (*server.QueryResponse, int, error) {
 	type report struct {
-		res    *nodeResponse
-		err    *nodeError
+		res    *server.QueryResponse
+		err    error
 		hedged bool
-		lost   bool // canceled because the other leg won
 	}
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan report, 2)
 	run := func(ep *endpoint, hedgedLeg bool) {
 		start := time.Now()
-		res, nerr := rt.postQuery(actx, ep.base, c.path, c.body, c.timeout)
-		if nerr != nil && actx.Err() != nil && ctx.Err() == nil {
-			// The other leg won and we were canceled: not a node failure.
-			ch <- report{hedged: hedgedLeg, lost: true}
+		res, err := c.send(actx, ep)
+		if err != nil && actx.Err() != nil && ctx.Err() == nil {
+			// The other leg won and we were canceled: not a node failure,
+			// and nobody is waiting for this report.
 			return
 		}
 		c.st.latency.Observe(time.Since(start).Seconds() * 1000)
 		rt.cShardCalls.Inc()
-		if nerr != nil {
-			ep.brk.failure(time.Now())
+		if err != nil {
 			rt.cShardFailures.Inc()
+		}
+		if err != nil && retryable(err) {
+			ep.brk.failure(time.Now())
 		} else {
 			ep.brk.success()
 		}
-		ch <- report{res: res, err: nerr, hedged: hedgedLeg}
+		ch <- report{res: res, err: err, hedged: hedgedLeg}
 	}
 
 	go run(primary, false)
@@ -686,7 +705,7 @@ func (rt *Router) attemptHedged(ctx context.Context, c shardCall, primary, hedge
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
-	var firstErr *nodeError
+	var firstErr error
 	for {
 		select {
 		case <-hedgeC:
@@ -696,15 +715,6 @@ func (rt *Router) attemptHedged(ctx context.Context, c shardCall, primary, hedge
 			go run(hedge, true)
 			outstanding++
 		case rep := <-ch:
-			if rep.lost {
-				outstanding--
-				if outstanding == 0 {
-					// Only reachable when both legs raced to the cancel; the
-					// winner's report was already consumed.
-					return nil, fired, firstErr
-				}
-				continue
-			}
 			if rep.err == nil {
 				if fired == 1 {
 					if rep.hedged {
@@ -752,7 +762,9 @@ func (rt *Router) probeAll() {
 			wg.Add(1)
 			go func(ep *endpoint) {
 				defer wg.Done()
-				if rt.probeHealth(ep.base) {
+				ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.HealthTimeout)
+				defer cancel()
+				if ep.cl.Health(ctx) == nil {
 					ep.brk.success()
 				} else {
 					ep.brk.failure(time.Now())

@@ -82,15 +82,11 @@ func (c *cluster) summaries(t *testing.T) []shard.Summary {
 	t.Helper()
 	out := make([]shard.Summary, len(c.nodes))
 	for i, ts := range c.nodes {
-		res, err := http.Get(ts.URL + "/v1/model")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = json.NewDecoder(res.Body).Decode(&out[i])
-		_ = res.Body.Close()
+		sum, err := server.NewClient(ts.URL, nil).Model(context.Background())
 		if err != nil {
 			t.Fatalf("shard %d summary: %v", i, err)
 		}
+		out[i] = *sum
 	}
 	return out
 }
@@ -125,19 +121,6 @@ func serve(t testing.TB, rt *router.Router, ceiling float64) http.Handler {
 	return srv.Handler()
 }
 
-// wireMatch is one match with its object as the bytes on the wire.
-type wireMatch struct {
-	OID      uint64          `json:"oid"`
-	Distance float64         `json:"distance"`
-	Object   json.RawMessage `json:"object"`
-}
-
-// wireResponse is the router's 200 body with raw match objects.
-type wireResponse struct {
-	server.QueryResponse
-	Matches []wireMatch `json:"matches"`
-}
-
 func postJSON(t *testing.T, h http.Handler, path string, body interface{}) (int, []byte) {
 	t.Helper()
 	b, err := json.Marshal(body)
@@ -150,10 +133,12 @@ func postJSON(t *testing.T, h http.Handler, path string, body interface{}) (int,
 	return rr.Code, rr.Body.Bytes()
 }
 
-func decodeQR(t *testing.T, body []byte) wireResponse {
+// decodeQR decodes a 200 query body the way server.Client does, each
+// match's object kept as the bytes on the wire.
+func decodeQR(t *testing.T, body []byte) *server.QueryResponse {
 	t.Helper()
-	var qr wireResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
+	qr, err := server.DecodeQueryResponse(body)
+	if err != nil {
 		t.Fatalf("response body %q: %v", body, err)
 	}
 	return qr
@@ -162,7 +147,7 @@ func decodeQR(t *testing.T, body []byte) wireResponse {
 // assertWireEqual checks the router's wire matches against the
 // in-process reference: OIDs and distances exactly, and each carried
 // object decodes to the dataset object that OID names.
-func assertWireEqual(t *testing.T, label string, got []wireMatch, want []mcost.Match, d *dataset.Dataset) {
+func assertWireEqual(t *testing.T, label string, got []server.MatchJSON, want []mcost.Match, d *dataset.Dataset) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Errorf("%s: got %d matches, want %d", label, len(got), len(want))
@@ -175,7 +160,7 @@ func assertWireEqual(t *testing.T, label string, got []wireMatch, want []mcost.M
 			return
 		}
 		var v metric.Vector
-		if err := json.Unmarshal(got[i].Object, &v); err != nil {
+		if err := json.Unmarshal(got[i].Object.(json.RawMessage), &v); err != nil {
 			t.Errorf("%s: match %d object %q: %v", label, i, got[i].Object, err)
 			return
 		}
@@ -271,6 +256,35 @@ func TestRouterEquivalence(t *testing.T) {
 	}
 }
 
+// The router relays each match object as the bytes its node wrote: a
+// float's own spelling, the smallest subnormal and an escaped non-ASCII
+// string reach the client as they left the node, never decoded and
+// encoded again.
+func TestRouterPassesMatchObjectsThrough(t *testing.T) {
+	c := buildCluster(t, 1)
+	objects := []string{`[0.30000000000000004,5e-324,1.0,-0.0]`, `"caf\u00e9 \u65e5\u672c"`}
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			c.handlers[0].ServeHTTP(w, r) // the boot-time /v1/model
+			return
+		}
+		fmt.Fprintf(w, `{"matches":[{"oid":1,"distance":0.1,"object":%s},{"oid":2,"distance":0.2,"object":%s}],`+
+			`"predicted":{"node_reads":1,"dist_calcs":1},"batch_size":1,"queued_ms":0}`, objects[0], objects[1])
+	}))
+	defer node.Close()
+	rt := newRouter(t, router.Config{Shards: [][]string{{node.URL}}})
+
+	code, body := postJSON(t, serve(t, rt, 0), "/v1/range", rangeReq{metric.Vector{0.5, 0.5, 0.5, 0.5}, 2})
+	if code != http.StatusOK {
+		t.Fatalf("range: status %d: %s", code, body)
+	}
+	for _, obj := range objects {
+		if !bytes.Contains(body, []byte(`"object":`+obj)) {
+			t.Errorf("router body %s does not carry the node's object %s byte for byte", body, obj)
+		}
+	}
+}
+
 // A query whose pivot lower bound rules out every shard is answered
 // from the model alone: no shard is contacted, and the result still
 // matches the in-process engine (empty).
@@ -302,19 +316,13 @@ func TestRouterShardSkip(t *testing.T) {
 
 // nodeMatches queries a node server directly and returns its matches —
 // the per-shard contribution the degraded merge must exclude or keep.
-func nodeMatches(t *testing.T, h http.Handler, path string, body interface{}) []wireMatch {
+func nodeMatches(t *testing.T, h http.Handler, path string, body interface{}) []server.MatchJSON {
 	t.Helper()
 	code, b := postJSON(t, h, path, body)
 	if code != http.StatusOK {
 		t.Fatalf("node %s: status %d: %s", path, code, b)
 	}
-	var resp struct {
-		Matches []wireMatch `json:"matches"`
-	}
-	if err := json.Unmarshal(b, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return resp.Matches
+	return decodeQR(t, b).Matches
 }
 
 // Killing one node degrades instead of failing: 200 with
@@ -335,7 +343,7 @@ func TestRouterDegradedPartial(t *testing.T) {
 	for _, m := range deadRange {
 		deadOIDs[m.OID] = true
 	}
-	var wantNN []wireMatch
+	var wantNN []server.MatchJSON
 	for i, h := range c.handlers {
 		if i == dead {
 			continue

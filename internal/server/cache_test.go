@@ -16,7 +16,6 @@ import (
 	"mcost/internal/mtree"
 	"mcost/internal/obs"
 	"mcost/internal/rescache"
-	"mcost/internal/workload"
 )
 
 // testCache builds a result cache speaking the test index's exact
@@ -143,7 +142,7 @@ func TestE2ECacheZipfHitRate(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	rep, err := workload.RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), workload.HTTPOptions{
+	rep, err := RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), HTTPOptions{
 		Requests: 240, Workers: 6, Seed: 11, ZipfS: 1.5, Client: ts.Client(),
 	})
 	if err != nil {
@@ -286,7 +285,7 @@ func TestServerSmokeCacheEnabled(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	rep, err := workload.RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), workload.HTTPOptions{
+	rep, err := RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), HTTPOptions{
 		Requests: 120, Workers: 6, Seed: 3, ZipfS: 1.4, Client: ts.Client(),
 	})
 	if err != nil {

@@ -370,23 +370,13 @@ type queryRequest struct {
 // runnable query.
 func decodeQueryRequest(r io.Reader, nn bool, dec ObjectDecoder, maxK int) (queryRequest, *RequestError) {
 	var out queryRequest
-	jd := json.NewDecoder(r)
-	jd.DisallowUnknownFields()
 	var raw struct {
 		Query  json.RawMessage `json:"query"`
 		Radius *float64        `json:"radius"`
 		K      *int            `json:"k"`
 	}
-	if err := jd.Decode(&raw); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return out, &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
-				Msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
-		}
-		return out, badRequest("bad_json", "invalid request body: %v", err)
-	}
-	if jd.More() {
-		return out, badRequest("bad_json", "trailing data after request body")
+	if aerr := decodeStrict(r, &raw); aerr != nil {
+		return out, aerr
 	}
 	if len(raw.Query) == 0 {
 		return out, badRequest("missing_query", "request has no \"query\" field")
@@ -428,6 +418,26 @@ func decodeQueryRequest(r io.Reader, nn bool, dec ObjectDecoder, maxK int) (quer
 	}
 	out.Radius = rad
 	return out, nil
+}
+
+// decodeStrict decodes one request body into v: unknown fields and
+// trailing data are a typed 400 bad_json, a body past the size cap a
+// typed 413 body_too_large.
+func decodeStrict(r io.Reader, v interface{}) *RequestError {
+	jd := json.NewDecoder(r)
+	jd.DisallowUnknownFields()
+	if err := jd.Decode(v); err != nil {
+		var maxErr *http.MaxBytesError
+		if errors.As(err, &maxErr) {
+			return &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
+				Msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
+		}
+		return badRequest("bad_json", "invalid request body: %v", err)
+	}
+	if jd.More() {
+		return badRequest("bad_json", "trailing data after request body")
+	}
+	return nil
 }
 
 // budgetFor converts a prediction into the per-request execution cap,
@@ -694,22 +704,6 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(raw)
-}
-
-// BootingHandler answers for a node whose engine is still building:
-// /healthz says 503 "building" and every other route 503s with a typed
-// error. Binaries listen with it immediately and swap in the real
-// handler when the build completes, so health loops see the node early
-// but never route work to it.
-func BootingHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "building"})
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Code: "building", Error: "index is still building; retry shortly"})
-	})
-	return mux
 }
 
 func (s *Server) reject(w http.ResponseWriter, aerr *RequestError) {

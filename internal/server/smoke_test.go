@@ -45,7 +45,7 @@ func TestServerSmokeLowLoad(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	rep, err := workload.RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), workload.HTTPOptions{
+	rep, err := RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), HTTPOptions{
 		Requests: 120, Workers: 6, Seed: 3, Client: ts.Client(),
 	})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestServerSmokeOverloadShedsCleanly(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	rep, err := workload.RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), workload.HTTPOptions{
+	rep, err := RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), HTTPOptions{
 		Requests: 120, Workers: 12, Seed: 5, Backoff: true, MaxBackoff: time.Millisecond,
 		Client: ts.Client(),
 	})

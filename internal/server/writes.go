@@ -139,29 +139,16 @@ type writeRequest struct {
 	oid uint64
 }
 
-// rawWriteRequest is the wire shape before validation.
-type rawWriteRequest struct {
-	Object json.RawMessage `json:"object"`
-	OID    *uint64         `json:"oid"`
-}
-
 // decodeWrite parses and strictly validates a write body, mirroring
 // decodeQueryRequest's discipline: typed 4xx errors, nothing coerced.
 func (s *Server) decodeWrite(r io.Reader, insert bool) (writeRequest, *RequestError) {
 	var out writeRequest
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var raw rawWriteRequest
-	if err := dec.Decode(&raw); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return out, &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
-				Msg: fmt.Sprintf("request body exceeds %d bytes", maxErr.Limit)}
-		}
-		return out, badRequest("bad_json", "invalid request body: %v", err)
+	var raw struct {
+		Object json.RawMessage `json:"object"`
+		OID    *uint64         `json:"oid"`
 	}
-	if dec.More() {
-		return out, badRequest("bad_json", "trailing data after request body")
+	if aerr := decodeStrict(r, &raw); aerr != nil {
+		return out, aerr
 	}
 	if len(raw.Object) == 0 {
 		return out, badRequest("missing_object", "request has no \"object\" field")

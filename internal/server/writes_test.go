@@ -13,7 +13,6 @@ import (
 	"mcost/internal/obs"
 	"mcost/internal/recal"
 	"mcost/internal/rescache"
-	"mcost/internal/workload"
 )
 
 // writableIndex builds a private mutable index per test — the shared
@@ -356,7 +355,7 @@ func TestServerSmokeChurn(t *testing.T) {
 	defer ts.Close()
 
 	size0 := ix.Size()
-	rep, err := workload.RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), workload.HTTPOptions{
+	rep, err := RunHTTP(ts.URL, smokeWorkload(), testQueryPool(), HTTPOptions{
 		Requests: 150, Workers: 6, Seed: 13, ZipfS: 1.3, Client: ts.Client(),
 		InsertFrac: 0.2, DeleteFrac: 0.1,
 	})

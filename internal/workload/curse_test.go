@@ -36,11 +36,7 @@ func TestCurseWorkloadValidatesAcrossSentinels(t *testing.T) {
 // to the largest remainders (the two .6 classes).
 func TestCurseApportioning(t *testing.T) {
 	w := Curse(0.3, 1.0, 5000)
-	weights := make([]float64, len(w.Classes))
-	for i, c := range w.Classes {
-		weights[i] = c.Weight
-	}
-	counts, err := apportion(weights, 23)
+	counts, err := w.Apportion(23)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +52,7 @@ func TestCurseApportioning(t *testing.T) {
 		t.Fatalf("counts sum to %d, want 23", sum)
 	}
 	// Every class executes even when the total barely covers the mix.
-	counts, err = apportion(weights, len(weights))
+	counts, err = w.Apportion(len(w.Classes))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,27 +130,29 @@ type Predictor interface {
 	PredictNN(k int) core.CostEstimate
 }
 
-// apportion distributes total among the classes proportionally to
-// weights using the largest-remainder method, so the counts sum to
-// exactly total and every class gets at least one query. Ties in the
-// fractional remainders break toward the lower class index.
-func apportion(weights []float64, total int) ([]int, error) {
-	if total < len(weights) {
-		return nil, fmt.Errorf("workload: %d queries cannot cover %d classes", total, len(weights))
+// Apportion distributes total queries among the classes in proportion
+// to their weights by the largest-remainder method, so the counts sum
+// to exactly total and every class gets at least one query. Ties in the
+// fractional remainders break toward the lower class index. The
+// in-process runner and the HTTP driver (server.RunHTTP) both split
+// their query counts with it.
+func (w *Workload) Apportion(total int) ([]int, error) {
+	if total < len(w.Classes) {
+		return nil, fmt.Errorf("workload: %d queries cannot cover %d classes", total, len(w.Classes))
 	}
 	var sum float64
-	for _, w := range weights {
-		sum += w
+	for _, c := range w.Classes {
+		sum += c.Weight
 	}
-	counts := make([]int, len(weights))
+	counts := make([]int, len(w.Classes))
 	type rem struct {
 		i    int
 		frac float64
 	}
-	rems := make([]rem, len(weights))
+	rems := make([]rem, len(w.Classes))
 	assigned := 0
-	for i, w := range weights {
-		exact := float64(total) * w / sum
+	for i, c := range w.Classes {
+		exact := float64(total) * c.Weight / sum
 		counts[i] = int(exact)
 		rems[i] = rem{i: i, frac: exact - float64(counts[i])}
 		assigned += counts[i]
@@ -199,13 +201,11 @@ func RunEngine(eng Engine, pred Predictor, w *Workload, queryPool []metric.Objec
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
-	weights := make([]float64, len(w.Classes))
 	var totalWeight float64
-	for i, c := range w.Classes {
-		weights[i] = c.Weight
+	for _, c := range w.Classes {
 		totalWeight += c.Weight
 	}
-	counts, err := apportion(weights, opt.Queries)
+	counts, err := w.Apportion(opt.Queries)
 	if err != nil {
 		return nil, err
 	}

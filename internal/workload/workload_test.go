@@ -126,6 +126,15 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// apportion runs Workload.Apportion over a mix of the given weights.
+func apportion(weights []float64, total int) ([]int, error) {
+	w := &Workload{}
+	for _, x := range weights {
+		w.Classes = append(w.Classes, QueryClass{Weight: x})
+	}
+	return w.Apportion(total)
+}
+
 // TestApportionSumsExactly pins the largest-remainder apportionment:
 // per-class counts sum to exactly the requested total on adversarial
 // weight mixes where the old round-half-up code over- or under-shot.
