@@ -378,73 +378,87 @@ func TestPlanQuotesTheLiveScanPrice(t *testing.T) {
 }
 
 // TestPricersPrefixEqualsPriceNN: the prefix the profile walks is, price
-// for price, what the same pricer quotes one k at a time — through the
-// recalibrator's correction on one tree, through the per-shard sum on
-// three.
+// for price and for every k up to the dataset's size, what the same
+// pricer quotes one k at a time — through the recalibrator's correction
+// on one tree, through the per-shard sum on three, whether the shards
+// are even (round-robin) or not (pivot).
 func TestPricersPrefixEqualsPriceNN(t *testing.T) {
 	space := VectorSpace("L2", 3)
 	objs := randomVectors(120, 3, 43)
-	ix, err := Build(space, objs, Options{Seed: 43, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sx, err := BuildSharded(space, objs, Options{Seed: 43, Workers: 1}, ShardOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(name string, p advisor.Predictor, wantLen int) {
-		t.Helper()
-		prefix := p.PriceNNPrefix(len(objs))
-		if len(prefix) != wantLen {
-			t.Fatalf("%s: prefix of %d prices, want %d", name, len(prefix), wantLen)
+	pricers := map[string]*Index{}
+	for name, so := range map[string]ShardOptions{
+		"Index":          {Shards: 1},
+		"sharded":        {Shards: 3, Assign: ShardRoundRobin},
+		"sharded, pivot": {Shards: 3, Assign: ShardPivot},
+	} {
+		ix, err := BuildSharded(space, objs, Options{Seed: 43, Workers: 1}, so)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := 1; k <= len(prefix); k++ {
-			if got, want := prefix[k-1], p.PriceNN(k); got != want {
-				t.Fatalf("%s: k=%d: prefix %+v, PriceNN %+v", name, k, got, want)
+		pricers[name] = ix
+	}
+	check := func(suffix string) {
+		t.Helper()
+		for name, ix := range pricers {
+			p := ix.tree()
+			prefix := p.PriceNNPrefix(len(objs))
+			if len(prefix) != len(objs) {
+				t.Fatalf("%s%s: prefix of %d prices, want %d", name, suffix, len(prefix), len(objs))
+			}
+			for k := 1; k <= len(prefix); k++ {
+				if got, want := prefix[k-1], p.PriceNN(k); got != want {
+					t.Fatalf("%s%s: k=%d: prefix %+v, PriceNN %+v", name, suffix, k, got, want)
+				}
 			}
 		}
 	}
-	check("Index", ix.tree(), 60)
-	check("sharded", sx.tree(), 20) // three shards of 40
+	check("")
 
-	if err := ix.EnableRecalibration(recal.Config{}, objs); err != nil {
-		t.Fatal(err)
-	}
-	if err := sx.EnableRecalibration(recal.Config{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := ix.NNBatchTraced(context.Background(), objs[i:i+1], 5, QueryBudget{}, nil); err != nil {
+	for name, ix := range pricers {
+		sample := objs
+		if ix.set.NumShards() > 1 {
+			sample = nil
+		}
+		if err := ix.EnableRecalibration(recal.Config{}, sample); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sx.NNBatchTraced(context.Background(), objs[i:i+1], 5, QueryBudget{}, nil); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 8; i++ {
+			if _, err := ix.NNBatchTraced(context.Background(), objs[i:i+1], 5, QueryBudget{}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if raw, corrected := ix.set.Shards()[0].Model.NNL(5), ix.set.Shards()[0].PriceNN(5); raw == corrected {
+			t.Fatalf("%s: recalibration left NNL(5) = %+v uncorrected; the test exercises nothing", name, raw)
 		}
 	}
-	if raw, corrected := ix.set.Shards()[0].Model.NNL(5), ix.tree().PriceNN(5); raw == corrected {
-		t.Fatalf("recalibration left NNL(5) = %+v uncorrected; the test exercises nothing", raw)
-	}
-	check("Index, recalibrated", ix.tree(), 60)
-	check("sharded, recalibrated", sx.tree(), 20)
+	check(", recalibrated")
 }
 
 // TestBenchmarkDatasetProfilesPinned pins the hardness profile on the
 // two dataset shapes the benchmark's tree-l2 and scan-l2 workloads
-// serve. The values are those the k-by-k bisection produced before the
-// prefix walk replaced it.
+// serve, and on uniform L∞ D=4 at one and three shards, where the
+// crossover k lies past half a pivot shard. The values are those a
+// bisection over single prices produced, k by k before the prefix walk
+// and past half the smallest shard until every k had a prefix price.
 func TestBenchmarkDatasetProfilesPinned(t *testing.T) {
+	linf := dataset.Uniform(2000, 4, 12).Objects
 	for _, c := range []struct {
 		name   string
 		objs   []Object
-		dim    int
+		space  *Space
+		seed   int64
+		so     ShardOptions
 		wantK  int
 		wantR  float64
 		scanNs float64
 	}{
-		{"clustered D=16 n=2000", dataset.PaperClustered(2000, 16, 1).Objects, 16, 489, 1.3697912655770779, 72},
-		{"uniform D=64 n=10000", dataset.Uniform(10000, 64, 1).Objects, 64, 1, 0.4135943129658699, 1429},
+		{"clustered D=16 n=2000", dataset.PaperClustered(2000, 16, 1).Objects, VectorSpace("L2", 16), 1, ShardOptions{Shards: 1}, 489, 1.3697912655770779, 72},
+		{"uniform D=64 n=10000", dataset.Uniform(10000, 64, 1).Objects, VectorSpace("L2", 64), 1, ShardOptions{Shards: 1}, 1, 0.4135943129658699, 1429},
+		{"uniform Linf D=4 n=2000 S=1", linf, VectorSpace("Linf", 4), 13, ShardOptions{Shards: 1}, 716, 0.52220829483121634, 25},
+		{"uniform Linf D=4 n=2000 S=3 round-robin", linf, VectorSpace("Linf", 4), 13, ShardOptions{Shards: 3, Assign: ShardRoundRobin}, 98, 0.38022154476493597, 25},
+		{"uniform Linf D=4 n=2000 S=3 pivot", linf, VectorSpace("Linf", 4), 13, ShardOptions{Shards: 3, Assign: ShardPivot}, 492, 0.49620698764920235, 25},
 	} {
-		ix, err := Build(VectorSpace("L2", c.dim), c.objs, Options{Seed: 1, Workers: 1})
+		ix, err := BuildSharded(c.space, c.objs, Options{Seed: c.seed, Workers: 1}, c.so)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -342,13 +342,14 @@ func BenchmarkComputeProfile(b *testing.B) {
 // BenchmarkNNLPrefix times one pass pricing NN(Q,k) for k = 1..K on the
 // tree-l2 dataset shape, beside the K-th of those prices on its own:
 // the pass adds K binomial terms per grid point from a table of
-// ln C(n,i), NNL(K) adds 2K and takes three Lgamma for each.
+// ln C(n,i) (n once K passes n/2, both tails), NNL(K) adds 2·min(K,
+// n−K+1) and takes three Lgamma for each.
 func BenchmarkNNLPrefix(b *testing.B) {
 	ix, err := Build(VectorSpace("L2", 16), dataset.PaperClustered(2000, 16, 1).Objects, Options{Seed: 1, Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, K := range []int{16, 512} {
+	for _, K := range []int{16, 512, 1500, 2000} {
 		b.Run(fmt.Sprintf("prefix-K%d", K), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if got := ix.set.Shards()[0].Model.NNLPrefix(K); len(got) != K {

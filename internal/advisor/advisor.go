@@ -24,6 +24,7 @@ import (
 	"mcost/internal/core"
 	"mcost/internal/distdist"
 	"mcost/internal/histogram"
+	"mcost/internal/numeric"
 )
 
 // ErrBadQuery is the sentinel for structurally invalid queries handed
@@ -70,9 +71,7 @@ type Predictor interface {
 	PriceNN(k int) core.CostEstimate
 	// PriceNNPrefix returns PriceNN(k) for k = 1..K at index k-1, priced
 	// together (core.MTreeModel.NNLPrefix) for less than PriceNN(K) alone
-	// costs. It returns fewer than K prices only where the model has
-	// nothing to share between them (k past half the dataset); PriceNN
-	// prices those.
+	// costs.
 	PriceNNPrefix(K int) []core.CostEstimate
 }
 
@@ -184,19 +183,7 @@ func crossoverRadius(pred Predictor, prof Profile, bound float64) float64 {
 	if !(treeAt(bound) >= scan) {
 		return -1
 	}
-	if treeAt(0) >= scan {
-		return 0
-	}
-	lo, hi := 0.0, bound
-	for i := 0; i < 64 && hi-lo > bound*1e-9; i++ {
-		mid := (lo + hi) / 2
-		if treeAt(mid) >= scan {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
+	return numeric.Bisect(treeAt, scan, 0, bound, bound*1e-9)
 }
 
 // crossoverK finds the smallest k whose predicted tree cost reaches the
@@ -205,9 +192,11 @@ func crossoverRadius(pred Predictor, prof Profile, bound float64) float64 {
 // prices up from k = 1 and stops at the first that reaches the scan's,
 // asking for them in prefixes of doubling length: a crossover at k costs
 // prefixes of under 4k prices in total, and a dataset past the breakdown
-// point, where the answer is 1, costs one price. Only where the
-// predictor has no prefix to offer — k past half the dataset — does it
-// price k by k, bisecting on the (monotone in k) NN cost.
+// point, where the answer is 1, costs one price. The doubling stops once
+// at numeric.LowerTailMaxK(N), so that only a crossover past it asks for
+// a longer prefix (under 5k prices in all), which sums the upper
+// binomial tail from k = N down as well. PriceNN is asked once, for the
+// k = N check.
 func crossoverK(pred Predictor, prof Profile) int {
 	scan := prof.ScanNodes + prof.ScanDists
 	if prof.N < 1 {
@@ -216,29 +205,19 @@ func crossoverK(pred Predictor, prof Profile) int {
 	if !(cost(pred.PriceNN(prof.N)) >= scan) {
 		return 0
 	}
-	below := 0 // every k ≤ below is known to price under the scan
-	for K := 1; ; K = min(2*K, prof.N) {
+	lowerK := numeric.LowerTailMaxK(prof.N)
+	for below, K := 0, 1; below < prof.N; below, K = K, min(2*K, prof.N) {
+		if below < lowerK && K > lowerK {
+			K = lowerK
+		}
 		prices := pred.PriceNNPrefix(K)
 		for k := below + 1; k <= len(prices); k++ {
 			if cost(prices[k-1]) >= scan {
 				return k
 			}
 		}
-		below = max(below, len(prices))
-		if len(prices) < K || K == prof.N {
-			break
-		}
 	}
-	lo, hi := min(below+1, prof.N), prof.N
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if cost(pred.PriceNN(mid)) >= scan {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
+	return prof.N
 }
 
 // Decision is one planned query: the chosen engine and both priced

@@ -7,6 +7,7 @@ import (
 
 	"mcost/internal/core"
 	"mcost/internal/histogram"
+	"mcost/internal/numeric"
 )
 
 // fakePred prices tree queries with pluggable closures, so decision
@@ -265,13 +266,10 @@ func bisectCrossoverK(pred Predictor, prof Profile) int {
 }
 
 // countingPred counts what crossoverK asks of its predictor.
-// prefixCap > 0 cuts every prefix short there, as the model does past
-// half the dataset.
 type countingPred struct {
 	fakePred
-	prefixCap   int
-	prefixTotal *int // summed K over PriceNNPrefix calls
-	single      *int // PriceNN calls
+	prefixes *[]int // K of each PriceNNPrefix call
+	single   *int   // PriceNN calls
 }
 
 func (c countingPred) PriceNN(k int) core.CostEstimate {
@@ -280,10 +278,7 @@ func (c countingPred) PriceNN(k int) core.CostEstimate {
 }
 
 func (c countingPred) PriceNNPrefix(K int) []core.CostEstimate {
-	*c.prefixTotal += K
-	if c.prefixCap > 0 && K > c.prefixCap {
-		K = c.prefixCap
-	}
+	*c.prefixes = append(*c.prefixes, K)
 	return nnPrefix(c.fakePred, K)
 }
 
@@ -324,39 +319,45 @@ func TestCrossoverKIsTheFirstKAtScanCost(t *testing.T) {
 		{"crosses at 489", stepAt(489, scan), 489, true},
 		{"crosses at a power of two", stepAt(512, scan), 512, true},
 		{"crosses just past one", stepAt(513, scan), 513, true},
+		{"crosses at the lower-tail limit", stepAt(n/2, scan), n / 2, true},
+		{"crosses just past it", stepAt(n/2+1, scan), n/2 + 1, true},
 		{"crosses at N", stepAt(n, scan), n, true},
 		{"never crosses", stepAt(n+1, scan), 0, true},
 		{"linear in k", linearPred(1, 10), 92, true},
 		{"plateau wobbling from 1", wobble(1), 1, false},
 		{"plateau wobbling from 40", wobble(40), 40, false},
+		{"plateau wobbling from 700", wobble(700), 700, false},
 	}
+	lowerK := numeric.LowerTailMaxK(n)
 	for _, c := range cases {
-		for _, prefixCap := range []int{0, n / 2, 5} {
-			if !c.monotone && prefixCap > 0 && c.want > prefixCap {
-				continue // past a cut-off prefix crossoverK bisects, which presumes monotone prices
+		var prefixes []int
+		var single int
+		pred := countingPred{c.pred, &prefixes, &single}
+		got := crossoverK(pred, prof)
+		if ref := linearCrossoverK(c.pred, prof); got != ref || got != c.want {
+			t.Errorf("%s: crossoverK = %d, linear reference %d, want %d", c.name, got, ref, c.want)
+		}
+		if old := bisectCrossoverK(c.pred, prof); c.monotone && got != old {
+			t.Errorf("%s: crossoverK = %d, bisection %d", c.name, got, old)
+		}
+		// One pricing path: the only single price is the k = N check.
+		if single != 1 {
+			t.Errorf("%s: %d single prices, want 1", c.name, single)
+		}
+		// The work bound that replaces a timing: prefixes double, so
+		// reaching k asks for under 4k prices in all (5k past the
+		// lower-tail limit, where the doubling stops once). And only a
+		// crossover past that limit asks for a prefix past it, which
+		// pays for the upper binomial tail.
+		total := 0
+		for _, K := range prefixes {
+			total += K
+			if K > lowerK && got > 0 && got <= lowerK {
+				t.Errorf("%s: asked for a prefix of %d past the lower-tail limit %d", c.name, K, lowerK)
 			}
-			var prefixTotal, single int
-			pred := countingPred{c.pred, prefixCap, &prefixTotal, &single}
-			got := crossoverK(pred, prof)
-			if ref := linearCrossoverK(c.pred, prof); got != ref || got != c.want {
-				t.Errorf("%s, prefixes cut at %d: crossoverK = %d, linear reference %d, want %d", c.name, prefixCap, got, ref, c.want)
-			}
-			if old := bisectCrossoverK(c.pred, prof); c.monotone && got != old {
-				t.Errorf("%s, prefixes cut at %d: crossoverK = %d, bisection %d", c.name, prefixCap, got, old)
-			}
-			// The work bound that replaces a timing: prefixes double, so
-			// reaching k asks for under 4k prices in all, and single prices
-			// are the k = N check plus a bisection past a cut-off prefix.
-			if prefixTotal > 4*got+16 {
-				t.Errorf("%s, prefixes cut at %d: asked for prefixes totalling %d prices, bound %d", c.name, prefixCap, prefixTotal, 4*got+16)
-			}
-			walked := prefixCap == 0 || (got > 0 && got <= prefixCap) // the answer lay inside a prefix
-			if walked && single != 1 {
-				t.Errorf("%s, prefixes cut at %d: %d single prices, want 1", c.name, prefixCap, single)
-			}
-			if single > 1+10 { // log2(1000) < 10
-				t.Errorf("%s, prefixes cut at %d: %d single prices", c.name, prefixCap, single)
-			}
+		}
+		if total > 5*got+16 || (got <= lowerK && total > 4*got+16) {
+			t.Errorf("%s: asked for prefixes %v totalling %d prices", c.name, prefixes, total)
 		}
 	}
 }

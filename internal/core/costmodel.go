@@ -185,19 +185,19 @@ func (m *MTreeModel) NNL(k int) CostEstimate {
 	}
 }
 
-// NNLPrefix returns NNL(k) for every k = 1..K, each equal to NNL(k) bit
-// for bit, in one pass over the integration grid. NNL(k) spends its time
-// on P_{Q,k} at the grid points — a k-term binomial sum at each, twice,
-// once per cost — while the range costs it weighs do not depend on k. The
-// pass evaluates those once per cell, takes P_{Q,k} for all k from one
-// K-term loop (numeric.BinomialPrefix) and accumulates both costs
-// together: all K prices for about a tenth of what NNL(K) alone costs
-// (BenchmarkNNLPrefix). The result is shorter than K when K exceeds
-// numeric.LowerTailMaxK(n): above it P_{Q,k} is an upper-tail sum, the
-// pass has nothing to share, and NNL(k) is the only way to price k.
+// NNLPrefix returns NNL(k) for every k = 1..min(K, n), each equal to
+// NNL(k) bit for bit, in one pass over the integration grid. NNL(k)
+// spends its time on P_{Q,k} at the grid points — a binomial sum of up
+// to n/2 terms at each, twice, once per cost — while the range costs it
+// weighs do not depend on k. The pass evaluates those once per cell,
+// takes P_{Q,k} for all k from one loop over the terms
+// (numeric.BinomialPrefix) and accumulates both costs together: all K
+// prices for about a tenth of what NNL(K) alone costs
+// (BenchmarkNNLPrefix). Past K = numeric.LowerTailMaxK(n) the loop also
+// runs the upper tail, from i = n down, which costs as much again.
 func (m *MTreeModel) NNLPrefix(K int) []CostEstimate {
 	n := m.stats.Size
-	K = min(K, numeric.LowerTailMaxK(n))
+	K = min(K, n)
 	if K < 1 {
 		return nil
 	}

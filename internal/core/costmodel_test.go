@@ -372,7 +372,7 @@ func TestNNCostsMonotoneInK(t *testing.T) {
 func prefixEqualsNNL(t *testing.T, label string, m *MTreeModel, K int, ks []int) []CostEstimate {
 	t.Helper()
 	prefix := m.NNLPrefix(K)
-	if want := min(K, (m.N()+1)/2); len(prefix) != want {
+	if want := min(K, m.N()); len(prefix) != want {
 		t.Fatalf("%s: NNLPrefix(%d) has %d prices, want %d", label, K, len(prefix), want)
 	}
 	for _, k := range ks {
@@ -392,24 +392,28 @@ func upTo(k int) []int {
 }
 
 func TestNNLPrefixEqualsNNL(t *testing.T) {
-	// Every k the prefix covers, on a fixture small enough to afford the
-	// ~k²/2 binomial terms per grid point that calling NNL for each costs
-	// (on a coarser grid for the same reason; the identity is per cell).
+	// Every k <= n, both binomial tails, on a fixture small enough to
+	// afford the ~n²/4 binomial terms per grid point that calling NNL for
+	// each costs (on a coarser grid for the same reason; the identity is
+	// per cell). K past n prices n.
 	small := newFixture(t, dataset.PaperClustered(301, 6, 1407), 1024)
 	small.model.steps = 400
-	prefixEqualsNNL(t, "clustered n=301", small.model, 1000, upTo(151))
-	// A shorter prefix is the same prices, cut.
-	if got, want := small.model.NNLPrefix(7), small.model.NNLPrefix(151)[:7]; !reflect.DeepEqual(got, want) {
-		t.Fatalf("NNLPrefix(7) = %+v, want %+v", got, want)
+	prefixEqualsNNL(t, "clustered n=301", small.model, 1000, upTo(301))
+	// A shorter prefix is the same prices, cut, on either side of the
+	// lower-tail limit.
+	for _, K := range []int{7, 151, 152, 300} {
+		if got, want := small.model.NNLPrefix(K), small.model.NNLPrefix(301)[:K]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("NNLPrefix(%d) = %+v, want %+v", K, got, want)
+		}
 	}
 	if got := small.model.NNLPrefix(0); len(got) != 0 {
 		t.Fatalf("NNLPrefix(0) = %+v", got)
 	}
 
-	// The full grid at the size the other tests use, at sampled k up to
-	// the last one covered.
+	// The full grid at the size the other tests use, at sampled k on
+	// both sides of the lower-tail limit.
 	fx := newFixture(t, dataset.Uniform(1200, 5, 1405), 1024)
-	prefixEqualsNNL(t, "uniform n=1200", fx.model, 600, []int{1, 2, 3, 10, 60, 599, 600})
+	prefixEqualsNNL(t, "uniform n=1200", fx.model, 1200, []int{1, 2, 3, 10, 60, 599, 600, 601, 1199, 1200})
 
 	// A point-mass F̂: P_{Q,k} jumps from 0 to 1 inside one bin for every
 	// k, so each price is a handful of cells.
@@ -424,14 +428,14 @@ func TestNNLPrefixEqualsNNL(t *testing.T) {
 		t.Fatal(err)
 	}
 	pm.steps = 400
-	prefixEqualsNNL(t, "point mass", pm, 151, upTo(151))
+	prefixEqualsNNL(t, "point mass", pm, 301, upTo(301))
 
 	// Past the breakdown point (uniform D=64) every k-NN query reads the
 	// whole tree: the prices differ from k to k in the last few bits
 	// only, which is the case "equal" has to mean bit for bit.
 	curse := newFixture(t, dataset.Uniform(301, 64, 1408), 4096)
 	curse.model.steps = 400
-	prices := prefixEqualsNNL(t, "uniform D=64", curse.model, 151, upTo(151))
+	prices := prefixEqualsNNL(t, "uniform D=64", curse.model, 301, upTo(301))
 	lo, hi := prices[0].Dists, prices[0].Dists
 	for _, e := range prices {
 		lo, hi = math.Min(lo, e.Dists), math.Max(hi, e.Dists)

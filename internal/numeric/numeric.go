@@ -33,7 +33,7 @@ func binomialTerm(logChoose float64, n, i int, logP, logQ float64) float64 {
 }
 
 // LowerTailMaxK returns the largest k for which BinomialTail(n, k, p)
-// sums the lower tail (2k <= n+1) — the k that BinomialPrefix covers.
+// sums the lower tail (2k <= n+1); above it the upper tail is shorter.
 func LowerTailMaxK(n int) int { return (n + 1) / 2 }
 
 // BinomialTail returns Pr{X >= k} for X ~ Binomial(n, p), computed in log
@@ -41,7 +41,8 @@ func LowerTailMaxK(n int) int { return (n + 1) / 2 }
 // with p = F(r): the probability that at least k of n objects fall inside
 // the query ball. The lower-tail sum has at most k terms, so the function
 // is fast for the small k of nearest-neighbor queries; for large k it
-// switches to summing the upper tail (n-k+1 terms) when that is shorter.
+// sums the upper tail instead (n-k+1 terms, added from i = n down to k)
+// when that is shorter.
 func BinomialTail(n, k int, p float64) float64 {
 	switch {
 	case k <= 0:
@@ -63,15 +64,12 @@ func BinomialTail(n, k int, p float64) float64 {
 		}
 		return oneMinus(lower)
 	}
-	// Sum the upper tail directly.
+	// Pr{X >= k} = sum_{i=k}^{n} C(n,i) p^i q^(n-i), from i = n down.
 	var upper float64
-	for i := k; i <= n; i++ {
+	for i := n; i >= k; i-- {
 		upper += binomialTerm(LogChoose(n, i), n, i, logP, logQ)
 	}
-	if upper > 1 {
-		upper = 1
-	}
-	return upper
+	return min(upper, 1)
 }
 
 // oneMinus turns a lower-tail sum into the upper tail, absorbing the
@@ -84,26 +82,32 @@ func oneMinus(lower float64) float64 {
 }
 
 // BinomialPrefix evaluates BinomialTail(n, k, p) for every k = 1..K in
-// one pass. BinomialTail's lower-tail sum for k is the running sum of
-// the same term loop stopped after k terms, so the tails for all k <= K
-// are the successive prefixes of one loop of K terms — K terms instead
-// of K(K+1)/2 — with ln C(n,i) tabulated once for all p instead of
-// three Lgamma per term. Each result equals BinomialTail's bit for bit.
-// The upper-tail branch (2k > n+1) shares nothing of the kind — its
-// sum for k starts at term k, so no two k add the same sequence — and is
-// not covered: K is at most LowerTailMaxK(n).
+// one pass. Both of BinomialTail's sums are running sums of one term
+// loop: the lower-tail sum for k is the loop from i = 0 stopped after k
+// terms, and the upper-tail sum for k is the loop from i = n down
+// stopped after term k. So the tails for k = 1..LowerTailMaxK(n) are
+// the successive sums of one upward loop, those for k = n down to
+// LowerTailMaxK(n)+1 the successive sums of one downward loop, and no
+// term is added twice — at most n terms for all K tails instead of
+// about K²/2, with ln C(n,i) tabulated once for all p instead of three
+// Lgamma per term. Each result equals BinomialTail's bit for bit.
 type BinomialPrefix struct {
 	n         int
-	logChoose []float64 // ln C(n,i), i < K
+	logChoose []float64 // ln C(n,i) for every i a tail up to K adds
 }
 
-// NewBinomialPrefix tabulates ln C(n,i) for i < K. It panics when K is
-// outside [0, LowerTailMaxK(n)], a programming error.
+// NewBinomialPrefix tabulates ln C(n,i) for the terms the tails for
+// k = 1..K add: i < K when K is at most LowerTailMaxK(n), every i <= n
+// past it. It panics when K is outside [0, n], a programming error.
 func NewBinomialPrefix(n, K int) *BinomialPrefix {
-	if K < 0 || K > LowerTailMaxK(n) {
+	if K < 0 || K > n {
 		panic(fmt.Sprintf("numeric: NewBinomialPrefix(%d, %d) out of domain", n, K))
 	}
-	b := &BinomialPrefix{n: n, logChoose: make([]float64, K)}
+	terms := K
+	if K > LowerTailMaxK(n) {
+		terms = n + 1
+	}
+	b := &BinomialPrefix{n: n, logChoose: make([]float64, terms)}
 	for i := range b.logChoose {
 		b.logChoose[i] = LogChoose(n, i)
 	}
@@ -111,7 +115,9 @@ func NewBinomialPrefix(n, K int) *BinomialPrefix {
 }
 
 // Tails sets out[k-1] = BinomialTail(n, k, p) for k = 1..len(out);
-// len(out) must not exceed the K given to NewBinomialPrefix.
+// len(out) must not exceed the K given to NewBinomialPrefix. The
+// downward loop, which starts at i = n whatever len(out) is, runs only
+// when len(out) passes LowerTailMaxK(n).
 func (b *BinomialPrefix) Tails(p float64, out []float64) {
 	switch {
 	case p <= 0:
@@ -125,10 +131,21 @@ func (b *BinomialPrefix) Tails(p float64, out []float64) {
 	}
 	logP := math.Log(p)
 	logQ := math.Log1p(-p)
+	lowerK := LowerTailMaxK(b.n)
 	var lower float64
-	for i := range out {
+	for i := range out[:min(len(out), lowerK)] {
 		lower += binomialTerm(b.logChoose[i], b.n, i, logP, logQ)
 		out[i] = oneMinus(lower)
+	}
+	if len(out) <= lowerK {
+		return
+	}
+	var upper float64
+	for i := b.n; i > lowerK; i-- {
+		upper += binomialTerm(b.logChoose[i], b.n, i, logP, logQ)
+		if i <= len(out) {
+			out[i-1] = min(upper, 1)
+		}
 	}
 }
 

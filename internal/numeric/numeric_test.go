@@ -129,32 +129,35 @@ func TestBinomialTailMonotoneQuick(t *testing.T) {
 }
 
 func TestBinomialPrefixEqualsBinomialTail(t *testing.T) {
-	// Bit for bit, at every k the prefix covers, where the sum is empty
+	// Bit for bit, at every k <= n — both tails — where the sum is empty
 	// (p = 0), one rounding from empty, around its mode (p = k/n), one
 	// rounding from saturated, and saturated (p = 1).
 	for _, n := range []int{1, 2, 7, 100, 2001} {
-		K := LowerTailMaxK(n)
-		b := NewBinomialPrefix(n, K)
+		b := NewBinomialPrefix(n, n)
 		ps := []float64{0, math.SmallestNonzeroFloat64, 1e-300, 1e-9, 1 - 1e-9, math.Nextafter(1, 0), 1}
-		for _, k := range []int{1, 2, K / 2, K, n} {
+		for _, k := range []int{1, 2, n / 4, LowerTailMaxK(n), LowerTailMaxK(n) + 1, 3 * n / 4, n} {
 			ps = append(ps, float64(k)/float64(n))
 		}
-		out := make([]float64, K)
+		out := make([]float64, n)
 		for _, p := range ps {
 			b.Tails(p, out)
-			for k := 1; k <= K; k++ {
+			for k := 1; k <= n; k++ {
 				if want := BinomialTail(n, k, p); out[k-1] != want {
 					t.Fatalf("n=%d p=%g k=%d: prefix %v, BinomialTail %v", n, p, k, out[k-1], want)
 				}
 			}
 		}
-		// A shorter out is the same prefix, cut.
-		short := make([]float64, K/2)
-		b.Tails(0.25, short)
+		// A shorter out is the same prefix, cut, on either side of the
+		// lower-tail limit, and so is one from a smaller table.
 		b.Tails(0.25, out)
-		for i := range short {
-			if short[i] != out[i] {
-				t.Fatalf("n=%d: short prefix differs at k=%d", n, i+1)
+		for _, K := range []int{LowerTailMaxK(n) / 2, LowerTailMaxK(n), min(LowerTailMaxK(n)+1, n)} {
+			short, own := make([]float64, K), make([]float64, K)
+			b.Tails(0.25, short)
+			NewBinomialPrefix(n, K).Tails(0.25, own)
+			for i := range short {
+				if short[i] != out[i] || own[i] != out[i] {
+					t.Fatalf("n=%d K=%d: short prefix differs at k=%d", n, K, i+1)
+				}
 			}
 		}
 	}
@@ -166,8 +169,8 @@ func TestBinomialPrefixEqualsBinomialTail(t *testing.T) {
 	}
 }
 
-func TestNewBinomialPrefixPanicsPastTheLowerTail(t *testing.T) {
-	for _, bad := range [][2]int{{10, 6}, {10, -1}, {0, 1}} {
+func TestNewBinomialPrefixPanicsPastN(t *testing.T) {
+	for _, bad := range [][2]int{{10, 11}, {10, -1}, {0, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -247,13 +247,17 @@ func (sh *Shard) PriceNN(k int) core.CostEstimate {
 	return sh.Model.NNLCached(k)
 }
 
-// PriceNNPrefix returns PriceNN(k) for k = 1..K on a non-empty shard,
-// as far as the model prices them in one pass (core's NNLPrefix) and
-// PriceNN does not clamp k.
+// PriceNNPrefix returns PriceNN(k) for k = 1..K, the model's prices
+// from one pass (core's NNLPrefix) corrected as PriceNN corrects them.
+// A k past the shard's size repeats the last price, as PriceNN's clamp
+// quotes it; an empty shard, whose every price is zero, returns none.
 func (sh *Shard) PriceNNPrefix(K int) []core.CostEstimate {
 	est := sh.Model.NNLPrefix(min(K, sh.Tree.Size()))
 	if sh.rc != nil {
 		sh.rc.CorrectNNs(est)
+	}
+	for len(est) > 0 && len(est) < K {
+		est = append(est, est[len(est)-1])
 	}
 	return est
 }
@@ -693,19 +697,13 @@ func (s *Set) Sum(f func(*Shard) core.CostEstimate) core.CostEstimate {
 }
 
 // PredictNNPrefix returns PredictNN(k) for k = 1..K, summed in the same
-// shard order from each shard's one-pass prices. The result stops at
-// the shortest prefix any non-empty shard offers (half its size).
+// shard order from each shard's one-pass prices.
 func (s *Set) PredictNNPrefix(K int) []core.CostEstimate {
 	sum := make([]core.CostEstimate, max(K, 0))
 	for _, sh := range s.shards {
-		if sh.Tree.Size() == 0 {
-			continue
-		}
-		est := sh.PriceNNPrefix(K)
-		sum = sum[:min(len(sum), len(est))]
-		for k := range sum {
-			sum[k].Nodes += est[k].Nodes
-			sum[k].Dists += est[k].Dists
+		for k, e := range sh.PriceNNPrefix(K) {
+			sum[k].Nodes += e.Nodes
+			sum[k].Dists += e.Dists
 		}
 	}
 	return sum

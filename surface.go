@@ -77,10 +77,12 @@ func ParseEngineMode(s string) (EngineMode, error) {
 // hardness profile from it and the tree side's current prices — after
 // every model refit, so the crossover points track the live model. No
 // data passes: moments of F̂, a bisection over PriceRange, and a walk up
-// the k-NN prices that stops at the crossover k and costs in proportion
-// to it (advisor.crossoverK) — 40 ms at n = 2 000 with the crossover at
-// k = 489, 0.3 s at n = 12 000 and k = 3 628, under 1 ms where the tree
-// already loses at k = 1 (BenchmarkComputeProfile). A recalibration
+// the k-NN prices in one-pass prefixes that stops at the crossover k
+// and costs in proportion to it (advisor.crossoverK) — 30–60 ms at
+// n = 2 000 with the crossover at k = 489, 0.2 s at n = 12 000 and
+// k = 3 628, under 1 ms where the tree already loses at k = 1
+// (BenchmarkComputeProfile), 0.2–0.3 s on a 3-shard pivot set of 2 000
+// whose crossover lies past half its smallest shard. A recalibration
 // refit pays it under the write lock.
 func (ix *Index) refreshProfile() error {
 	fs := make([]*histogram.Histogram, 0, ix.set.NumShards())
