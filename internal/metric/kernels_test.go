@@ -179,8 +179,6 @@ func TestValidateQuery(t *testing.T) {
 		{"hamming wrong type", HammingSpace(4), "0101", Vector{1}, false},
 		{"edit ok", EditSpace(8), "word", "words", true},
 		{"edit too long", EditSpace(8), "word", "wayovermaxlength", false},
-		{"set ok", JaccardSpace(), StringSet{"a"}, StringSet{"b"}, true},
-		{"set wrong type", JaccardSpace(), StringSet{"a"}, "b", false},
 	}
 	for _, tc := range cases {
 		err := ValidateQuery(tc.space, tc.sample, tc.q)

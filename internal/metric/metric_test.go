@@ -182,31 +182,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 	L2(Vector{1, 2}, Vector{1, 2, 3})
 }
 
-func TestWeightedL2(t *testing.T) {
-	w := WeightedL2([]float64{1, 4})
-	got := w(Vector{0, 0}, Vector{3, 1})
-	want := math.Sqrt(9 + 4) // 1*9 + 4*1
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("WeightedL2 = %g, want %g", got, want)
-	}
-	// Unit weights reduce to L2.
-	u := WeightedL2([]float64{1, 1, 1})
-	a := Vector{0.1, 0.5, 0.9}
-	b := Vector{0.4, 0.2, 0.6}
-	if d := math.Abs(u(a, b) - L2(a, b)); d > 1e-12 {
-		t.Fatalf("unit WeightedL2 differs from L2 by %g", d)
-	}
-}
-
-func TestWeightedL2NegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative weight should panic")
-		}
-	}()
-	WeightedL2([]float64{1, -1})
-}
-
 func TestAngular(t *testing.T) {
 	a := Vector{1, 0}
 	b := Vector{0, 1}

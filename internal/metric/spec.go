@@ -6,11 +6,11 @@ import "fmt"
 // for a remote peer (the scatter-gather router) to reconstruct the same
 // Space and price, prune, and merge with arithmetic identical to the
 // node that indexed the data. Only the named, parameter-free distance
-// functions travel — a space built around a closure (Lp(2.5),
-// WeightedL2) has no spec and must stay process-local.
+// functions travel — a space built around a closure (Lp(2.5)) has no
+// spec and must stay process-local.
 type SpaceSpec struct {
 	// Name selects the distance function ("L1", "L2", "Linf", "edit",
-	// "hamming", "jaccard").
+	// "hamming").
 	Name string `json:"name"`
 	// Bound is d+, the space's finite distance bound.
 	Bound float64 `json:"bound"`
@@ -34,7 +34,6 @@ var specDistances = map[string]DistanceFunc{
 	"Linf":    LInf,
 	"edit":    Levenshtein,
 	"hamming": Hamming,
-	"jaccard": Jaccard,
 }
 
 // FromSpec reconstructs the Space a spec describes. The returned space

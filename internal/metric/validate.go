@@ -55,10 +55,6 @@ func ValidateQuery(s *Space, sample, q Object) error {
 				return fmt.Errorf("%w: query is %d bytes, edit space bounds strings at %d", ErrInvalidQuery, len(t), int(s.Bound))
 			}
 		}
-	case StringSet:
-		if _, ok := q.(StringSet); !ok {
-			return fmt.Errorf("%w: expected a string set, got %T", ErrInvalidQuery, q)
-		}
 	}
 	return nil
 }

@@ -87,30 +87,6 @@ func Lp(p float64) DistanceFunc {
 	}
 }
 
-// WeightedL2 returns a Euclidean distance with non-negative per-dimension
-// weights, a common metric for feature vectors with heterogeneous scales.
-func WeightedL2(weights []float64) DistanceFunc {
-	w := make([]float64, len(weights))
-	copy(w, weights)
-	for i, wi := range w {
-		if wi < 0 {
-			panic(fmt.Sprintf("metric: negative weight %g at dimension %d", wi, i))
-		}
-	}
-	return func(a, b Object) float64 {
-		va, vb := vecPair(a, b)
-		if len(va) != len(w) {
-			panic(fmt.Sprintf("metric: weight length %d != vector length %d", len(w), len(va)))
-		}
-		var s float64
-		for i := range va {
-			d := va[i] - vb[i]
-			s += w[i] * d * d
-		}
-		return math.Sqrt(s)
-	}
-}
-
 // Angular is the angle (in radians) between two non-zero vectors. Unlike
 // raw cosine dissimilarity it is a true metric; its bound is pi.
 func Angular(a, b Object) float64 {

@@ -8,7 +8,6 @@ import (
 
 	"mcost/internal/dataset"
 	"mcost/internal/metric"
-	"mcost/internal/obs"
 )
 
 // The arena engine's contract: bit-identical Matches (object, OID,
@@ -16,7 +15,9 @@ import (
 // traversal, for every query shape. Equality below is exact — == on
 // float64 distances and full trace strings — because that is what the
 // repo-wide cross-engine guarantees (result cache, router, golden
-// files) are built on.
+// files) are built on. The root package's TestOracle holds the arena
+// to the store across spaces, shard counts and writes; the tests here
+// pin its own entry points and edge cases.
 
 func sameMatches(t *testing.T, label string, got, want []Match) {
 	t.Helper()
@@ -44,29 +45,6 @@ func hammingDataset(n, dim int, seed int64) *dataset.Dataset {
 	return &dataset.Dataset{Name: "bits", Space: metric.HammingSpace(dim), Objects: objs}
 }
 
-// arenaCase is one (dataset, queries, radius) cell of the matrix.
-type arenaCase struct {
-	name    string
-	d       *dataset.Dataset
-	queries []metric.Object
-	radius  float64
-}
-
-func arenaCases(t *testing.T) []arenaCase {
-	t.Helper()
-	vec := dataset.PaperClustered(600, 5, 3)
-	vq := dataset.PaperClusteredQueries(24, 5, 3).Queries
-	words := dataset.Words(500, 4)
-	wq := dataset.WordQueries(24, 5).Queries
-	bits := hammingDataset(500, 32, 6)
-	bq := hammingDataset(24, 32, 7).Objects
-	return []arenaCase{
-		{"vectors-L2", vec, vq, 0.35},
-		{"words-edit", words, wq, 3},
-		{"bits-hamming", bits, bq, 8},
-	}
-}
-
 func freezeClone(t *testing.T, d *dataset.Dataset) *Tree {
 	t.Helper()
 	tr := buildTree(t, d, Options{PageSize: 1024})
@@ -74,99 +52,6 @@ func freezeClone(t *testing.T, d *dataset.Dataset) *Tree {
 		t.Fatal(err)
 	}
 	return tr
-}
-
-func TestArenaEquivalence(t *testing.T) {
-	for _, tc := range arenaCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := buildTree(t, tc.d, Options{PageSize: 1024})
-			arn := freezeClone(t, tc.d)
-			if arn.Arena() == nil {
-				t.Fatal("arena not attached")
-			}
-			for _, usePD := range []bool{false, true} {
-				opt := QueryOptions{UseParentDist: usePD}
-				for qi, q := range tc.queries {
-					refTr, arnTr := obs.NewTrace(), obs.NewTrace()
-					ropt, aopt := opt, opt
-					ropt.Trace, aopt.Trace = refTr, arnTr
-
-					ref.ResetCounters()
-					arn.ResetCounters()
-					want, err := ref.Range(q, tc.radius, ropt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := arn.Range(q, tc.radius, aopt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameMatches(t, "range", got, want)
-					if got := arnTr.String(); got != refTr.String() {
-						t.Fatalf("range trace diverged:\narena: %s\nstore: %s", got, refTr)
-					}
-					if arn.DistanceCount() != ref.DistanceCount() || arn.NodeReads() != ref.NodeReads() {
-						t.Fatalf("range counters: arena (%d, %d) vs store (%d, %d)",
-							arn.DistanceCount(), arn.NodeReads(), ref.DistanceCount(), ref.NodeReads())
-					}
-
-					refTr.Reset()
-					arnTr.Reset()
-					want, err = ref.NN(q, 7, ropt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err = arn.NN(q, 7, aopt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameMatches(t, "nn", got, want)
-					if got := arnTr.String(); got != refTr.String() {
-						t.Fatalf("nn trace diverged (query %d):\narena: %s\nstore: %s", qi, got, refTr)
-					}
-				}
-
-				// Batch engines, at sizes hitting the 1/partial/full regimes.
-				for _, bs := range []int{1, 5, len(tc.queries)} {
-					qs := tc.queries[:bs]
-					refTr, arnTr := obs.NewTrace(), obs.NewTrace()
-					ropt, aopt := opt, opt
-					ropt.Trace, aopt.Trace = refTr, arnTr
-					wantB, err := ref.RangeBatch(qs, tc.radius, ropt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotB, err := arn.RangeBatch(qs, tc.radius, aopt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range wantB {
-						sameMatches(t, "rangebatch", gotB[i], wantB[i])
-					}
-					if got := arnTr.String(); got != refTr.String() {
-						t.Fatalf("rangebatch trace diverged:\narena: %s\nstore: %s", got, refTr)
-					}
-
-					refTr.Reset()
-					arnTr.Reset()
-					wantB, err = ref.NNBatch(qs, 5, ropt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotB, err = arn.NNBatch(qs, 5, aopt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range wantB {
-						sameMatches(t, "nnbatch", gotB[i], wantB[i])
-					}
-					if got := arnTr.String(); got != refTr.String() {
-						t.Fatalf("nnbatch trace diverged:\narena: %s\nstore: %s", got, refTr)
-					}
-				}
-			}
-		})
-	}
 }
 
 func TestArenaAppendEntryPoints(t *testing.T) {
@@ -284,28 +169,6 @@ func TestArenaFreezeEdgeCases(t *testing.T) {
 	}
 	if err := tr.FreezeArena(ArenaConfig{}); err == nil {
 		t.Fatal("froze an empty tree")
-	}
-	// Generic domains (jaccard sets) freeze too, without a kernel.
-	objs := []metric.Object{
-		metric.StringSet{"a", "b"}, metric.StringSet{"b", "c"},
-		metric.StringSet{"c"}, metric.StringSet{"a", "c", "d"},
-	}
-	st, err := New(Options{Space: metric.JaccardSpace(), PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.InsertAll(objs); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.FreezeArena(ArenaConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Range(metric.StringSet{"a", "b"}, 0.6, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("generic arena returned nothing")
 	}
 }
 

@@ -2,7 +2,6 @@ package mtree
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"mcost/internal/budget"
@@ -37,76 +36,6 @@ func batchFixture(t *testing.T, n int) (*Tree, *dataset.Dataset) {
 		t.Fatal(err)
 	}
 	return tr, d
-}
-
-// TestRangeBatchMatchesSequential is the batch half of the equivalence
-// matrix: at every batch size, each query's RangeBatch result is
-// bit-identical (contents and order) to running it alone through Range,
-// with and without the parent-distance optimization.
-func TestRangeBatchMatchesSequential(t *testing.T) {
-	tr, d := batchFixture(t, 1500)
-	queries := dataset.PaperClusteredQueries(64, 6, 4242).Queries
-	for _, usePD := range []bool{false, true} {
-		for _, size := range []int{1, 2, 7, 32, 64} {
-			t.Run(fmt.Sprintf("pd=%v/batch=%d", usePD, size), func(t *testing.T) {
-				opt := QueryOptions{UseParentDist: usePD}
-				qs := queries[:size]
-				got, err := tr.RangeBatch(qs, 0.2, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != size {
-					t.Fatalf("got %d result sets for %d queries", len(got), size)
-				}
-				nonEmpty := 0
-				for i, q := range qs {
-					want, err := tr.Range(q, 0.2, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !identicalMatches(got[i], want) {
-						t.Fatalf("query %d: batch %d matches vs sequential %d", i, len(got[i]), len(want))
-					}
-					nonEmpty += len(want)
-				}
-				if nonEmpty == 0 {
-					t.Fatal("degenerate fixture: no query returned results")
-				}
-				_ = d
-			})
-		}
-	}
-}
-
-// TestNNBatchMatchesSequential: same equivalence for k-NN, across batch
-// sizes and ks.
-func TestNNBatchMatchesSequential(t *testing.T) {
-	tr, _ := batchFixture(t, 1500)
-	queries := dataset.PaperClusteredQueries(32, 6, 4242).Queries
-	for _, k := range []int{1, 5, 20} {
-		for _, size := range []int{1, 2, 7, 32} {
-			t.Run(fmt.Sprintf("k=%d/batch=%d", k, size), func(t *testing.T) {
-				opt := QueryOptions{UseParentDist: true}
-				qs := queries[:size]
-				got, err := tr.NNBatch(qs, k, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, q := range qs {
-					want, err := tr.NN(q, k, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !identicalMatches(got[i], want) {
-						t.Fatalf("query %d: batch/sequential NN results differ", i)
-					}
-					if len(want) != k {
-						t.Fatalf("query %d: %d neighbors, want %d", i, len(want), k)
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestBatchAmortizesNodeReads pins the acceptance criterion: at batch
@@ -153,60 +82,6 @@ func TestBatchAmortizesNodeReads(t *testing.T) {
 	nnBatchReads := tr.NodeReads()
 	if float64(nnLoopReads) < 2*float64(nnBatchReads) {
 		t.Errorf("nn: batch reads %d not 2x below loop reads %d", nnBatchReads, nnLoopReads)
-	}
-}
-
-// TestBatchPagedEquivalence runs the same batches on a memory tree and
-// a paged (checksummed) tree: identical results, and the paged batch
-// fetches each node at most once per batch.
-func TestBatchPagedEquivalence(t *testing.T) {
-	d := dataset.PaperClustered(1200, 5, 4301)
-	mem, err := New(Options{Space: d.Space, PageSize: 1024, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.BulkLoad(d.Objects); err != nil {
-		t.Fatal(err)
-	}
-	pg, err := pager.NewMem(PhysPageSize(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	paged, err := New(Options{Space: d.Space, PageSize: 1024, Seed: 7, Pager: pg, Codec: VectorCodec{Dim: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := paged.BulkLoad(d.Objects); err != nil {
-		t.Fatal(err)
-	}
-	queries := dataset.PaperClusteredQueries(24, 5, 4301).Queries
-	opt := QueryOptions{UseParentDist: true}
-
-	gotMem, err := mem.RangeBatch(queries, 0.2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPaged, err := paged.RangeBatch(queries, 0.2, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if !identicalMatches(gotMem[i], gotPaged[i]) {
-			t.Fatalf("query %d: paged batch differs from memory batch", i)
-		}
-	}
-	nnMem, err := mem.NNBatch(queries, 8, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nnPaged, err := paged.NNBatch(queries, 8, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if !identicalMatches(nnMem[i], nnPaged[i]) {
-			t.Fatalf("query %d: paged NN batch differs from memory", i)
-		}
 	}
 }
 

@@ -119,7 +119,7 @@ const maxSeedsPerRound = 32
 
 // clusterItems partitions items into groups that each fit one node,
 // by recursive assignment to sampled seeds, then merges undersized
-// groups into their nearest siblings to respect MinUtil.
+// groups into their nearest siblings to respect minUtil.
 func (t *Tree) clusterItems(items []blItem, leaf bool) ([]blGroup, error) {
 	var bytesTotal int
 	for _, it := range items {
@@ -186,15 +186,26 @@ func (t *Tree) clusterItems(items []blItem, leaf bool) ([]blGroup, error) {
 		if len(g.items) == len(items) {
 			// Degenerate: every item gravitated to a single seed (e.g.
 			// heavy duplication). Split evenly; the second half's seed
-			// changes, so its distances must be recomputed.
+			// changes, so its distances must be recomputed. A half that
+			// still overflows a node is clustered again. The first half
+			// is capped at its length: a group merged into it later must
+			// not append over the second.
 			half := len(g.items) / 2
 			tail := g.items[half:]
 			for i := range tail {
 				tail[i].toSeed = math.NaN()
 			}
-			final = append(final,
-				blGroup{items: g.items[:half], seed: blGroupSeed{idx: 0}},
-				blGroup{items: tail, seed: blGroupSeed{idx: 0}})
+			for _, h := range [][]blItem{g.items[:half:half], tail} {
+				if t.levelFitsOneNode(h, leaf) {
+					final = append(final, blGroup{items: h, seed: blGroupSeed{idx: 0}})
+					continue
+				}
+				sub, err := t.clusterItems(h, leaf)
+				if err != nil {
+					return nil, err
+				}
+				final = append(final, sub...)
+			}
 			continue
 		}
 		sub, err := t.clusterItems(g.items, leaf)
@@ -206,14 +217,14 @@ func (t *Tree) clusterItems(items []blItem, leaf bool) ([]blGroup, error) {
 	return t.mergeUndersized(final, leaf), nil
 }
 
-// mergeUndersized folds groups below the MinUtil byte threshold into the
+// mergeUndersized folds groups below the minUtil byte threshold into the
 // nearest (by seed distance) group with room, honoring the paper's 30%
 // minimum node utilization.
 func (t *Tree) mergeUndersized(groups []blGroup, leaf bool) []blGroup {
 	if len(groups) <= 1 {
 		return groups
 	}
-	minBytes := int(t.opt.MinUtil * float64(t.opt.PageSize))
+	minBytes := int(minUtil * float64(t.opt.PageSize))
 	bytesOf := func(g blGroup) int {
 		total := nodeHeaderSize
 		for _, it := range g.items {

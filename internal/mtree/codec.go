@@ -98,67 +98,6 @@ func (StringCodec) Decode(buf []byte) (metric.Object, error) {
 	return string(buf), nil
 }
 
-// SetCodec encodes metric.StringSet objects (token sets under the
-// Jaccard distance): a uint16 item count followed by length-prefixed
-// tokens.
-type SetCodec struct{}
-
-// Size implements ObjectCodec.
-func (SetCodec) Size(o metric.Object) int {
-	s, ok := o.(metric.StringSet)
-	if !ok {
-		panic(fmt.Sprintf("mtree: SetCodec got %T", o))
-	}
-	total := 2
-	for _, item := range s {
-		total += 2 + len(item)
-	}
-	return total
-}
-
-// Append implements ObjectCodec.
-func (SetCodec) Append(buf []byte, o metric.Object) []byte {
-	s := o.(metric.StringSet)
-	if len(s) > math.MaxUint16 {
-		panic(fmt.Sprintf("mtree: set of %d items exceeds format limit", len(s)))
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	for _, item := range s {
-		if len(item) > math.MaxUint16 {
-			panic(fmt.Sprintf("mtree: token of %d bytes exceeds format limit", len(item)))
-		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(item)))
-		buf = append(buf, item...)
-	}
-	return buf
-}
-
-// Decode implements ObjectCodec.
-func (SetCodec) Decode(buf []byte) (metric.Object, error) {
-	if len(buf) < 2 {
-		return nil, fmt.Errorf("mtree: set payload too short (%d bytes)", len(buf))
-	}
-	count := int(binary.LittleEndian.Uint16(buf))
-	pos := 2
-	out := make(metric.StringSet, 0, count)
-	for i := 0; i < count; i++ {
-		if pos+2 > len(buf) {
-			return nil, fmt.Errorf("mtree: set payload truncated at item %d", i)
-		}
-		l := int(binary.LittleEndian.Uint16(buf[pos:]))
-		pos += 2
-		if pos+l > len(buf) {
-			return nil, fmt.Errorf("mtree: set item %d truncated", i)
-		}
-		out = append(out, string(buf[pos:pos+l]))
-		pos += l
-	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("mtree: set payload has %d trailing bytes", len(buf)-pos)
-	}
-	return out, nil
-}
-
 // CodecFor returns the natural codec for a sample object of a space.
 func CodecFor(sample metric.Object) (ObjectCodec, error) {
 	switch v := sample.(type) {
@@ -166,8 +105,6 @@ func CodecFor(sample metric.Object) (ObjectCodec, error) {
 		return VectorCodec{Dim: len(v)}, nil
 	case string:
 		return StringCodec{}, nil
-	case metric.StringSet:
-		return SetCodec{}, nil
 	default:
 		return nil, fmt.Errorf("mtree: no codec for object type %T", sample)
 	}

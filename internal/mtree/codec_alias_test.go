@@ -24,7 +24,6 @@ func TestCodecDecodeNeverAliasesBuffer(t *testing.T) {
 	}{
 		{"vector", VectorCodec{Dim: 3}, metric.Vector{1.5, -2.25, 3.125}},
 		{"string", StringCodec{}, "hello-world"},
-		{"set", SetCodec{}, metric.StringSet{"alpha", "beta"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -31,7 +31,7 @@ func TestKernelDispatchByFunctionIdentity(t *testing.T) {
 		queries []metric.Object
 		radius  float64
 	}{
-		{"L2", &metric.Space{Name: "L2", Distance: metric.WeightedL2([]float64{9, 4, 1, 0.25}), Bound: 4 * vec.Space.Bound},
+		{"L2", &metric.Space{Name: "L2", Distance: func(a, b metric.Object) float64 { return 2 * metric.L2(a, b) }, Bound: 2 * vec.Space.Bound},
 			vec.Objects, dataset.PaperClusteredQueries(6, 4, 11).Queries, 0.5},
 		{"edit", &metric.Space{Name: "edit", Distance: func(a, b metric.Object) float64 { return 2 * metric.Levenshtein(a, b) }, Bound: 2 * words.Space.Bound, Discrete: true},
 			words.Objects, dataset.WordQueries(6, 5).Queries, 6},
@@ -83,12 +83,12 @@ func TestKernelDispatchByFunctionIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				scanSameMatches(t, label+" scan range", scanRange, canonicalize(LinearScanRange(c.objs, c.space, q, c.radius)))
+				sameMatches(t, label+" scan range", scanRange, canonicalize(LinearScanRange(c.objs, c.space, q, c.radius)))
 				scanNN, err := scan.NN(q, 5, QueryOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				scanSameMatches(t, label+" scan nn", scanNN, wantNN)
+				sameMatches(t, label+" scan nn", scanNN, wantNN)
 			}
 			if matches == 0 {
 				t.Fatal("no range matches: the fixture proves nothing")

@@ -72,21 +72,3 @@ func FuzzDecodeNodeString(f *testing.F) {
 		}
 	})
 }
-
-// FuzzSetCodec hardens the token-set payload decoder.
-func FuzzSetCodec(f *testing.F) {
-	codec := SetCodec{}
-	f.Add(codec.Append(nil, metric.NewStringSet("a", "bb", "ccc")))
-	f.Add([]byte{2, 0, 1, 0, 'x'})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := codec.Decode(data)
-		if err != nil {
-			return
-		}
-		// Round trip must be stable.
-		re := codec.Append(nil, o)
-		if string(re) != string(data) {
-			t.Fatalf("set decode/encode not stable: %x -> %x", data, re)
-		}
-	})
-}

@@ -167,15 +167,15 @@ func (t *Tree) choosePromotion(all []Entry, leaf bool) (p1, p2 int, g1, g2 []int
 		type pair struct{ a, b int }
 		var candidates []pair
 		total := len(all) * (len(all) - 1) / 2
-		if total <= t.opt.PromoteSamples {
+		if total <= promoteSamples {
 			for i := 0; i < len(all); i++ {
 				for j := i + 1; j < len(all); j++ {
 					candidates = append(candidates, pair{i, j})
 				}
 			}
 		} else {
-			seen := make(map[pair]bool, t.opt.PromoteSamples)
-			for len(candidates) < t.opt.PromoteSamples {
+			seen := make(map[pair]bool, promoteSamples)
+			for len(candidates) < promoteSamples {
 				a := t.rng.Intn(len(all))
 				b := t.rng.Intn(len(all) - 1)
 				if b >= a {
@@ -222,10 +222,10 @@ func radiusOf(all []Entry, idx []int, dists []float64, leaf bool) float64 {
 	return r
 }
 
-// partition distributes all entries between promoted entries p1 and p2
-// using the configured policy. The promoted entries themselves join
-// their own groups. Returned distances align with the group index
-// slices.
+// partition splits all entries 50/50 between promoted entries p1 and
+// p2, alternately assigning the unassigned entry nearest to each
+// (M-tree's BAL strategy). The promoted entries themselves join their
+// own groups. Returned distances align with the group index slices.
 func (t *Tree) partition(all []Entry, p1, p2 int, leaf bool) (g1, g2 []int, d1, d2 []float64) {
 	// Distances of every entry to both promoted objects.
 	da := make([]float64, len(all))
@@ -246,48 +246,28 @@ func (t *Tree) partition(all []Entry, p1, p2 int, leaf bool) (g1, g2 []int, d1, 
 	add1 := func(i int) { g1 = append(g1, i); d1 = append(d1, da[i]) }
 	add2 := func(i int) { g2 = append(g2, i); d2 = append(d2, db[i]) }
 
-	switch t.opt.Partition {
-	case PartitionHyperplane:
-		for i := range all {
-			if da[i] <= db[i] {
-				add1(i)
-			} else {
-				add2(i)
-			}
+	// Two presorted orders make the alternation O(c log c).
+	orderA := sortedByDist(da)
+	orderB := sortedByDist(db)
+	assigned := make([]bool, len(all))
+	remaining := len(all)
+	ia, ib := 0, 0
+	for remaining > 0 {
+		for assigned[orderA[ia]] {
+			ia++
 		}
-		// Guarantee both groups non-empty.
-		if len(g2) == 0 {
-			moveNearest(&g1, &d1, &g2, &d2, db)
-		} else if len(g1) == 0 {
-			moveNearest(&g2, &d2, &g1, &d1, da)
+		assigned[orderA[ia]] = true
+		add1(orderA[ia])
+		remaining--
+		if remaining == 0 {
+			break
 		}
-	case PartitionBalanced:
-		// Alternate taking the unassigned entry nearest to each promoted
-		// object, via two presorted orders (O(c log c)).
-		orderA := sortedByDist(da)
-		orderB := sortedByDist(db)
-		assigned := make([]bool, len(all))
-		remaining := len(all)
-		ia, ib := 0, 0
-		for remaining > 0 {
-			for assigned[orderA[ia]] {
-				ia++
-			}
-			assigned[orderA[ia]] = true
-			add1(orderA[ia])
-			remaining--
-			if remaining == 0 {
-				break
-			}
-			for assigned[orderB[ib]] {
-				ib++
-			}
-			assigned[orderB[ib]] = true
-			add2(orderB[ib])
-			remaining--
+		for assigned[orderB[ib]] {
+			ib++
 		}
-	default:
-		panic(fmt.Sprintf("mtree: unknown partition policy %v", t.opt.Partition))
+		assigned[orderB[ib]] = true
+		add2(orderB[ib])
+		remaining--
 	}
 	return
 }
@@ -300,22 +280,4 @@ func sortedByDist(d []float64) []int {
 	}
 	sort.Slice(order, func(x, y int) bool { return d[order[x]] < d[order[y]] })
 	return order
-}
-
-// moveNearest moves the src entry closest to the destination's promoted
-// object into dst, keeping both groups non-empty with minimal radius
-// growth.
-func moveNearest(srcG *[]int, srcD *[]float64, dstG *[]int, dstD *[]float64, dstDist []float64) {
-	best := -1
-	bestPos := -1
-	for pos, i := range *srcG {
-		if best < 0 || dstDist[i] < dstDist[best] {
-			best = i
-			bestPos = pos
-		}
-	}
-	*dstG = append(*dstG, best)
-	*dstD = append(*dstD, dstDist[best])
-	*srcG = append((*srcG)[:bestPos], (*srcG)[bestPos+1:]...)
-	*srcD = append((*srcD)[:bestPos], (*srcD)[bestPos+1:]...)
 }

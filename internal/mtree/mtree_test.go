@@ -59,9 +59,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Space: metric.VectorSpace("L2", 2), PageSize: 100}); err == nil {
 		t.Error("tiny page accepted")
 	}
-	if _, err := New(Options{Space: metric.VectorSpace("L2", 2), MinUtil: 0.9}); err == nil {
-		t.Error("MinUtil > 0.5 accepted")
-	}
 	p, _ := pager.NewMem(PhysPageSize(4096))
 	if _, err := New(Options{Space: metric.VectorSpace("L2", 2), Pager: p}); err == nil {
 		t.Error("paged mode without codec accepted")
@@ -389,18 +386,15 @@ func TestStatsConsistency(t *testing.T) {
 func TestPromotionPolicies(t *testing.T) {
 	d := dataset.Uniform(400, 3, 12)
 	for _, pp := range []PromotePolicy{PromoteMinMaxRadius, PromoteRandom} {
-		for _, part := range []PartitionPolicy{PartitionBalanced, PartitionHyperplane} {
-			opt := Options{PageSize: 512, Promote: pp, Partition: part, Seed: 5}
-			tr := buildTree(t, d, opt)
-			q := metric.Vector{0.3, 0.3, 0.3}
-			got, err := tr.Range(q, 0.2, QueryOptions{})
-			if err != nil {
-				t.Fatalf("%v/%v: %v", pp, part, err)
-			}
-			want := LinearScanRange(d.Objects, d.Space, q, 0.2)
-			if !sameOIDs(got, want) {
-				t.Fatalf("%v/%v: wrong results", pp, part)
-			}
+		tr := buildTree(t, d, Options{PageSize: 512, Promote: pp, Seed: 5})
+		q := metric.Vector{0.3, 0.3, 0.3}
+		got, err := tr.Range(q, 0.2, QueryOptions{})
+		if err != nil {
+			t.Fatalf("%v: %v", pp, err)
+		}
+		want := LinearScanRange(d.Objects, d.Space, q, 0.2)
+		if !sameOIDs(got, want) {
+			t.Fatalf("%v: wrong results", pp)
 		}
 	}
 }

@@ -213,79 +213,6 @@ func TestFitsAccounting(t *testing.T) {
 	}
 }
 
-func TestSetCodecRoundTrip(t *testing.T) {
-	c := SetCodec{}
-	s := metric.NewStringSet("gamma", "alpha", "beta", "")
-	buf := c.Append(nil, s)
-	if len(buf) != c.Size(s) {
-		t.Fatalf("Size %d != appended %d", c.Size(s), len(buf))
-	}
-	got, err := c.Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := got.(metric.StringSet)
-	if len(gs) != len(s) {
-		t.Fatalf("decoded %d items", len(gs))
-	}
-	for i := range s {
-		if gs[i] != s[i] {
-			t.Fatalf("item %d: %q != %q", i, gs[i], s[i])
-		}
-	}
-	// Empty set round-trips.
-	empty := metric.NewStringSet()
-	eb := c.Append(nil, empty)
-	if got, err := c.Decode(eb); err != nil || len(got.(metric.StringSet)) != 0 {
-		t.Fatalf("empty set round trip: %v %v", got, err)
-	}
-	// Truncations rejected.
-	for cut := 1; cut < len(buf); cut++ {
-		if _, err := c.Decode(buf[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	if _, err := c.Decode(append(buf, 0)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-}
-
-func TestMTreeOverJaccardSets(t *testing.T) {
-	// End to end: index token sets under the Jaccard distance.
-	rng := rand.New(rand.NewSource(23))
-	vocab := []string{"ale", "bar", "cat", "dog", "elm", "fox", "gnu", "hen", "ivy", "jay"}
-	objs := make([]metric.Object, 400)
-	for i := range objs {
-		var items []string
-		for _, v := range vocab {
-			if rng.Float64() < 0.35 {
-				items = append(items, v)
-			}
-		}
-		items = append(items, vocab[i%len(vocab)]) // never empty
-		objs[i] = metric.NewStringSet(items...)
-	}
-	tr, err := New(Options{Space: metric.JaccardSpace(), PageSize: 1024, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.BulkLoad(objs); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	q := metric.NewStringSet("cat", "dog", "fox")
-	got, err := tr.Range(q, 0.5, QueryOptions{UseParentDist: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := LinearScanRange(objs, metric.JaccardSpace(), q, 0.5)
-	if !sameOIDs(got, want) {
-		t.Fatalf("Jaccard range: %d vs %d results", len(got), len(want))
-	}
-}
-
 // TestNodeCapacitiesMatchLayout pins NodeCapacities — the capacity
 // formula shared with the stats-free planner — against the actual page
 // layout: exactly leafCap (internalCap) entries fit a page via the

@@ -50,18 +50,23 @@ type Scan struct {
 // page used for the node-read meter; objs[0] fixes the per-object
 // encoded size.
 func NewScan(space *metric.Space, objs []metric.Object, pageSize int) (*Scan, error) {
+	if len(objs) == 0 {
+		return nil, errors.New("mtree: scan: no objects")
+	}
 	oids := make([]uint64, len(objs))
 	for i := range oids {
 		oids[i] = uint64(i)
 	}
-	return NewScanOIDs(space, append([]metric.Object(nil), objs...), oids, pageSize)
+	return NewScanOIDs(space, append([]metric.Object(nil), objs...), oids, objs[0], pageSize)
 }
 
 // NewScanOIDs builds a scan engine that reads objs in the order given,
 // objs[i] under oids[i]. The scan keeps both slices. An mcost.Index
 // passes the leaf views of its frozen arenas in slab order (see
 // Arena.Leaves), so the scan walks each coordinate slab front to back.
-func NewScanOIDs(space *metric.Space, objs []metric.Object, oids []uint64, pageSize int) (*Scan, error) {
+// sample fixes the per-object encoded size, so that variable-size
+// objects cost the same pages in any scan order.
+func NewScanOIDs(space *metric.Space, objs []metric.Object, oids []uint64, sample metric.Object, pageSize int) (*Scan, error) {
 	if space == nil {
 		return nil, errors.New("mtree: scan: nil space")
 	}
@@ -71,7 +76,7 @@ func NewScanOIDs(space *metric.Space, objs []metric.Object, oids []uint64, pageS
 	if len(oids) != len(objs) {
 		return nil, fmt.Errorf("mtree: scan: %d OIDs for %d objects", len(oids), len(objs))
 	}
-	per, err := scanObjectsPerPage(objs[0], pageSize)
+	per, err := scanObjectsPerPage(sample, pageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -195,11 +200,4 @@ func (s *Scan) RangeBatch(qs []metric.Object, radius float64, opt QueryOptions) 
 // reads amortize across the batch (see Tree.NNBatch).
 func (s *Scan) NNBatch(qs []metric.Object, k int, opt QueryOptions) ([][]Match, error) {
 	return s.nnBatch(qs, k, opt)
-}
-
-// CostEstimateScan reports what one full scan costs in the paper's
-// currency: Pages() node reads and Size() distance computations — the
-// deterministic denominator every tree prediction is compared against.
-func (s *Scan) CostEstimateScan() (nodes, dists float64) {
-	return float64(s.Pages()), float64(len(s.objs))
 }

@@ -44,19 +44,6 @@ func canonicalize(ms []Match) []Match {
 	return out
 }
 
-func scanSameMatches(t *testing.T, label string, got, want []Match) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: got %d matches, want %d", label, len(got), len(want))
-	}
-	for i := range got {
-		if got[i].OID != want[i].OID || got[i].Distance != want[i].Distance {
-			t.Fatalf("%s: match %d = (oid %d, d %v), want (oid %d, d %v)",
-				label, i, got[i].OID, got[i].Distance, want[i].OID, want[i].Distance)
-		}
-	}
-}
-
 func TestScanMatchesLinearBaselines(t *testing.T) {
 	s, objs, space := scanFixture(t, 500, 6)
 	q := objs[123]
@@ -65,14 +52,14 @@ func TestScanMatchesLinearBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Range(%g): %v", radius, err)
 		}
-		scanSameMatches(t, "range", got, canonicalize(LinearScanRange(objs, space, q, radius)))
+		sameMatches(t, "range", got, canonicalize(LinearScanRange(objs, space, q, radius)))
 	}
 	for _, k := range []int{1, 10, 100} {
 		got, err := s.NN(q, k, QueryOptions{})
 		if err != nil {
 			t.Fatalf("NN(%d): %v", k, err)
 		}
-		scanSameMatches(t, "nn", got, LinearScanNN(objs, space, q, k))
+		sameMatches(t, "nn", got, LinearScanNN(objs, space, q, k))
 	}
 }
 
@@ -168,7 +155,7 @@ func TestScanBatchSharesPageReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Range: %v", err)
 		}
-		scanSameMatches(t, "range batch", batch[i], solo)
+		sameMatches(t, "range batch", batch[i], solo)
 	}
 
 	nnBatch, err := s.NNBatch(qs, 7, QueryOptions{})
@@ -180,7 +167,7 @@ func TestScanBatchSharesPageReads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NN: %v", err)
 		}
-		scanSameMatches(t, "nn batch", nnBatch[i], solo)
+		sameMatches(t, "nn batch", nnBatch[i], solo)
 	}
 }
 
@@ -213,38 +200,4 @@ func TestScanInsertRemove(t *testing.T) {
 	if len(got) != 100 {
 		t.Fatalf("%d objects after remove, want 100", len(got))
 	}
-}
-
-// The scan must agree bit-for-bit with the tree on the same data — same
-// OIDs, same distances, same (distance, OID) order once tree results are
-// canonicalized.
-func TestScanAgreesWithTree(t *testing.T) {
-	s, objs, space := scanFixture(t, 300, 5)
-	tr, err := New(Options{Space: space, PageSize: 4096, Seed: 7})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := tr.BulkLoad(objs); err != nil {
-		t.Fatalf("BulkLoad: %v", err)
-	}
-	q := objs[42]
-	treeRange, err := tr.Range(q, 0.7, QueryOptions{})
-	if err != nil {
-		t.Fatalf("tree Range: %v", err)
-	}
-	scanRange, err := s.Range(q, 0.7, QueryOptions{})
-	if err != nil {
-		t.Fatalf("scan Range: %v", err)
-	}
-	scanSameMatches(t, "tree vs scan range", scanRange, canonicalize(treeRange))
-
-	treeNN, err := tr.NN(q, 9, QueryOptions{})
-	if err != nil {
-		t.Fatalf("tree NN: %v", err)
-	}
-	scanNN, err := s.NN(q, 9, QueryOptions{})
-	if err != nil {
-		t.Fatalf("scan NN: %v", err)
-	}
-	scanSameMatches(t, "tree vs scan nn", scanNN, treeNN)
 }

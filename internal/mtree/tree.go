@@ -37,30 +37,15 @@ func (p PromotePolicy) String() string {
 	}
 }
 
-// PartitionPolicy distributes a split node's entries between the two
-// promoted routing objects.
-type PartitionPolicy int
-
+// Split and bulk-load constants of the paper's experimental setup.
 const (
-	// PartitionBalanced alternately assigns the entry nearest to each
-	// promoted object, yielding a 50/50 split (M-tree's BAL strategy).
-	PartitionBalanced PartitionPolicy = iota
-	// PartitionHyperplane assigns each entry to its nearer promoted
-	// object (generalized-hyperplane), minimizing covering radii at the
-	// cost of possibly unbalanced nodes.
-	PartitionHyperplane
+	// promoteSamples caps the candidate pairs PromoteMinMaxRadius
+	// evaluates on large nodes.
+	promoteSamples = 24
+	// minUtil is the minimum node utilization for bulk loading, as a
+	// fraction of PageSize.
+	minUtil = 0.3
 )
-
-func (p PartitionPolicy) String() string {
-	switch p {
-	case PartitionBalanced:
-		return "balanced"
-	case PartitionHyperplane:
-		return "hyperplane"
-	default:
-		return fmt.Sprintf("PartitionPolicy(%d)", int(p))
-	}
-}
 
 // Options configures a Tree. Space is required; everything else has
 // defaults matching the paper's experimental setup (4 KB nodes, 30%
@@ -75,14 +60,6 @@ type Options struct {
 	PageSize int
 	// Promote selects the split promotion policy.
 	Promote PromotePolicy
-	// Partition selects the split partition policy.
-	Partition PartitionPolicy
-	// PromoteSamples caps the candidate pairs evaluated by
-	// PromoteMinMaxRadius on large nodes (default 24).
-	PromoteSamples int
-	// MinUtil is the minimum node utilization for bulk loading,
-	// as a fraction of PageSize (default 0.3 as in the paper).
-	MinUtil float64
 	// Pager, when set, makes the tree fully paged: every node access
 	// reads and decodes the page. When nil the tree keeps nodes in
 	// memory and counts accesses logically — same costs, much faster.
@@ -99,12 +76,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = 4096
-	}
-	if o.PromoteSamples == 0 {
-		o.PromoteSamples = 24
-	}
-	if o.MinUtil == 0 {
-		o.MinUtil = 0.3
 	}
 	return o
 }
@@ -150,9 +121,6 @@ func New(opt Options) (*Tree, error) {
 	opt = opt.withDefaults()
 	if opt.PageSize < 256 {
 		return nil, fmt.Errorf("mtree: page size %d too small (min 256)", opt.PageSize)
-	}
-	if opt.MinUtil < 0 || opt.MinUtil > 0.5 {
-		return nil, fmt.Errorf("mtree: MinUtil %g outside [0, 0.5]", opt.MinUtil)
 	}
 	t := &Tree{
 		opt: opt,

@@ -78,30 +78,6 @@ func getHealth(t *testing.T, h http.Handler) (int, HealthResponse) {
 	return rr.Code, hr
 }
 
-// Readiness: a server constructed NotReady answers 503 "building" until
-// SetReady flips it, and can be taken back out of rotation.
-func TestHealthReadiness(t *testing.T) {
-	s := newTestServer(t, Config{NotReady: true})
-	h := s.Handler()
-
-	code, hr := getHealth(t, h)
-	if code != http.StatusServiceUnavailable || hr.Status != "building" || hr.Ready {
-		t.Fatalf("not-ready healthz = %d %+v, want 503 building", code, hr)
-	}
-	s.SetReady(true)
-	code, hr = getHealth(t, h)
-	if code != http.StatusOK || hr.Status != "ok" || !hr.Ready {
-		t.Fatalf("ready healthz = %d %+v, want 200 ok", code, hr)
-	}
-	if hr.Objects != testIndex(t).Size() {
-		t.Errorf("healthz objects = %d, want %d", hr.Objects, testIndex(t).Size())
-	}
-	s.SetReady(false)
-	if code, _ := getHealth(t, h); code != http.StatusServiceUnavailable {
-		t.Fatalf("un-readied healthz = %d, want 503", code)
-	}
-}
-
 // Liveness: a write holding (or waiting on) the writer lock past the
 // threshold turns /healthz into 503 "wedged", and recovery restores
 // 200 — the signal a router's health loop fails over on.

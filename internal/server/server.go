@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mcost/internal/budget"
@@ -79,11 +78,6 @@ type Config struct {
 	// Debug mounts http.DefaultServeMux under /debug/ — net/http/pprof
 	// and expvar when the binary imports them.
 	Debug bool
-	// NotReady starts the server unready: /healthz answers 503
-	// "building" until SetReady(true). Embedders that construct the
-	// server before the engine finishes warming use this so a router's
-	// health loop does not route to them early.
-	NotReady bool
 	// WedgeThreshold is how long a write may hold or wait on the writer
 	// lock before /healthz reports 503 "wedged" (0 picks
 	// DefaultWedgeThreshold; negative disables the check).
@@ -117,10 +111,9 @@ type Server struct {
 	ceiling float64
 	clock   func() time.Time
 
-	// Readiness and liveness state behind /healthz: ready flips once
-	// the engine is warm; writes tracks in-flight writers so a wedged
-	// writer lock surfaces as 503 instead of an eternally-"ok" node.
-	ready       atomic.Bool
+	// Liveness state behind /healthz: writes tracks in-flight writers so
+	// a wedged writer lock surfaces as 503 instead of an eternally-"ok"
+	// node. Until the engine is built, BootingHandler answers instead.
 	wedgeThresh time.Duration
 	writes      writeTracker
 
@@ -213,7 +206,6 @@ func New(cfg Config) (*Server, error) {
 		cDeletes:    reg.Counter("server.deletes"),
 		ceiling:     cfg.PlanCeiling,
 	}
-	s.ready.Store(!cfg.NotReady)
 	// A mutable engine gets the readers-writer guard: queries (pricing
 	// and batch dispatch) share the read side, /v1/insert and /v1/delete
 	// take the write side. Read-only engines keep the zero-cost path.
@@ -234,10 +226,6 @@ func New(cfg Config) (*Server, error) {
 	s.bat = NewBatcher(s.eng, cfg.Batch, reg, cfg.Clock)
 	return s, nil
 }
-
-// SetReady flips the readiness /healthz reports: false returns the node
-// to 503 "building", true marks it routable.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // Registry returns the server's metrics registry (the one /v1/stats
 // serves).
@@ -641,8 +629,8 @@ func (s *Server) jitterRetryMS(base int64) int64 {
 }
 
 // HealthResponse is the /healthz body. Status distinguishes readiness
-// from liveness: "ok" (200) means route to me; "building" (503) means
-// the index is not warm yet; "wedged" (503) means a write has held or
+// from liveness: "ok" (200) means route to me; "building" (503, from
+// BootingHandler) means the index is not built yet; "wedged" (503) means a write has held or
 // waited on the writer lock past the threshold, so queries would queue
 // behind it — a router's health loop should fail over instead.
 type HealthResponse struct {
@@ -658,10 +646,6 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if !s.ready.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "building"})
-		return
-	}
 	if s.wedgeThresh > 0 {
 		if age := s.writes.oldest(s.clock()); age > s.wedgeThresh {
 			writeJSON(w, http.StatusServiceUnavailable, HealthResponse{

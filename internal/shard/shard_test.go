@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -9,7 +8,6 @@ import (
 	"mcost/internal/dataset"
 	"mcost/internal/metric"
 	"mcost/internal/mtree"
-	"mcost/internal/obs"
 )
 
 func fixture(t *testing.T, n, shards int, assign Assignment) (*Set, *dataset.Dataset) {
@@ -57,143 +55,11 @@ func sameSets(a, b []mtree.Match) bool {
 	return true
 }
 
-// checkNN compares a sharded k-NN answer to the single tree's. The
-// distance sequence must be identical — both are exact k-NN — but when
-// several objects tie at a distance, which tie members appear (and in
-// what order) is implementation-defined: the single tree keeps its
-// traversal-order discovery, the shard merge orders canonically by
-// (Distance, OID). So ties compare by membership validity: every
-// reported OID must truly lie at its reported distance.
-func checkNN(t *testing.T, d *dataset.Dataset, q metric.Object, got, want []mtree.Match, k int) {
-	t.Helper()
-	if len(got) != k || len(want) != k {
-		t.Fatalf("NN lengths %d / %d, want %d", len(got), len(want), k)
-	}
-	for i := range got {
-		if got[i].Distance != want[i].Distance {
-			t.Fatalf("NN rank %d: sharded distance %g vs single-tree %g", i, got[i].Distance, want[i].Distance)
-		}
-		if td := d.Space.Distance(q, d.Objects[got[i].OID]); td != got[i].Distance {
-			t.Fatalf("NN rank %d: OID %d is at %g, not the reported %g", i, got[i].OID, td, got[i].Distance)
-		}
-	}
-}
-
-// TestShardEquivalenceMatrix is the shard half of the equivalence
-// matrix: at every shard count and both assignments, Range/NN and their
-// batch forms return exactly the single-tree answers, with global OIDs.
-func TestShardEquivalenceMatrix(t *testing.T) {
-	d := dataset.PaperClustered(1500, 6, 9001)
-	ref, err := mtree.New(mtree.Options{Space: d.Space, PageSize: 4096, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.BulkLoad(d.Objects); err != nil {
-		t.Fatal(err)
-	}
-	refOpt := mtree.QueryOptions{UseParentDist: true}
-	qs := queries(24)
-	const radius = 0.18
-	const k = 10
-
-	for _, assign := range []Assignment{RoundRobin, Pivot} {
-		for _, shards := range []int{1, 2, 3, 8} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%v/s=%d/w=%d", assign, shards, workers), func(t *testing.T) {
-					set, err := Build(d.Space, d.Objects, Options{Shards: shards, Assign: assign, Seed: 11})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if set.Size() != len(d.Objects) {
-						t.Fatalf("sharded size %d, want %d", set.Size(), len(d.Objects))
-					}
-					opt := QueryOptions{UseParentDist: true, Workers: workers}
-
-					batchR, err := set.RangeBatch(qs, radius, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					batchNN, err := set.NNBatch(qs, k, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					totalMatches := 0
-					for i, q := range qs {
-						wantR, err := ref.Range(q, radius, refOpt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						totalMatches += len(wantR)
-						gotR, err := set.Range(q, radius, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !sameSets(gotR, wantR) {
-							t.Fatalf("query %d: sharded range %d vs single-tree %d", i, len(gotR), len(wantR))
-						}
-						if !sameSets(batchR[i], wantR) {
-							t.Fatalf("query %d: sharded RangeBatch differs from single tree", i)
-						}
-
-						wantNN, err := ref.NN(q, k, refOpt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gotNN, err := set.NN(q, k, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						checkNN(t, d, q, gotNN, wantNN, k)
-						checkNN(t, d, q, batchNN[i], wantNN, k)
-					}
-					if totalMatches == 0 {
-						t.Fatal("degenerate fixture: no range matches at all")
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestShardDeterminismAcrossWorkers pins that worker count changes
-// nothing: results and merged traces are identical at 1 and 8 workers.
-func TestShardDeterminismAcrossWorkers(t *testing.T) {
-	set, _ := fixture(t, 1200, 4, Pivot)
-	qs := queries(16)
-	run := func(workers int) ([][]mtree.Match, *obs.Trace) {
-		tr := obs.NewTrace()
-		out, err := set.RangeBatch(qs, 0.2, QueryOptions{UseParentDist: true, Workers: workers, Trace: tr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out, tr
-	}
-	out1, tr1 := run(1)
-	out8, tr8 := run(8)
-	for i := range qs {
-		if len(out1[i]) != len(out8[i]) {
-			t.Fatalf("query %d: %d vs %d matches across worker counts", i, len(out1[i]), len(out8[i]))
-		}
-		for j := range out1[i] {
-			if out1[i][j].OID != out8[i][j].OID || out1[i][j].Distance != out8[i][j].Distance {
-				t.Fatalf("query %d match %d differs across worker counts", i, j)
-			}
-		}
-	}
-	if tr1.Queries != tr8.Queries || tr1.Batches != tr8.Batches || len(tr1.Levels) != len(tr8.Levels) {
-		t.Fatalf("traces differ across worker counts: %+v vs %+v", tr1, tr8)
-	}
-	for l := range tr1.Levels {
-		if tr1.Levels[l] != tr8.Levels[l] {
-			t.Fatalf("level %d trace differs: %+v vs %+v", l, tr1.Levels[l], tr8.Levels[l])
-		}
-	}
-}
-
 // TestPivotShardsPrune checks that pivot sharding actually skips
 // shards: small range queries on clustered data leave whole balls
 // untouched, and k-NN prunes shards the running k-th distance rules
-// out. Correctness is covered by the matrix; this pins the savings.
+// out. Correctness is the root oracle's (TestOracle); this pins the
+// savings.
 func TestPivotShardsPrune(t *testing.T) {
 	set, _ := fixture(t, 2000, 8, Pivot)
 	qs := queries(32)

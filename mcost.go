@@ -286,7 +286,7 @@ func newScan(space *Space, objects []Object, set *shard.Set) (*mtree.Scan, error
 			oids[j] = sh.OIDs[oids[j]]
 		}
 	}
-	return mtree.NewScanOIDs(space, objs, oids, set.PageSize())
+	return mtree.NewScanOIDs(space, objs, oids, objects[0], set.PageSize())
 }
 
 // shardOptions is the shard builder's view of opt and so over objects,

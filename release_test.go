@@ -52,7 +52,7 @@ func TestIndexReleasesInput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameSets(t, "nn after the input is gone", got, want)
+			matchesEqual(t, "nn after the input is gone", got, want)
 		})
 	}
 }

@@ -2,7 +2,6 @@ package mcost
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"mcost/internal/advisor"
@@ -20,91 +19,6 @@ func shardedFixture(t *testing.T, n, shards int, assign ShardAssignment, opt Opt
 		t.Fatal(err)
 	}
 	return sx, objs
-}
-
-func canonicalMatches(ms []Match) []Match {
-	out := append([]Match(nil), ms...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Distance != out[j].Distance {
-			return out[i].Distance < out[j].Distance
-		}
-		return out[i].OID < out[j].OID
-	})
-	return out
-}
-
-// TestShardedIndexMatchesIndex checks the facade end to end: a sharded
-// index returns the same range results as a single Build index (as
-// canonical sets — concatenation order differs by shard), the same k-NN
-// distances, and OIDs are global.
-func TestShardedIndexMatchesIndex(t *testing.T) {
-	objs := randomVectors(2000, 5, 71)
-	space := VectorSpace("L2", 5)
-	ix, err := Build(space, objs, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, assign := range []ShardAssignment{ShardRoundRobin, ShardPivot} {
-		sx, err := BuildSharded(space, objs, Options{Seed: 9}, ShardOptions{Shards: 4, Assign: assign})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sx.NumShards() != 4 || sx.Size() != len(objs) {
-			t.Fatalf("%v: %d shards / %d objects", assign, sx.NumShards(), sx.Size())
-		}
-		sizes := sx.ShardSizes()
-		total := 0
-		for _, s := range sizes {
-			total += s
-		}
-		if total != len(objs) {
-			t.Fatalf("%v: shard sizes %v do not cover the dataset", assign, sizes)
-		}
-		queries := randomVectors(12, 5, 72)
-		const radius = 0.35
-		batch, err := sx.RangeBatch(queries, radius)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range queries {
-			want, err := ix.Range(q, radius)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := sx.Range(q, radius)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cw, cg, cb := canonicalMatches(want), canonicalMatches(got), canonicalMatches(batch[i])
-			if len(cw) != len(cg) || len(cw) != len(cb) {
-				t.Fatalf("%v query %d: %d vs %d vs %d matches", assign, i, len(cw), len(cg), len(cb))
-			}
-			for j := range cw {
-				if cw[j].OID != cg[j].OID || cw[j].Distance != cg[j].Distance {
-					t.Fatalf("%v query %d: range mismatch at %d", assign, i, j)
-				}
-				if cw[j].OID != cb[j].OID || cw[j].Distance != cb[j].Distance {
-					t.Fatalf("%v query %d: batch mismatch at %d", assign, i, j)
-				}
-			}
-			wantNN, err := ix.NN(q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotNN, err := sx.NN(q, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range wantNN {
-				if wantNN[j].Distance != gotNN[j].Distance {
-					t.Fatalf("%v query %d: NN distance mismatch at rank %d", assign, i, j)
-				}
-				if got := space.Distance(q, objs[gotNN[j].OID]); got != gotNN[j].Distance {
-					t.Fatalf("%v query %d: OID %d not at reported distance", assign, i, gotNN[j].OID)
-				}
-			}
-		}
-	}
 }
 
 // TestShardedPredictionsAndCosts checks that the summed per-shard model
@@ -318,7 +232,7 @@ func TestShardedStorageAndFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err) // 2% fault rate with 3 retries: effectively always absorbed
 		}
-		cw, cg := canonicalMatches(want), canonicalMatches(got)
+		cw, cg := canonOrder(want), canonOrder(got)
 		if len(cw) != len(cg) {
 			t.Fatalf("query %d: %d vs %d matches through faulty storage", i, len(cw), len(cg))
 		}
